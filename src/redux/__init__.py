@@ -56,7 +56,6 @@ from .vexalg import (
     VexResult,
     embed_reduced_word,
     nonvex_witness,
-    verify_characterization,
     vex,
 )
 from .tilings import (

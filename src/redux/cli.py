@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success / theorem passes, 1 theorem counterexample, 2 usage
-error, 3 enumeration budget exceeded.
+Exit codes: 0 success / theorem passes, 1 theorem counterexample, 2 usage or
+output-file error, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -68,10 +68,20 @@ class SystemExit2(Exception):
     """Usage error carrying a message; mapped to exit code 2."""
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SystemExit2(f"cannot write {args.output!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -184,13 +194,12 @@ def cmd_render(args) -> int:
         _emit(args, polygon_svg(w))
     elif target == "tiling":
         tilings = enumerate_rhombic(w, **budget)
-        try:
-            index = int(index_text) if index_text else 0
-            tiling = tilings[index]
-        except (ValueError, IndexError):
+        index = index_text or "0"
+        if not index.isdecimal() or int(index) >= len(tilings):
             raise SystemExit2(
                 f"tiling index {index_text!r} out of range 0..{len(tilings) - 1}"
             )
+        tiling = tilings[int(index)]
         if args.format == "json":
             _emit(args, tiling_to_json(tiling))
         else:
@@ -244,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="brute-force a theorem sweep")
     p_verify.add_argument("theorem")
-    p_verify.add_argument("--n", type=int, default=5)
+    p_verify.add_argument("--n", type=_positive_int, default=5)
     p_verify.set_defaults(func=cmd_verify)
 
     p_render = sub.add_parser("render", help="emit SVG/DOT/JSON artifacts")

@@ -12,11 +12,18 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 from .commutation import FlipGraph, class_of, classes, gf2_rank
 from .patterns import Occurrence, is_freely_braided, occurrences
-from .permcore import Perm, check_perm, format_perm, identity, length, right_mult_adjacent
+from .permcore import (
+    Perm,
+    check_perm,
+    identity,
+    length,
+    longest_element,
+    right_mult_adjacent,
+)
 from .redwords import (
     DEFAULT_MAX_LENGTH,
     BudgetError,
@@ -129,14 +136,6 @@ def _inversion_pairs(w: Perm):
     ]
 
 
-def _prefix_sets(u: Perm) -> list:
-    """Q_j(u) = {u(1), ..., u(j)} for j = 0..n, as the right-boundary points."""
-    out = [frozenset()]
-    for v in u:
-        out.append(out[-1] | {v})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Polygon realization (used only for rendering)
 
@@ -182,101 +181,90 @@ def _check_budget(w: Perm, max_length: int, override: bool) -> None:
         )
 
 
-def _reverse_window(u: Perm, j: int, m: int) -> Perm:
-    """Sort the descending window u(j..j+m-1) ascending (0-based j is j-1)."""
-    window = u[j - 1 : j - 1 + m]
-    assert all(window[t] > window[t + 1] for t in range(m - 1))
-    return u[: j - 1] + tuple(reversed(window)) + u[j - 1 + m :]
+def _peels(u: Perm, lo: int, hi: int):
+    """Every 2m-gon tile, lo <= m <= hi, that can be peeled off boundary u.
+
+    A tile sits on the right boundary exactly where u has a descending run
+    u(j) > ... > u(j+m-1); its labels are the run and its anchor is
+    {u(1), ..., u(j-1)}.  Yields (j, m, tile, u with the run sorted
+    ascending), topmost first: by j, then by m.
+    """
+    anchor: Point = frozenset()
+    for j in range(1, len(u)):
+        m = 2
+        while m <= hi and j + m - 1 <= len(u) and u[j + m - 3] > u[j + m - 2]:
+            if m >= lo:
+                run = u[j - 1 : j - 1 + m]
+                rest = u[: j - 1] + run[::-1] + u[j - 1 + m :]
+                yield j, m, Tile(frozenset(run), anchor), rest
+            m += 1
+        anchor = anchor | {u[j - 1]}
+
+
+def _enumerate(w: Perm, max_order: int) -> tuple[Tiling, ...]:
+    """All tilings of X(w) by 2m-gons with m <= max_order, sorted by key.
+
+    Peels every eligible tile off the right boundary, recursively;
+    memoization on the boundary permutation deduplicates shared subproblems.
+    """
+    memo: dict[Perm, frozenset] = {}
+
+    def rec(u: Perm) -> frozenset:
+        if u not in memo:
+            out = {frozenset()} if length(u) == 0 else set()
+            for _, _, tile, rest_u in _peels(u, 2, max_order):
+                for rest in rec(rest_u):
+                    out.add(rest | {tile})
+            memo[u] = frozenset(out)
+        return memo[u]
+
+    return tuple(sorted((Tiling(w, ts) for ts in rec(w)), key=Tiling.key))
 
 
 def enumerate_rhombic(
     w: Perm, max_length: int = DEFAULT_MAX_LENGTH, override: bool = False
 ) -> tuple[Tiling, ...]:
-    """All rhombic tilings T(w), sorted deterministically.
-
-    Peels a rhombus off the right boundary at every descent, recursively;
-    memoization on the boundary permutation deduplicates shared subproblems.
-    """
+    """All rhombic tilings T(w), sorted deterministically."""
     w = check_perm(w)
     _check_budget(w, max_length, override)
-    memo: dict[Perm, frozenset] = {}
-
-    def rec(u: Perm) -> frozenset:
-        if u not in memo:
-            prefixes = _prefix_sets(u)
-            out = set()
-            if length(u) == 0:
-                out.add(frozenset())
-            for j in range(1, len(u)):
-                if u[j - 1] > u[j]:
-                    tile = Tile(frozenset({u[j - 1], u[j]}), prefixes[j - 1])
-                    for rest in rec(right_mult_adjacent(u, j)):
-                        out.add(rest | {tile})
-            memo[u] = frozenset(out)
-        return memo[u]
-
-    return tuple(sorted((Tiling(w, ts) for ts in rec(w)), key=Tiling.key))
+    return _enumerate(w, 2)
 
 
 def enumerate_zonotopal(
     w: Perm, max_length: int = DEFAULT_MAX_LENGTH, override: bool = False
 ) -> tuple[Tiling, ...]:
-    """All zonotopal tilings Z(w): peel any 2m-gon (m >= 2) whose right half
-    is a descending run on the current right boundary."""
+    """All zonotopal tilings Z(w): tiles are 2m-gons of any order m >= 2."""
     w = check_perm(w)
     _check_budget(w, max_length, override)
-    memo: dict[Perm, frozenset] = {}
-
-    def rec(u: Perm) -> frozenset:
-        if u not in memo:
-            prefixes = _prefix_sets(u)
-            out = set()
-            if length(u) == 0:
-                out.add(frozenset())
-            for j in range(1, len(u)):
-                m = 2
-                while j - 1 + m <= len(u) and all(
-                    u[t] > u[t + 1] for t in range(j - 1, j - 2 + m)
-                ):
-                    tile = Tile(frozenset(u[j - 1 : j - 1 + m]), prefixes[j - 1])
-                    for rest in rec(_reverse_window(u, j, m)):
-                        out.add(rest | {tile})
-                    m += 1
-            memo[u] = frozenset(out)
-        return memo[u]
-
-    return tuple(sorted((Tiling(w, ts) for ts in rec(w)), key=Tiling.key))
+    return _enumerate(w, len(w))
 
 
 # ---------------------------------------------------------------------------
 # The Elnitsky bijection
 
 
+def _peel_sequence(t: Tiling):
+    """Peel the tiles of t off the right boundary, topmost eligible tile
+    first; yields (j, m, tile, boundary after the peel) for each."""
+    u = t.w
+    remaining = set(t.tiles)
+    while remaining:
+        for j, m, tile, rest in _peels(u, 2, len(u)):
+            if tile in remaining:
+                break
+        else:
+            raise AssertionError("no tile on the right boundary; not a tiling")
+        remaining.discard(tile)
+        u = rest
+        yield j, m, tile, u
+
+
 def peel_word(t: Tiling) -> Word:
     """The reduced word produced by the deterministic peel (topmost eligible
     tile first); reading the peel sequence right-to-left gives the word."""
     u = t.w
-    remaining = set(t.tiles)
     letters = []
-    while remaining:
-        prefixes = _prefix_sets(u)
-        for j in range(1, len(u)):
-            m = 2
-            hit = None
-            while j - 1 + m <= len(u) and all(
-                u[a] > u[a + 1] for a in range(j - 1, j - 2 + m)
-            ):
-                tile = Tile(frozenset(u[j - 1 : j - 1 + m]), prefixes[j - 1])
-                if tile in remaining:
-                    hit = (tile, m)
-                    break
-                m += 1
-            if hit is not None:
-                break
-        else:
-            raise AssertionError("no tile on the right boundary; not a tiling")
-        tile, m = hit
-        remaining.discard(tile)
+    for j, m, _, _ in _peel_sequence(t):
         # a 2m-gon contributes a reduced word reversing the descending window
         for r in range(1, m):
             for a in range(r, 0, -1):
@@ -299,9 +287,8 @@ def tiling_from_word(word: Word, n: int) -> Tiling:
     u = w
     tiles = set()
     for letter in reversed(word):
-        prefixes = _prefix_sets(u)
-        tiles.add(Tile(frozenset({u[letter - 1], u[letter]}), prefixes[letter - 1]))
-        u = right_mult_adjacent(u, letter)
+        _, _, tile, u = next(peel for peel in _peels(u, 2, 2) if peel[0] == letter)
+        tiles.add(tile)
     return Tiling(w, frozenset(tiles))
 
 
@@ -395,15 +382,10 @@ def flip_graph_from_tilings(
 
 def _sort_window(u: Perm, r: int, s: int, tiles: list) -> Perm:
     """Sort positions r..s ascending by peeling rhombi (topmost descent first)."""
-    while True:
-        j = next(
-            (j for j in range(r, s) if u[j - 1] > u[j]),
-            None,
-        )
-        if j is None:
-            return u
-        tiles.append(Tile(frozenset({u[j - 1], u[j]}), _prefix_sets(u)[j - 1]))
-        u = right_mult_adjacent(u, j)
+    while peel := next((p for p in _peels(u, 2, 2) if r <= p[0] < s), None):
+        _, _, tile, u = peel
+        tiles.append(tile)
+    return u
 
 
 def mono(w: Perm, occ: Occurrence, t: Tiling) -> Tiling:
@@ -422,23 +404,12 @@ def mono(w: Perm, occ: Occurrence, t: Tiling) -> Tiling:
         raise ValueError("t must be a rhombic tiling of the pattern's polygon")
     amb = occ.roles()  # amb[v - 1] plays the pattern value v
     u, pcur = w, p
-    remaining = set(t.tiles)
     tiles: list = []
-    while remaining:
-        prefixes = _prefix_sets(pcur)
-        j, tile = next(
-            (j, tile)
-            for j in range(1, len(pcur))
-            if pcur[j - 1] > pcur[j]
-            and (tile := Tile(frozenset({pcur[j - 1], pcur[j]}), prefixes[j - 1]))
-            in remaining
-        )
-        remaining.discard(tile)
-        r = u.index(amb[pcur[j - 1] - 1]) + 1
-        s = u.index(amb[pcur[j] - 1]) + 1
+    for _, _, tile, pcur in _peel_sequence(t):
+        r = u.index(amb[max(tile.labels) - 1]) + 1
+        s = u.index(amb[min(tile.labels) - 1]) + 1
         assert r < s
         u = _sort_window(u, r, s, tiles)
-        pcur = right_mult_adjacent(pcur, j)
     assert pcur == tuple(sorted(pcur))
     u = _sort_window(u, 1, len(u), tiles)
     assert u == identity(len(w))
@@ -489,18 +460,10 @@ def uniform_2k_tiling_exists(n: int, k: int) -> bool:
 
     def rec(u: Perm) -> bool:
         if u not in memo:
-            memo[u] = False  # guards cycles; peeling only shortens, so unused
-            if length(u) == 0:
-                memo[u] = True
-            else:
-                memo[u] = any(
-                    rec(_reverse_window(u, j, k))
-                    for j in range(1, len(u) - k + 2)
-                    if all(u[t] > u[t + 1] for t in range(j - 1, j - 2 + k))
-                )
+            memo[u] = length(u) == 0 or any(
+                rec(rest) for _, _, _, rest in _peels(u, k, k)
+            )
         return memo[u]
-
-    from .permcore import longest_element
 
     return rec(longest_element(n))
 
@@ -649,81 +612,6 @@ def chain_equivalences(
 # Freely braided permutations
 
 
-def hypercube_graph(k: int) -> FlipGraph:
-    vertices = tuple(range(2**k))
-    edges = frozenset(
-        (v, v | (1 << b))
-        for v in vertices
-        for b in range(k)
-        if not v & (1 << b)
-    )
-    return FlipGraph(vertices=vertices, edges=edges, labels=tuple(map(str, vertices)))
-
-
-def cube_face_lattice_minus_bottom(k: int) -> tuple:
-    """(elements, leq matrix) for the faces of the k-cube ordered by inclusion,
-    without the empty face.  Faces are words over {0, 1, 2}, 2 meaning free."""
-    elements = []
-
-    def gen(prefix):
-        if len(prefix) == k:
-            elements.append(tuple(prefix))
-            return
-        for c in (0, 1, 2):
-            gen(prefix + [c])
-
-    gen([])
-
-    def face_leq(f, g):
-        return all(gc == 2 or gc == fc for fc, gc in zip(f, g))
-
-    leq = tuple(
-        tuple(face_leq(f, g) for g in elements) for f in elements
-    )
-    return tuple(elements), leq
-
-
-def posets_isomorphic(leq1: tuple, leq2: tuple) -> bool:
-    """Exact poset isomorphism by backtracking on comparability profiles."""
-    n = len(leq1)
-    if n != len(leq2):
-        return False
-
-    def profile(leq, i):
-        down = sum(leq[j][i] for j in range(n)) - 1
-        up = sum(leq[i][j] for j in range(n)) - 1
-        return (down, up)
-
-    prof1 = [profile(leq1, i) for i in range(n)]
-    prof2 = [profile(leq2, i) for i in range(n)]
-    if sorted(prof1) != sorted(prof2):
-        return False
-    order = sorted(range(n), key=lambda i: prof1[i])
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def place(idx: int) -> bool:
-        if idx == n:
-            return True
-        i = order[idx]
-        for cand in range(n):
-            if cand in used or prof2[cand] != prof1[i]:
-                continue
-            if all(
-                leq2[cand][c2] == leq1[i][i2] and leq2[c2][cand] == leq1[i2][i]
-                for i2, c2 in mapping.items()
-            ):
-                mapping[i] = cand
-                used.add(cand)
-                if place(idx + 1):
-                    return True
-                del mapping[i]
-                used.remove(cand)
-        return False
-
-    return place(0)
-
-
 @dataclass(frozen=True)
 class FreelyBraidedReport:
     k: int
@@ -743,22 +631,52 @@ class FreelyBraidedReport:
         )
 
 
+def _cube_coordinate(z: Tiling, regions: list) -> tuple:
+    """z's coordinate in {0, 1, 2}^k: per hexagon region (labels, anchor),
+    0 for variant A, 1 for variant B, 2 for the hexagon tile, None if the
+    region is tiled none of these ways."""
+    out = []
+    for labels, S in regions:
+        va, vb = _flip_templates(*sorted(labels), S)
+        if va <= z.tiles:
+            out.append(0)
+        elif vb <= z.tiles:
+            out.append(1)
+        elif Tile(labels, S) in z.tiles:
+            out.append(2)
+        else:
+            out.append(None)
+    return tuple(out)
+
+
+def _onto(coords: list, digits: tuple, k: int) -> bool:
+    """Are the coordinates a bijection onto digits^k?"""
+    return len(coords) == len(digits) ** k and set(coords) == set(
+        product(digits, repeat=k)
+    )
+
+
 def freely_braided_structure(
     w: Perm, max_length: int = DEFAULT_MAX_LENGTH, override: bool = False
 ) -> FreelyBraidedReport:
-    """Structure report for a freely braided permutation: |C(w)| = 2^k, flip
-    graph = k-cube, P(w) = face lattice of the k-cube minus its bottom, and
-    every rhombic tiling has exactly k pairwise disjoint sub-hexagons."""
+    """Structure report for a freely braided permutation with k 321-patterns.
+
+    Every rhombic tiling must have exactly k pairwise disjoint sub-hexagons,
+    and |C(w)| = 2^k.  Each element of P(w) gets an explicit cube coordinate
+    in {0, 1, 2}^k: at each hexagon region, 0 for variant A, 1 for variant B
+    and 2 for the hexagon tile.  The flip graph is the k-cube when the
+    coordinates map T(w) onto {0, 1}^k and its edges are exactly the pairs
+    differing in one coordinate.  P(w) is the face lattice of the k-cube
+    minus its bottom when the coordinates map it onto {0, 1, 2}^k and
+    i <= j exactly when every coordinate of j is 2 or equal to that of i.
+    """
     w = check_perm(w)
     if not is_freely_braided(w):
         raise ValueError("w is not freely braided")
     k = len(occurrences(w, (3, 2, 1)))
     cls = classes(w, max_length=max_length, override=override)
     graph = flip_graph_from_tilings(w, max_length=max_length, override=override)
-    from .commutation import graphs_isomorphic
-
     p = poset(w, max_length=max_length, override=override)
-    _, reference_leq = cube_face_lattice_minus_bottom(k)
     hexagons_ok = True
     for t in graph.vertices:
         hexes = sub_hexagons(t)
@@ -767,13 +685,26 @@ def freely_braided_structure(
         )
         if len(hexes) != k or not disjoint:
             hexagons_ok = False
+    regions = [(labels, S) for labels, S, _ in sub_hexagons(graph.vertices[0])]
+
+    vertex_coords = [_cube_coordinate(t, regions) for t in graph.vertices]
+    single_moves = {
+        (i, j)
+        for (i, ci), (j, cj) in combinations(enumerate(vertex_coords), 2)
+        if sum(a != b for a, b in zip(ci, cj)) == 1
+    }
+    coords = [_cube_coordinate(z, regions) for z in p.elements]
     return FreelyBraidedReport(
         k=k,
         class_count_ok=len(cls) == 2**k,
-        graph_is_kcube=graphs_isomorphic(graph, hypercube_graph(k)),
+        graph_is_kcube=_onto(vertex_coords, (0, 1), k)
+        and graph.edges == single_moves,
         poset_size=len(p.elements),
-        poset_is_cube_face_lattice_minus_bottom=posets_isomorphic(
-            p.leq, reference_leq
+        poset_is_cube_face_lattice_minus_bottom=_onto(coords, (0, 1, 2), k)
+        and all(
+            p.leq[i][j] == all(b == 2 or b == a for a, b in zip(ci, cj))
+            for i, ci in enumerate(coords)
+            for j, cj in enumerate(coords)
         ),
         hexagons_ok=hexagons_ok,
     )
@@ -812,7 +743,7 @@ def polygon_svg(w: Perm, scale: float = 40.0) -> str:
             "</svg>\n"
         )
     left = [frozenset(range(1, j + 1)) for j in range(n + 1)]
-    right = _prefix_sets(w)
+    right = [frozenset(w[:j]) for j in range(n + 1)]
     cycle = left + list(reversed(right[1:-1]))
     points = [
         tuple(scale * c for c in poly.locate(pt)) for pt in cycle

@@ -11,7 +11,6 @@ a containing permutation for which no such reduced word exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .patterns import Occurrence, is_vexillary, obstruction, occurrences
 from .permcore import (
@@ -24,7 +23,7 @@ from .permcore import (
     position,
     right_mult_adjacent,
 )
-from .redwords import Word, enumerate_R, evaluate, find_shift_factor, shift
+from .redwords import Word, evaluate, find_shift_factor, shift
 
 _STEP_CAP = 100_000
 
@@ -372,32 +371,3 @@ def nonvex_witness(p: Perm) -> Perm:
     result = check_perm(w)
     assert occurrences(result, p), "witness must contain the pattern"
     return result
-
-
-def all_perms(n: int):
-    return (tuple(perm) for perm in permutations(range(1, n + 1)))
-
-
-def verify_characterization(p: Perm, n_max: int) -> bool:
-    """Check the characterization for ``p`` at sizes up to ``n_max``.
-
-    Vexillary p: every containing w admits a reduced word with a shifted
-    factor from R(p); the word is built constructively and verified.
-    Non-vexillary p: the constructed witness admits no such word, verified by
-    exhaustive scan of its reduced words.
-    """
-    p = check_perm(p)
-    if is_vexillary(p):
-        pattern_word = min(enumerate_R(p))
-        for n in range(len(p), n_max + 1):
-            for w in all_perms(n):
-                occs = occurrences(w, p)
-                if occs:
-                    embed_reduced_word(w, occs[0], pattern_word)  # asserts internally
-        return True
-    witness = nonvex_witness(p)
-    pattern_words = enumerate_R(p)
-    return all(
-        find_shift_factor(word, pattern_words) is None
-        for word in enumerate_R(witness)
-    )

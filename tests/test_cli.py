@@ -93,6 +93,7 @@ def test_usage_errors_exit_2(capsys):
         ["info", "abc"],
         ["render", "nope", "321"],
         ["render", "tiling:9", "321"],
+        ["render", "tiling:-1", "321"],
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -100,9 +101,10 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_argparse_usage_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["enum", "nothing", "321"])
-    assert exc.value.code == 2
+    for argv in (["enum", "nothing", "321"], ["verify", "1lbm", "--n", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
 
 
@@ -151,3 +153,10 @@ def test_output_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "-o", str(target), "render", "polygon", "4132")
     assert code == 0 and out == ""
     assert target.read_text().startswith("<svg")
+
+
+def test_output_to_missing_directory_exit_2(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.svg"
+    code, out, err = run_cli(capsys, "-o", str(target), "render", "polygon", "4132")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write")

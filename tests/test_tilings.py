@@ -4,19 +4,21 @@ import json
 from itertools import permutations
 
 import pytest
+
+from redux import tilings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redux.commutation import classes, graph, graphs_isomorphic
+from redux.commutation import FlipGraph, classes, graph, graphs_isomorphic
 from redux.patterns import avoids, occurrences
 from redux.permcore import identity, longest_element
+from redux.redwords import evaluate
 from redux.tilings import (
     Tile,
     Tiling,
     boundary_edges,
     build_polygon,
     chain_equivalences,
-    cube_face_lattice_minus_bottom,
     decreasing_tile_check,
     eln,
     enumerate_rhombic,
@@ -25,7 +27,6 @@ from redux.tilings import (
     flip_neighbors,
     freely_braided_structure,
     has_unique_max,
-    hypercube_graph,
     level2_cycle_correspondence,
     maximal_cover_minimal,
     mono,
@@ -34,7 +35,6 @@ from redux.tilings import (
     poset,
     poset_to_dot,
     poset_to_json,
-    posets_isomorphic,
     sub_hexagons,
     tiling_from_word,
     tiling_svg,
@@ -43,6 +43,7 @@ from redux.tilings import (
 )
 
 perms4 = [tuple(p) for p in permutations((1, 2, 3, 4))]
+perms5_all = [tuple(p) for p in permutations((1, 2, 3, 4, 5))]
 perms5 = st.permutations((1, 2, 3, 4, 5)).map(tuple)
 
 FIGURE_WORD = (1, 2, 3, 4, 3, 2, 1, 2)  # a tiling of X(53241)
@@ -86,6 +87,12 @@ def test_peel_word_roundtrip_S4():
         for t in enumerate_rhombic(w):
             word = peel_word(t)
             assert tiling_from_word(word, len(w)).key() == t.key()
+
+
+def test_peel_word_of_zonotopal_tilings_S5():
+    for w in perms5_all:
+        for t in enumerate_zonotopal(w):
+            assert evaluate(peel_word(t), 5) == (w, True), t.key()
 
 
 def test_eln_is_a_bijection_S4():
@@ -201,22 +208,44 @@ def test_chain_equivalences_agree_S4():
         assert len(set(flags)) == 1, w
 
 
-def test_cube_reference_objects():
-    g = hypercube_graph(3)
-    assert g.vertex_count == 8 and len(g.edges) == 12
-    elements, leq = cube_face_lattice_minus_bottom(2)
-    assert len(elements) == 9
-    assert posets_isomorphic(leq, leq)
-    _, leq1 = cube_face_lattice_minus_bottom(1)
-    assert not posets_isomorphic(leq, leq1)
-
-
 def test_freely_braided_report():
     report = freely_braided_structure((5, 2, 1, 4, 3))
     assert report.k == 2
     assert report.all_ok()
     with pytest.raises(ValueError):
         freely_braided_structure((4, 3, 2, 1))
+
+
+def _drop_one_edge(real):
+    def broken(w, **kwargs):
+        g = real(w, **kwargs)
+        return FlipGraph(g.vertices, g.edges - {min(g.edges)}, g.labels)
+
+    return broken
+
+
+def _flip_one_leq(real):
+    def broken(w, **kwargs):
+        p = real(w, **kwargs)
+        leq = [list(row) for row in p.leq]
+        leq[0][-1] = not leq[0][-1]
+        p.__dict__["leq"] = tuple(map(tuple, leq))
+        return p
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "name, breaker",
+    [("flip_graph_from_tilings", _drop_one_edge), ("poset", _flip_one_leq)],
+)
+def test_freely_braided_report_detects_broken_structure(monkeypatch, name, breaker):
+    w = (5, 2, 1, 4, 3)
+    assert freely_braided_structure(w).all_ok()
+    monkeypatch.setattr(tilings, name, breaker(getattr(tilings, name)))
+    report = freely_braided_structure(w)
+    assert report.k == 2
+    assert not report.all_ok()
 
 
 def test_polygon_geometry():

@@ -13,7 +13,6 @@ from redux.vexalg import (
     embed_reduced_word,
     lex_least_reduced_word,
     nonvex_witness,
-    verify_characterization,
     vex,
 )
 
@@ -118,8 +117,3 @@ def test_embed_output_is_verified(w, p, pick):
     out = embed_reduced_word(w, occ, word)
     assert evaluate(out, len(w)) == (w, True)
     assert find_shift_factor(out, [word]) is not None
-
-
-def test_verify_characterization():
-    assert verify_characterization((3, 2, 1), 4)
-    assert verify_characterization((2, 1, 4, 3), 4)
