@@ -4,11 +4,10 @@ import json
 from itertools import permutations
 
 import pytest
-
-from redux import tilings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import redux.tilings
 from redux.commutation import FlipGraph, classes, graph, graphs_isomorphic
 from redux.patterns import avoids, occurrences
 from redux.permcore import identity, longest_element
@@ -236,16 +235,21 @@ def _flip_one_leq(real):
 
 
 @pytest.mark.parametrize(
-    "name, breaker",
-    [("flip_graph_from_tilings", _drop_one_edge), ("poset", _flip_one_leq)],
+    "name, breaker, flag",
+    [
+        ("flip_graph_from_tilings", _drop_one_edge, "graph_is_kcube"),
+        ("poset", _flip_one_leq, "poset_is_cube_face_lattice_minus_bottom"),
+    ],
 )
-def test_freely_braided_report_detects_broken_structure(monkeypatch, name, breaker):
+def test_freely_braided_report_detects_broken_structure(
+    monkeypatch, name, breaker, flag
+):
     w = (5, 2, 1, 4, 3)
     assert freely_braided_structure(w).all_ok()
-    monkeypatch.setattr(tilings, name, breaker(getattr(tilings, name)))
+    monkeypatch.setattr(redux.tilings, name, breaker(getattr(redux.tilings, name)))
     report = freely_braided_structure(w)
     assert report.k == 2
-    assert not report.all_ok()
+    assert not getattr(report, flag) and not report.all_ok()
 
 
 def test_polygon_geometry():
