@@ -19,6 +19,10 @@ COMMANDS = {
     "json enum poset": ["--format", "json", "enum", "poset"],
     "render tiling:1": ["render", "tiling:1"],
     "render poset": ["render", "poset"],
+    "enum classes": ["enum", "classes"],
+    "json enum classes": ["--format", "json", "enum", "classes"],
+    "render graph": ["render", "graph"],
+    "json render graph": ["--format", "json", "render", "graph"],
 }
 
 DIGESTS = {
@@ -29,6 +33,10 @@ DIGESTS = {
         "json enum poset": "b9a66169ad6303027660e7e84fc5bc49e3cd4b4cce0869e6826bfb2a09504353",
         "render tiling:1": "d9c4b1a3d03e2991d94108477e6af01880bb87b69974afbc5cfc96e23a33c4dc",
         "render poset": "519ccdd7616b661e32f92157c497287a72d2bca5a57894a9d9aa7de09eb63de6",
+        "enum classes": "e807bda219827456d4c10dd750f187c85eeb78149798aa3da54c6d5c869d7e63",
+        "json enum classes": "90aafa2ba4ff6193beb47b55dbeae9952f82b8691e0fddfb359181ba6e28f3b8",
+        "render graph": "225a8a3b7bcc12b440f893049b4e8e6a826cb3aa6919d77a997e8d1b8185293f",
+        "json render graph": "b21240e89721cd0425371cf16070ab679a256a05d81cfdbf0eeefb12e2b89b30",
     },
     "4231": {
         "enum tilings": "b33eda6d41daab43dd0f683a893e68373de2094fe8411e1d2b9f4eb7b2c0e329",
@@ -37,6 +45,10 @@ DIGESTS = {
         "json enum poset": "88b4a52acb85c895c62d8f652d1728a006e8f9826bc16f6d5a197f7e31ca553f",
         "render tiling:1": "35784e46da14d1920d00c1092a859b32611182c7a9c3cc666fdc286dc898087a",
         "render poset": "5672747fa63845667c055f13da75c6d050cd415789133ce4ac82dfbae5815a72",
+        "enum classes": "46b97bbced1b891f891a89d9111b5f7e879cccf12fc4405ce6ccf0ccf29ba094",
+        "json enum classes": "4ac20cc8e318a5592dc9af1a193e2dffba8f596caddc60a25104c6c9a9fc3db6",
+        "render graph": "7f084994faa391332a42b282df747bb6afb2b601700878c005217148fa2a749f",
+        "json render graph": "00611bcfe8d67083d3cade17de16703832d6eaba1ed79334fad939c6cce14515",
     },
     "53241": {
         "enum tilings": "fca31f18dc87bc30b4008f762018448c043c1c1fa8333a5757fbae1e7e5cb2fe",
@@ -45,6 +57,10 @@ DIGESTS = {
         "json enum poset": "e8c45917b17926c4be5d2ebb7cce975029ac605d71c6f71b7d4b08e0c758fd56",
         "render tiling:1": "0b824a2f801d728e7107a098b87217af21f66e80a8406dc931e899dd50bed312",
         "render poset": "ef13a95ecdd1850136fb96cccaca9ef173dfc03748373d714fe500b3586734fe",
+        "enum classes": "311a5a59af027b0352542424a7690f68208ab45585b2d0aff1fd4699fa80f89e",
+        "json enum classes": "668b05c9a5d05da510550ec8e0c6fb6e50d0d3fa84cca171c84f6501a3df7033",
+        "render graph": "b0769bc2d962d841e87640fd619d452b8b9bd5c4fc037a9e38aef766bbb08cc6",
+        "json render graph": "3af6dcc703834d116cdf564bd5d99b751de58221a7bda7526f58889e7768f181",
     },
     "465231": {
         "enum tilings": "eb596fff5af634249db650e267bec38ad08229f7dd9915e9cbe50afa69a1761a",
@@ -53,6 +69,10 @@ DIGESTS = {
         "json enum poset": "0b0306851c4a5adc8ac62ebf1399a9a57295ff8bdbcdc166d86337b6f6ab78aa",
         "render tiling:1": "e5e74113703751572191dcf78792e38696789050107f90d1d62b4853e0018df1",
         "render poset": "b92744774d09981d7af4e4da4c2da5bc6aeeace7bd8dba4456c191427da5149d",
+        "enum classes": "a1a1f61828cd51fca828c4a6db45747466dd3ed3ac139bcc3d3e0619ec3b0e06",
+        "json enum classes": "eb72f14454793b34739d6110523f75c0158c00892cdeabc3ac7099e940ef4ef0",
+        "render graph": "06600de14bdad921cca64d545356f6e48b62354dae720bb4a5ca9d526d764bc0",
+        "json render graph": "0f33440b6eae38cd812b382f1d25a0baf91511b44bd667175fb870ba71bd4b99",
     },
     "243196587": {
         "enum tilings": "49f9ea348713e51307e81969d816a9aacee8c77a080457455e4572403af316ed",
@@ -61,6 +81,10 @@ DIGESTS = {
         "json enum poset": "6812b3fe5dc749521bc93ae7491a26749cb0fc8bbb547774b0c5fe8490538d10",
         "render tiling:1": "f5ef7eb73d9cd28aeb746295bf2ae7ec6d57d51c2e5e27a7267c8f80e0efb56c",
         "render poset": "c9d33f34e495561fa5a8a49190ca000f0cf04f878990b1dfc1486321e3c8f7ad",
+        "enum classes": "cf06b683ebc2db68d9f84609d27e1d7a673f8e19a256718279b53711a8bbdaa0",
+        "json enum classes": "1a9ed1c697a255c29434a6378fb048cf97b608eba1e22cd7ce4717166c6389d8",
+        "render graph": "79d8f784a0b2b12f1a9a3b09af5cc4237e37488f088e6d033ebb43f5e212041a",
+        "json render graph": "e299a4bf1c0689c50ab14bd05acb1e99a7d9120fe6fb9f6135fd485b9b0f9a72",
     },
 }
 
