@@ -48,6 +48,7 @@ from .commutation import (
     graphs_isomorphic,
     is_path,
     is_tree,
+    lex_normal_form,
     reverse,
     rotate_prefix,
     rotate_suffix,

@@ -1,25 +1,71 @@
-"""Commutation classes C(w), the flip graph G(w), and small-graph utilities."""
+"""Commutation classes C(w), the flip graph G(w), and small-graph utilities.
+
+A commutation class is a trace: its words are the linear extensions of one
+heap, the poset on letter positions generated by "p before q when
+|word[p] - word[q]| <= 1".  Each class is named by its lexicographically
+least word, its normal form, and the classes are enumerated as normal forms
+directly, without building R(w) (Cartier-Foata; Anisimov-Knuth).
+"""
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
 
-from .permcore import Perm, check_perm
+from .permcore import Perm, check_perm, format_perm, inverse, length
 from .redwords import (
     DEFAULT_MAX_LENGTH,
     DEFAULT_MAX_WORDS,
     BudgetError,
     Word,
-    apply_long_move,
     apply_short_move,
     braid_moves,
-    enumerate_R,
+    check_budget,
     format_word,
 )
 
 GRAPH_ISO_VERTEX_CAP = 64
+
+
+def _heap(word: Word) -> list[int]:
+    """below[p]: bitmask of the positions that precede p in every word of
+    the class, i.e. the strict down-set of p in the heap of ``word``."""
+    below: list[int] = []
+    last: dict[int, int] = {}
+    for p, a in enumerate(word):
+        mask = 0
+        for b in (a - 1, a, a + 1):
+            q = last.get(b)
+            if q is not None:
+                mask |= below[q] | 1 << q
+        below.append(mask)
+        last[a] = p
+    return below
+
+
+def lex_normal_form(word: Word) -> Word:
+    """The lexicographically least word in the commutation class of ``word``.
+
+    Repeatedly takes the smallest letter that commutes with every letter
+    before it.
+
+    >>> lex_normal_form((3, 1, 2, 3, 1))
+    (1, 3, 2, 1, 3)
+    """
+    word = tuple(word)
+    below = _heap(word)
+    taken = 0
+    out = []
+    for _ in word:
+        p = min(
+            (q for q in range(len(word)) if not taken >> q & 1 and not below[q] & ~taken),
+            key=word.__getitem__,
+        )
+        taken |= 1 << p
+        out.append(word[p])
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -27,11 +73,37 @@ class CommutationClass:
     """A commutation class, keyed by its lexicographically least word."""
 
     representative: Word
-    words: frozenset[Word]
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return len(self.words)
+        """The number of words in the class: linear extensions of its heap,
+        counted by a DP over order ideals held as bitmasks."""
+        below = _heap(self.representative)
+        ideals = {0: 1}
+        for _ in below:
+            grown: dict[int, int] = {}
+            for ideal, count in ideals.items():
+                for p, mask in enumerate(below):
+                    if not ideal >> p & 1 and not mask & ~ideal:
+                        key = ideal | 1 << p
+                        grown[key] = grown.get(key, 0) + count
+            ideals = grown
+        return sum(ideals.values())
+
+    @cached_property
+    def words(self) -> frozenset[Word]:
+        """Every word of the class: the closure of the representative under
+        short braid moves."""
+        seen = {self.representative}
+        stack = [self.representative]
+        while stack:
+            word = stack.pop()
+            for pos in braid_moves(word)[0]:
+                nbr = apply_short_move(word, pos)
+                if nbr not in seen:
+                    seen.add(nbr)
+                    stack.append(nbr)
+        return frozenset(seen)
 
 
 @dataclass(frozen=True)
@@ -57,20 +129,45 @@ class FlipGraph:
         return [len(nbrs) for nbrs in self.adjacency()]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _normal_forms(w: Perm) -> list[Word]:
+    """Every lexicographically least word of a commutation class of w, sorted.
 
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
+    Words are built left to right over the left descents of what remains of
+    w.  A word is in normal form iff it has no factor b.u.a with a < b and a
+    commuting with b and with every letter of u, so the state is (what
+    remains, bitmask of the letters forbidden next).  Appending x forbids
+    next every a that commutes with x and was forbidden already or is < x.
+    """
+    n = len(w)
+    total = length(w)
+    letters = range(1, n)
+    all_letters = sum(1 << x for x in letters)
+    commuting = {x: all_letters & ~(0b111 << (x - 1)) for x in letters}
+    smaller = {x: (1 << x) - 2 for x in letters}
+    forms: list[Word] = []
+    prefix: list[int] = []
+    dead: set[tuple[Perm, int]] = set()
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    # v is the inverse of what remains, so its descents are the left descents.
+    def extend(v: Perm, forbidden: int) -> bool:
+        if len(prefix) == total:
+            forms.append(tuple(prefix))
+            return True
+        if (v, forbidden) in dead:
+            return False
+        found = False
+        for x in letters:
+            if v[x - 1] > v[x] and not forbidden >> x & 1:
+                prefix.append(x)
+                u = v[: x - 1] + (v[x], v[x - 1]) + v[x + 1 :]
+                found |= extend(u, commuting[x] & (forbidden | smaller[x]))
+                prefix.pop()
+        if not found:
+            dead.add((v, forbidden))
+        return found
+
+    extend(inverse(w), 0)
+    return forms
 
 
 def classes(
@@ -79,29 +176,50 @@ def classes(
     max_words: int = DEFAULT_MAX_WORDS,
     override: bool = False,
 ) -> list[CommutationClass]:
-    """Partition R(w) into commutation classes, sorted by representative.
+    """The commutation classes of R(w), sorted by representative.
 
-    Words are joined when they differ by a single short braid move; the
-    partition is computed with union-find over those neighbor pairs.
+    The budget is the one ``enumerate_R`` enforces, but R(w) is never built:
+    each class is generated once, as its lexicographic normal form, and its
+    size is the number of linear extensions of its heap.
     """
-    words = enumerate_R(w, max_length=max_length, max_words=max_words, override=override)
-    index = {word: i for i, word in enumerate(words)}
-    uf = _UnionFind(len(words))
-    for word, i in index.items():
-        for pos in braid_moves(word)[0]:
-            uf.union(i, index[apply_short_move(word, pos)])
-    groups: dict[int, list[Word]] = {}
-    for word, i in index.items():
-        groups.setdefault(uf.find(i), []).append(word)
-    cls = [CommutationClass(min(g), frozenset(g)) for g in groups.values()]
-    return sorted(cls, key=lambda c: c.representative)
+    w = check_budget(w, max_length, max_words, override)
+    return [CommutationClass(form) for form in _normal_forms(w)]
 
 
 def class_of(word: Word, cls: list[CommutationClass]) -> int:
-    for i, c in enumerate(cls):
-        if word in c.words:
-            return i
-    raise ValueError(f"word {format_word(word)} is in no class")
+    """Index in ``cls`` (sorted by representative) of the class of ``word``."""
+    form = lex_normal_form(word)
+    i = bisect_left(cls, form, key=lambda c: c.representative)
+    if i == len(cls) or cls[i].representative != form:
+        raise ValueError(f"word {format_word(word)} is in no class")
+    return i
+
+
+def _long_moves(rep: Word) -> list[Word]:
+    """For each long braid move open to some word of rep's class, a word of
+    the class that the move leads to.
+
+    Such moves are the convex chains a < b < c of the heap labelled j, j+-1,
+    j.  Listing the rest of the down-set of c, then a b c, then everything
+    else, gives a word of the class with the chain consecutive; the move
+    turns j k j there into k j k.
+    """
+    below = _heap(rep)
+    last: dict[int, int] = {}
+    out = []
+    for c, j in enumerate(rep):
+        a = last.get(j)
+        last[j] = c
+        if a is None:
+            continue
+        between = [b for b in range(a + 1, c) if below[b] >> a & 1 and below[c] >> b & 1]
+        if len(between) != 1:
+            continue
+        k = rep[between[0]]
+        head = [rep[p] for p in range(c) if below[c] >> p & 1 and p not in (a, between[0])]
+        tail = [rep[p] for p in range(len(rep)) if p != c and not below[c] >> p & 1]
+        out.append(tuple(head + [k, j, k] + tail))
+    return out
 
 
 def graph(
@@ -111,26 +229,26 @@ def graph(
     override: bool = False,
 ) -> FlipGraph:
     """The graph G(w): vertices C(w), edges between classes one long braid
-    move apart."""
+    move apart, found on each representative's heap.
+
+    Raises RuntimeError if G(w) is not connected or not bipartite; the paper
+    guarantees both, so a violation means the construction is broken.
+    """
     cls = classes(w, max_length=max_length, max_words=max_words, override=override)
-    index: dict[Word, int] = {}
-    for i, c in enumerate(cls):
-        for word in c.words:
-            index[word] = i
     edges = set()
-    for word, i in index.items():
-        for pos in braid_moves(word)[1]:
-            j = index[apply_long_move(word, pos)]
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
+    for i, c in enumerate(cls):
+        for word in _long_moves(c.representative):
+            j = class_of(word, cls)
+            edges.add((min(i, j), max(i, j)))
     g = FlipGraph(
         vertices=tuple(cls),
         edges=frozenset(edges),
         labels=tuple(format_word(c.representative) for c in cls),
     )
-    # The paper guarantees both; a violation means the construction is broken.
-    assert is_connected(g), "G(w) must be connected"
-    assert is_bipartite(g), "G(w) must be bipartite"
+    if not is_connected(g):
+        raise RuntimeError(f"G({format_perm(w)}) is not connected")
+    if not is_bipartite(g):
+        raise RuntimeError(f"G({format_perm(w)}) is not bipartite")
     return g
 
 

@@ -74,17 +74,8 @@ def count_R(w: Perm) -> int:
     return sum(count_R(right_mult_adjacent(w, i)) for i in descents(w))
 
 
-def enumerate_R(
-    w: Perm,
-    max_length: int = DEFAULT_MAX_LENGTH,
-    max_words: int = DEFAULT_MAX_WORDS,
-    override: bool = False,
-) -> tuple[Word, ...]:
-    """All reduced decompositions of ``w``, sorted lexicographically.
-
-    >>> [format_word(j) for j in enumerate_R((3, 2, 1))]
-    ['121', '212']
-    """
+def check_budget(w: Perm, max_length: int, max_words: int, override: bool) -> Perm:
+    """Validate ``w`` and refuse it when length(w) or |R(w)| is over budget."""
     w = check_perm(w)
     if not override:
         if length(w) > max_length:
@@ -97,6 +88,21 @@ def enumerate_R(
                 f"|R(w)| = {count_R(w)} exceeds the limit {max_words}; "
                 "raise --max-words to override"
             )
+    return w
+
+
+def enumerate_R(
+    w: Perm,
+    max_length: int = DEFAULT_MAX_LENGTH,
+    max_words: int = DEFAULT_MAX_WORDS,
+    override: bool = False,
+) -> tuple[Word, ...]:
+    """All reduced decompositions of ``w``, sorted lexicographically.
+
+    >>> [format_word(j) for j in enumerate_R((3, 2, 1))]
+    ['121', '212']
+    """
+    w = check_budget(w, max_length, max_words, override)
     memo: dict[Perm, tuple[Word, ...]] = {}
 
     def rec(u: Perm) -> tuple[Word, ...]:

@@ -20,15 +20,24 @@ from redux.commutation import (
     is_connected,
     is_path,
     is_tree,
+    lex_normal_form,
     reverse,
     rotate_prefix,
     rotate_suffix,
     simple_cycles_of_length,
 )
 from redux.permcore import longest_element
-from redux.redwords import BudgetError, enumerate_R, format_word
+from redux.redwords import (
+    BudgetError,
+    apply_long_move,
+    braid_moves,
+    enumerate_R,
+    evaluate,
+    format_word,
+)
 
 perms5 = st.permutations((1, 2, 3, 4, 5)).map(tuple)
+words5 = perms5.flatmap(lambda w: st.sampled_from(enumerate_R(w)))
 
 
 def test_classes_golden_4231():
@@ -43,19 +52,58 @@ def test_classes_golden_4231():
 
 
 def test_classes_partition_R():
-    for w in ((4, 2, 3, 1), longest_element(4), (3, 1, 2)):
+    for w in permutations(range(1, 6)):
         cls = classes(w)
         words = enumerate_R(w)
-        assert sorted(j for c in cls for j in c.words) == list(words)
+        assert sorted(j for c in cls for j in c.words) == list(words), w
         for word in words:
             assert word in cls[class_of(word, cls)].words
         for c in cls:
             assert c.representative == min(c.words)
+            assert c.size == len(c.words)
+
+
+def test_class_of_rejects_foreign_words():
+    cls = classes((3, 2, 1))
+    for word in ((1,), (2, 1), (1, 2, 1, 2), (1, 1, 2)):
+        with pytest.raises(ValueError, match="is in no class"):
+            class_of(word, cls)
+
+
+def test_graph_edges_match_long_moves_on_R():
+    for w in permutations(range(1, 6)):
+        cls = classes(w)
+        edges = set()
+        for word in enumerate_R(w):
+            i = class_of(word, cls)
+            for pos in braid_moves(word)[1]:
+                j = class_of(apply_long_move(word, pos), cls)
+                edges.add((min(i, j), max(i, j)))
+        assert graph(w).edges == edges, w
+
+
+def _commutes_with_all(a, letters):
+    return all(abs(a - b) >= 2 for b in letters)
+
+
+@given(words5)
+def test_lex_normal_form(word):
+    form = lex_normal_form(word)
+    assert lex_normal_form(form) == form
+    (home,) = [c for c in classes(evaluate(word, 5)[0]) if word in c.words]
+    assert form in home.words
+    # No factor b.u.a with a < b, where a commutes with b and all of u.
+    for p, b in enumerate(form):
+        for q in range(p + 1, len(form)):
+            a = form[q]
+            assert not (a < b and _commutes_with_all(a, form[p:q])), (form, p, q)
 
 
 def test_class_counts_longest_elements():
+    # |C(w0)| for n = 4..7 (OEIS A006245)
     assert len(classes(longest_element(4))) == 8
     assert len(enumerate_R(longest_element(4))) == 16
+    assert len(classes(longest_element(7), override=True)) == 24698
 
 
 def test_graph_structure():
@@ -69,6 +117,13 @@ def test_graph_path_for_shared_321s():
     g = graph((5, 2, 3, 4, 1))  # three 321-occurrences, all sharing 5 and 1
     assert g.vertex_count == 4
     assert is_path(g)
+
+
+@pytest.mark.parametrize("check", ["is_connected", "is_bipartite"])
+def test_graph_raises_when_a_guaranteed_property_fails(monkeypatch, check):
+    monkeypatch.setattr(f"redux.commutation.{check}", lambda g: False)
+    with pytest.raises(RuntimeError, match=check.removeprefix("is_")):
+        graph((4, 2, 3, 1))
 
 
 def test_reverse():
