@@ -1,7 +1,7 @@
 """Commutation classes C(w), the flip graph G(w), and small-graph utilities.
 
 A commutation class is a trace: its words are the linear extensions of one
-heap, the poset on letter positions generated by "p before q when
+heap, the poset on letter positions generated by "p before q when p < q and
 |word[p] - word[q]| <= 1".  Each class is named by its lexicographically
 least word, its normal form, and the classes are enumerated as normal forms
 directly, without building R(w) (Cartier-Foata; Anisimov-Knuth).
@@ -48,8 +48,8 @@ def _heap(word: Word) -> list[int]:
 def lex_normal_form(word: Word) -> Word:
     """The lexicographically least word in the commutation class of ``word``.
 
-    Repeatedly takes the smallest letter that commutes with every letter
-    before it.
+    Repeatedly moves to the output the smallest remaining letter that
+    commutes with every remaining letter before it.
 
     >>> lex_normal_form((3, 1, 2, 3, 1))
     (1, 3, 2, 1, 3)

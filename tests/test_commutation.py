@@ -82,10 +82,6 @@ def test_graph_edges_match_long_moves_on_R():
         assert graph(w).edges == edges, w
 
 
-def _commutes_with_all(a, letters):
-    return all(abs(a - b) >= 2 for b in letters)
-
-
 @given(words5)
 def test_lex_normal_form(word):
     form = lex_normal_form(word)
@@ -96,11 +92,12 @@ def test_lex_normal_form(word):
     for p, b in enumerate(form):
         for q in range(p + 1, len(form)):
             a = form[q]
-            assert not (a < b and _commutes_with_all(a, form[p:q])), (form, p, q)
+            commutes = all(abs(a - x) >= 2 for x in form[p:q])
+            assert not (a < b and commutes), (form, p, q)
 
 
 def test_class_counts_longest_elements():
-    # |C(w0)| for n = 4..7 (OEIS A006245)
+    # |C(w0)| is OEIS A006245; the acceptance gate pins it for S5 and S6.
     assert len(classes(longest_element(4))) == 8
     assert len(enumerate_R(longest_element(4))) == 16
     assert len(classes(longest_element(7), override=True)) == 24698
