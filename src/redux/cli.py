@@ -2,13 +2,15 @@
 
 Exit codes: 0 success / theorem passes, 1 theorem counterexample, 2 usage or
 output-file error, 3 enumeration budget exceeded.
+
+``--max-length`` and ``--max-words`` set the enumeration budget for the whole
+command, ``verify`` sweeps included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .commutation import classes, graph, graph_to_dot, graph_to_json
@@ -26,13 +28,7 @@ from .permcore import (
     length,
     parse_perm,
 )
-from .redwords import (
-    DEFAULT_MAX_LENGTH,
-    DEFAULT_MAX_WORDS,
-    BudgetError,
-    enumerate_R,
-    format_word,
-)
+from .redwords import Budget, BudgetError, budget, enumerate_R, format_word
 from .tilings import (
     enumerate_rhombic,
     enumerate_zonotopal,
@@ -50,11 +46,6 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-def _budget_kwargs(args) -> dict:
-    override = os.environ.get("REDUX_BUDGET_OVERRIDE") == "1"
-    return {"max_length": args.max_length, "override": override}
 
 
 def _parse(text: str):
@@ -112,15 +103,12 @@ def cmd_info(args) -> int:
 
 def cmd_enum(args) -> int:
     w = _parse(args.w)
-    budget = _budget_kwargs(args)
     if args.what == "words":
-        words = enumerate_R(
-            w, max_words=args.max_words, **budget
-        )
+        words = enumerate_R(w)
         body = [format_word(word) for word in words]
         payload = {"words": body}
     elif args.what == "classes":
-        cls = classes(w, max_words=args.max_words, **budget)
+        cls = classes(w)
         body = [
             f"{format_word(c.representative)} (size {c.size})" for c in cls
         ]
@@ -131,18 +119,18 @@ def cmd_enum(args) -> int:
             ]
         }
     elif args.what == "tilings":
-        tilings = enumerate_rhombic(w, **budget)
+        tilings = enumerate_rhombic(w)
         body = [format_word(peel_word(t)) for t in tilings]
         payload = {"tilings": [json.loads(tiling_to_json(t)) for t in tilings]}
     elif args.what == "zonotopal":
-        tilings = enumerate_zonotopal(w, **budget)
+        tilings = enumerate_zonotopal(w)
         body = [
             format_word(peel_word(t)) + " " + str(list(t.shape_profile()))
             for t in tilings
         ]
         payload = {"tilings": [json.loads(tiling_to_json(t)) for t in tilings]}
     else:  # poset
-        p = poset(w, **budget)
+        p = poset(w)
         if args.format == "json":
             _emit(args, poset_to_json(p))
             return EXIT_OK
@@ -188,12 +176,11 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     w = _parse(args.w)
-    budget = _budget_kwargs(args)
     target, _, index_text = args.target.partition(":")
     if target == "polygon":
         _emit(args, polygon_svg(w))
     elif target == "tiling":
-        tilings = enumerate_rhombic(w, **budget)
+        tilings = enumerate_rhombic(w)
         index = index_text or "0"
         if not index.isdecimal() or int(index) >= len(tilings):
             raise SystemExit2(
@@ -205,13 +192,13 @@ def cmd_render(args) -> int:
         else:
             _emit(args, tiling_svg(tiling))
     elif target == "graph":
-        g = graph(w, **budget)
+        g = graph(w)
         if args.format == "json":
             _emit(args, graph_to_json(g))
         else:
             _emit(args, graph_to_dot(g))
     elif target == "poset":
-        p = poset(w, **budget)
+        p = poset(w)
         if args.format == "json":
             _emit(args, poset_to_json(p))
         else:
@@ -235,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (svg/dot apply to render targets)",
     )
-    parser.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
-    parser.add_argument("--max-words", type=int, default=DEFAULT_MAX_WORDS)
+    parser.add_argument("--max-length", type=int, default=Budget.max_length)
+    parser.add_argument("--max-words", type=int, default=Budget.max_words)
     parser.add_argument("-o", "--output", default=None, help="write to file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -267,7 +254,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with budget(max_length=args.max_length, max_words=args.max_words):
+            return args.func(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

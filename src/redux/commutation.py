@@ -16,8 +16,6 @@ from functools import cached_property
 
 from .permcore import Perm, check_perm, format_perm, inverse, length
 from .redwords import (
-    DEFAULT_MAX_LENGTH,
-    DEFAULT_MAX_WORDS,
     BudgetError,
     Word,
     apply_short_move,
@@ -170,19 +168,14 @@ def _normal_forms(w: Perm) -> list[Word]:
     return forms
 
 
-def classes(
-    w: Perm,
-    max_length: int = DEFAULT_MAX_LENGTH,
-    max_words: int = DEFAULT_MAX_WORDS,
-    override: bool = False,
-) -> list[CommutationClass]:
+def classes(w: Perm) -> list[CommutationClass]:
     """The commutation classes of R(w), sorted by representative.
 
-    The budget is the one ``enumerate_R`` enforces, but R(w) is never built:
-    each class is generated once, as its lexicographic normal form, and its
-    size is the number of linear extensions of its heap.
+    Only the length limit of the current budget applies: R(w) is never
+    built.  Each class is generated once, as its lexicographic normal form,
+    and its size is the number of linear extensions of its heap.
     """
-    w = check_budget(w, max_length, max_words, override)
+    w = check_budget(w)
     return [CommutationClass(form) for form in _normal_forms(w)]
 
 
@@ -222,19 +215,14 @@ def _long_moves(rep: Word) -> list[Word]:
     return out
 
 
-def graph(
-    w: Perm,
-    max_length: int = DEFAULT_MAX_LENGTH,
-    max_words: int = DEFAULT_MAX_WORDS,
-    override: bool = False,
-) -> FlipGraph:
+def graph(w: Perm) -> FlipGraph:
     """The graph G(w): vertices C(w), edges between classes one long braid
     move apart, found on each representative's heap.
 
     Raises RuntimeError if G(w) is not connected or not bipartite; the paper
     guarantees both, so a violation means the construction is broken.
     """
-    cls = classes(w, max_length=max_length, max_words=max_words, override=override)
+    cls = classes(w)
     edges = set()
     for i, c in enumerate(cls):
         for word in _long_moves(c.representative):

@@ -6,18 +6,51 @@ stands for the product ``s_{i_1} ... s_{i_l}``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .permcore import Perm, check_perm, descents, identity, length, right_mult_adjacent
 
 Word = tuple[int, ...]
 
-DEFAULT_MAX_LENGTH = 16
-DEFAULT_MAX_WORDS = 5_000_000
-
 
 class BudgetError(RuntimeError):
     """Raised when an enumeration exceeds its configured budget."""
+
+
+@dataclass(frozen=True)
+class Budget:
+    """Limits on the four enumerators ``enumerate_R``, ``classes``,
+    ``enumerate_rhombic`` and ``enumerate_zonotopal``: ``max_length`` bounds
+    length(w) in all four, ``max_words`` bounds |R(w)| in ``enumerate_R``
+    alone.  The one in force is set with :func:`budget`."""
+
+    max_length: int = 16
+    max_words: int = 5_000_000
+
+
+_BUDGET: ContextVar[Budget] = ContextVar("redux_budget", default=Budget())
+
+
+@contextmanager
+def budget(**limits):
+    """Run the block under the current budget with ``limits`` replaced; the
+    previous budget is back in force when the block exits.
+
+    >>> with budget(max_length=2):
+    ...     enumerate_R((3, 2, 1))
+    Traceback (most recent call last):
+    redux.redwords.BudgetError: length(w) = 3 exceeds the limit 2; raise --max-length to override
+    >>> enumerate_R((3, 2, 1))
+    ((1, 2, 1), (2, 1, 2))
+    """
+    token = _BUDGET.set(replace(_BUDGET.get(), **limits))
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
 
 
 def parse_word(text: str) -> Word:
@@ -74,35 +107,31 @@ def count_R(w: Perm) -> int:
     return sum(count_R(right_mult_adjacent(w, i)) for i in descents(w))
 
 
-def check_budget(w: Perm, max_length: int, max_words: int, override: bool) -> Perm:
-    """Validate ``w`` and refuse it when length(w) or |R(w)| is over budget."""
+def check_budget(w: Perm, words: bool = False) -> Perm:
+    """Validate ``w`` and refuse it when length(w), or with ``words`` also
+    |R(w)|, is over the current budget."""
     w = check_perm(w)
-    if not override:
-        if length(w) > max_length:
-            raise BudgetError(
-                f"length(w) = {length(w)} exceeds the limit {max_length}; "
-                "raise --max-length to override"
-            )
-        if count_R(w) > max_words:
-            raise BudgetError(
-                f"|R(w)| = {count_R(w)} exceeds the limit {max_words}; "
-                "raise --max-words to override"
-            )
+    limits = _BUDGET.get()
+    if length(w) > limits.max_length:
+        raise BudgetError(
+            f"length(w) = {length(w)} exceeds the limit {limits.max_length}; "
+            "raise --max-length to override"
+        )
+    if words and count_R(w) > limits.max_words:
+        raise BudgetError(
+            f"|R(w)| = {count_R(w)} exceeds the limit {limits.max_words}; "
+            "raise --max-words to override"
+        )
     return w
 
 
-def enumerate_R(
-    w: Perm,
-    max_length: int = DEFAULT_MAX_LENGTH,
-    max_words: int = DEFAULT_MAX_WORDS,
-    override: bool = False,
-) -> tuple[Word, ...]:
+def enumerate_R(w: Perm) -> tuple[Word, ...]:
     """All reduced decompositions of ``w``, sorted lexicographically.
 
     >>> [format_word(j) for j in enumerate_R((3, 2, 1))]
     ['121', '212']
     """
-    w = check_budget(w, max_length, max_words, override)
+    w = check_budget(w, words=True)
     memo: dict[Perm, tuple[Word, ...]] = {}
 
     def rec(u: Perm) -> tuple[Word, ...]:

@@ -24,13 +24,7 @@ from .permcore import (
     longest_element,
     right_mult_adjacent,
 )
-from .redwords import (
-    DEFAULT_MAX_LENGTH,
-    BudgetError,
-    Word,
-    check_reduced,
-    format_word,
-)
+from .redwords import Word, check_budget, check_reduced, format_word
 
 Point = frozenset  # of labels in 1..n
 Edge = tuple  # (Point, label): the unit edge from P to P | {label}
@@ -173,14 +167,6 @@ def build_polygon(w: Perm) -> Polygon:
 # Enumeration by right-boundary peeling
 
 
-def _check_budget(w: Perm, max_length: int, override: bool) -> None:
-    if not override and length(w) > max_length:
-        raise BudgetError(
-            f"length(w) = {length(w)} exceeds the limit {max_length}; "
-            "raise --max-length to override"
-        )
-
-
 def _peels(u: Perm, lo: int, hi: int):
     """Every 2m-gon tile, lo <= m <= hi, that can be peeled off boundary u.
 
@@ -221,21 +207,15 @@ def _enumerate(w: Perm, max_order: int) -> tuple[Tiling, ...]:
     return tuple(sorted((Tiling(w, ts) for ts in rec(w)), key=Tiling.key))
 
 
-def enumerate_rhombic(
-    w: Perm, max_length: int = DEFAULT_MAX_LENGTH, override: bool = False
-) -> tuple[Tiling, ...]:
+def enumerate_rhombic(w: Perm) -> tuple[Tiling, ...]:
     """All rhombic tilings T(w), sorted deterministically."""
-    w = check_perm(w)
-    _check_budget(w, max_length, override)
+    w = check_budget(w)
     return _enumerate(w, 2)
 
 
-def enumerate_zonotopal(
-    w: Perm, max_length: int = DEFAULT_MAX_LENGTH, override: bool = False
-) -> tuple[Tiling, ...]:
+def enumerate_zonotopal(w: Perm) -> tuple[Tiling, ...]:
     """All zonotopal tilings Z(w): tiles are 2m-gons of any order m >= 2."""
-    w = check_perm(w)
-    _check_budget(w, max_length, override)
+    w = check_budget(w)
     return _enumerate(w, len(w))
 
 
@@ -358,11 +338,9 @@ def flip_neighbors(t: Tiling) -> list:
     return out
 
 
-def flip_graph_from_tilings(
-    w: Perm, max_length: int = DEFAULT_MAX_LENGTH, override: bool = False
-) -> FlipGraph:
+def flip_graph_from_tilings(w: Perm) -> FlipGraph:
     """The flip graph on T(w); vertices in deterministic order."""
-    tilings = enumerate_rhombic(w, max_length=max_length, override=override)
+    tilings = enumerate_rhombic(w)
     index = {t.key(): i for i, t in enumerate(tilings)}
     edges = set()
     for i, t in enumerate(tilings):
@@ -431,9 +409,7 @@ def _decreasing_subsequence_sets(w: Perm) -> set:
     return out
 
 
-def decreasing_tile_check(
-    w: Perm, max_length: int = DEFAULT_MAX_LENGTH, override: bool = False
-) -> bool:
+def decreasing_tile_check(w: Perm) -> bool:
     """Tiles appearing across Z(w) are exactly the decreasing subsequences.
 
     Both directions: every tile's label set {i_1 < ... < i_k} occurs as the
@@ -442,7 +418,7 @@ def decreasing_tile_check(
     """
     tile_sets = {
         t.labels
-        for z in enumerate_zonotopal(w, max_length=max_length, override=override)
+        for z in enumerate_zonotopal(w)
         for t in z.tiles
     }
     return tile_sets == _decreasing_subsequence_sets(check_perm(w))
@@ -520,13 +496,11 @@ class TilingPoset:
         return [i for i in range(len(self.elements)) if i != j and self.leq[i][j]]
 
 
-def poset(
-    w: Perm, max_length: int = DEFAULT_MAX_LENGTH, override: bool = False
-) -> TilingPoset:
-    elements = enumerate_zonotopal(w, max_length=max_length, override=override)
+def poset(w: Perm) -> TilingPoset:
+    elements = enumerate_zonotopal(w)
     p = TilingPoset(check_perm(w), elements)
     minimal = {elements[i].key() for i in p.minimal_indices()}
-    rhombic = {t.key() for t in enumerate_rhombic(w, max_length=max_length, override=override)}
+    rhombic = {t.key() for t in enumerate_rhombic(w)}
     assert minimal == rhombic, "minimal elements must be the rhombic tilings"
     return p
 
@@ -543,14 +517,12 @@ def maximal_cover_minimal(p: TilingPoset) -> bool:
     )
 
 
-def level2_cycle_correspondence(
-    w: Perm, max_length: int = DEFAULT_MAX_LENGTH, override: bool = False
-) -> bool:
+def level2_cycle_correspondence(w: Perm) -> bool:
     """Level-2 poset elements are rhombi+2 hexagons or rhombi+1 octagon, and
     their induced cycles span the GF(2) cycle space of the flip graph."""
-    p = poset(w, max_length=max_length, override=override)
+    p = poset(w)
     minimal = p.minimal_indices()
-    graph = flip_graph_from_tilings(w, max_length=max_length, override=override)
+    graph = flip_graph_from_tilings(w)
     vertex_index = {t.key(): i for i, t in enumerate(graph.vertices)}
 
     edge_level = set()
@@ -590,16 +562,14 @@ def level2_cycle_correspondence(
     return gf2_rank(cycle_vectors) == dim
 
 
-def chain_equivalences(
-    w: Perm, max_length: int = DEFAULT_MAX_LENGTH, override: bool = False
-) -> tuple[bool, bool, bool, bool]:
+def chain_equivalences(w: Perm) -> tuple[bool, bool, bool, bool]:
     """(flip graph is a tree, is a path, maximal covers minimal in P(w),
     w avoids 4321 and all 321-patterns pairwise intersect at least twice)."""
     from .commutation import is_path, is_tree
     from .patterns import avoids
 
-    g = flip_graph_from_tilings(w, max_length=max_length, override=override)
-    p = poset(w, max_length=max_length, override=override)
+    g = flip_graph_from_tilings(w)
+    p = poset(w)
     occs = occurrences(w, (3, 2, 1))
     pattern_cond = avoids(w, (4, 3, 2, 1)) and all(
         len(set(a.positions) & set(b.positions)) >= 2
@@ -656,9 +626,7 @@ def _onto(coords: list, digits: tuple, k: int) -> bool:
     )
 
 
-def freely_braided_structure(
-    w: Perm, max_length: int = DEFAULT_MAX_LENGTH, override: bool = False
-) -> FreelyBraidedReport:
+def freely_braided_structure(w: Perm) -> FreelyBraidedReport:
     """Structure report for a freely braided permutation with k 321-patterns.
 
     Every rhombic tiling must have exactly k pairwise disjoint sub-hexagons,
@@ -674,9 +642,9 @@ def freely_braided_structure(
     if not is_freely_braided(w):
         raise ValueError("w is not freely braided")
     k = len(occurrences(w, (3, 2, 1)))
-    cls = classes(w, max_length=max_length, override=override)
-    graph = flip_graph_from_tilings(w, max_length=max_length, override=override)
-    p = poset(w, max_length=max_length, override=override)
+    cls = classes(w)
+    graph = flip_graph_from_tilings(w)
+    p = poset(w)
     hexagons_ok = True
     for t in graph.vertices:
         hexes = sub_hexagons(t)

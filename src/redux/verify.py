@@ -7,6 +7,7 @@ concrete counterexample attached, so a failure is always reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 from .commutation import classes, graph, graphs_isomorphic, is_path
@@ -17,8 +18,15 @@ from .patterns import (
     is_vexillary,
     occurrences,
 )
-from .permcore import Perm, code_and_shape, format_perm, syt_count
-from .redwords import braid_moves, enumerate_R, find_shift_factor
+from .permcore import (
+    Perm,
+    code_and_shape,
+    descents,
+    format_perm,
+    right_mult_adjacent,
+    syt_count,
+)
+from .redwords import enumerate_R, find_shift_factor
 from .tilings import (
     chain_equivalences,
     decreasing_tile_check,
@@ -91,7 +99,19 @@ def verify_vexthm(n: int) -> VerifyResult:
 
 
 def _max_long_moves(w: Perm) -> int:
-    return max(len(braid_moves(word)[1]) for word in enumerate_R(w))
+    """The most long braid moves open to one reduced word of ``w``.
+
+    Words are built right to left from the right descents of what remains;
+    placing x before y z opens a long move when x == z (in a reduced word y
+    is then x +- 1).
+    """
+
+    @lru_cache(maxsize=None)
+    def best(u: Perm, y: int, z: int) -> int:
+        gains = [(x == z) + best(right_mult_adjacent(u, x), x, y) for x in descents(u)]
+        return max(gains, default=0)
+
+    return best(w, 0, 0)
 
 
 def verify_1lbm(n: int) -> VerifyResult:

@@ -327,8 +327,10 @@ def embed_reduced_word(w: Perm, occ: Occurrence, pattern_word: Word) -> Word:
         + res.suffix_letters[::-1]
     )
     value, reduced = evaluate(word, n)
-    assert value == w and reduced, "assembled word must be a reduced word of w"
-    assert find_shift_factor(word, [pattern_word]) is not None
+    if value != w or not reduced:
+        raise AssertionError("assembled word must be a reduced word of w")
+    if find_shift_factor(word, [pattern_word]) is None:
+        raise AssertionError("assembled word must contain the shifted pattern word")
     return word
 
 

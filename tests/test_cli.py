@@ -114,13 +114,27 @@ def test_budget_exit_3(capsys):
     assert "budget exceeded" in err
 
 
-def test_budget_flags_and_env(capsys, monkeypatch):
+def test_budget_flags(capsys):
     code, _, _ = run_cli(capsys, "--max-length", "2", "enum", "words", "321")
     assert code == 3
-    monkeypatch.setenv("REDUX_BUDGET_OVERRIDE", "1")
-    code, out, _ = run_cli(capsys, "--max-length", "2", "enum", "words", "321")
+    code, out, _ = run_cli(capsys, "--max-length", "3", "enum", "words", "321")
     assert code == 0
     assert out.splitlines()[-1] == "count 2"
+
+
+def test_budget_flags_reach_verify(capsys):
+    code, _, err = run_cli(capsys, "--max-length", "5", "verify", "monotone", "--n", "4")
+    assert code == 3
+    assert "length(w) = 6 exceeds the limit 5" in err
+
+
+def test_max_words_limits_words_not_classes(capsys):
+    code, out, _ = run_cli(capsys, "--max-words", "1", "enum", "classes", "321")
+    assert code == 0
+    assert out.splitlines()[-1] == "count 2"
+    code, _, err = run_cli(capsys, "--max-words", "1", "enum", "words", "321")
+    assert code == 3
+    assert "|R(w)| = 2 exceeds the limit 1" in err
 
 
 def test_render_polygon_deterministic(capsys):

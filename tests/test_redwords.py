@@ -12,6 +12,7 @@ from redux.redwords import (
     apply_long_move,
     apply_short_move,
     braid_moves,
+    budget,
     check_reduced,
     count_R,
     enumerate_R,
@@ -117,9 +118,23 @@ def test_is_isolated():
 
 
 def test_budget_errors():
-    with pytest.raises(BudgetError):
-        enumerate_R(longest_element(7))  # length 21 > 16
-    with pytest.raises(BudgetError):
-        enumerate_R(longest_element(5), max_words=10)
-    assert len(enumerate_R(longest_element(5), max_words=10, override=True)) == 768
-    assert enumerate_R((3, 2, 1), max_length=1, override=True)
+    with pytest.raises(BudgetError, match=r"length\(w\) = 21 exceeds the limit 16"):
+        enumerate_R(longest_element(7))
+    with budget(max_words=10), pytest.raises(BudgetError, match=r"\|R\(w\)\| = 768"):
+        enumerate_R(longest_element(5))
+    with budget(max_words=768):
+        assert len(enumerate_R(longest_element(5))) == 768
+    with budget(max_length=1), pytest.raises(BudgetError):
+        enumerate_R((3, 2, 1))
+    with budget(max_length=3):
+        assert enumerate_R((3, 2, 1))
+
+
+def test_budget_restores_previous_limits():
+    with budget(max_length=3):
+        with pytest.raises(BudgetError), budget(max_words=1):
+            enumerate_R((3, 2, 1))
+        assert len(enumerate_R((3, 2, 1))) == 2  # max_words is back to its default
+        with pytest.raises(BudgetError):
+            enumerate_R((4, 3, 2, 1))  # max_length is still 3
+    assert len(enumerate_R((4, 3, 2, 1))) == 16
