@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / theorem passes, 1 theorem counterexample, 2 usage or
-output-file error, 3 enumeration budget exceeded.
+output-file error, 3 enumeration budget exceeded, 4 internal error (any other
+exception, reported as ``internal error: <type>: <message>`` on stderr).
 
 ``--max-length`` and ``--max-words`` set the enumeration budget for the whole
 command, ``verify`` sweeps included.
@@ -46,6 +47,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _parse(text: str):
@@ -262,6 +264,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
 
 from .commutation import FlipGraph, class_of, classes, gf2_rank
@@ -19,6 +19,7 @@ from .patterns import Occurrence, is_freely_braided, occurrences
 from .permcore import (
     Perm,
     check_perm,
+    format_perm,
     identity,
     length,
     longest_element,
@@ -86,10 +87,12 @@ class Tiling:
         covered: set = set()
         for t in self.tiles:
             ps = t.pairs()
-            assert not (covered & ps), "tiles overlap"
+            if covered & ps:
+                raise ValueError("tiles overlap")
             covered |= ps
         inv = {frozenset(pq) for pq in _inversion_pairs(self.w)}
-        assert covered == inv, "tiles must cover X(w) exactly"
+        if covered != inv:
+            raise ValueError("tiles must cover X(w) exactly")
 
     @cached_property
     def edge_set(self) -> frozenset:
@@ -448,9 +451,60 @@ def uniform_2k_tiling_exists(n: int, k: int) -> bool:
 # The poset P(w)
 
 
+@cache
+def _coatoms(k: int) -> tuple[frozenset, ...]:
+    """Tile sets of the coatoms of P(w0_k), k >= 3: the tilings of the
+    2k-gon X(w0_k) covered by the 2k-gon itself.
+
+    They are the tilings other than the 2k-gon that are covered by no other
+    such tiling; covers below them use only coatoms of smaller k.  There are
+    2, 8, 40 and 324 of them for k = 3, 4, 5, 6.  A tile of order k needs
+    length(w) >= k(k-1)/2, so enumerating Z(w0_k) here stays within the
+    budget of the w that asked for it.
+    """
+    below_top = [
+        z.tiles for z in _enumerate(longest_element(k), k) if len(z.tiles) > 1
+    ]
+    refined: dict = {}
+    lower = {tiles for z in below_top for tiles in _down_covers(z, refined)}
+    return tuple(z for z in below_top if z not in lower)
+
+
+def _down_covers(tiles: frozenset, refined: dict):
+    """Tile sets of the tilings covered by the tiling with these tiles.
+
+    Each replaces one tile T of order k >= 3 by a coatom of P(w0_k): inner
+    label i becomes the i-th smallest label of T and inner anchors are added
+    to T's anchor.  ``refined`` memoizes the relabelled coatoms per tile.
+    """
+    for tile in tiles:
+        if tile.order < 3:
+            continue
+        if tile not in refined:
+            labels = sorted(tile.labels)
+            refined[tile] = [
+                frozenset(
+                    Tile(
+                        frozenset(labels[i - 1] for i in t.labels),
+                        tile.anchor | {labels[i - 1] for i in t.anchor},
+                    )
+                    for t in coatom
+                )
+                for coatom in _coatoms(tile.order)
+            ]
+        rest = tiles - {tile}
+        for inner in refined[tile]:
+            yield rest | inner
+
+
 @dataclass(frozen=True)
 class TilingPoset:
-    """Z(w) ordered by reverse edge inclusion (rhombic tilings are minimal)."""
+    """Z(w) ordered by reverse edge inclusion (rhombic tilings are minimal).
+
+    The cover relation is generated locally from each element's tiles
+    (``hasse``); minimal and maximal elements and down-sets are read off the
+    covers.  The dense comparison matrix ``leq`` is built only on demand.
+    """
 
     w: Perm
     elements: tuple
@@ -465,35 +519,52 @@ class TilingPoset:
 
     @cached_property
     def hasse(self) -> frozenset:
-        """Cover pairs (i, j) with element i covered by element j."""
-        n = len(self.elements)
+        """Cover pairs (i, j) with element i covered by element j.
+
+        The elements covered by z are z with one tile of order k >= 3
+        replaced by a coatom of P(w0_k) relabelled onto that tile; each is
+        looked up among the elements by its tiles.  Raises RuntimeError when
+        one is missing, because Z(w) is then incomplete.
+        """
+        index = {z.tiles: i for i, z in enumerate(self.elements)}
+        refined: dict = {}
         covers = set()
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.leq[i][j]:
-                    if not any(
-                        k != i and k != j and self.leq[i][k] and self.leq[k][j]
-                        for k in range(n)
-                    ):
-                        covers.add((i, j))
+        for j, z in enumerate(self.elements):
+            for tiles in _down_covers(z.tiles, refined):
+                i = index.get(tiles)
+                if i is None:
+                    raise RuntimeError(
+                        f"Z({format_perm(self.w)}) lacks a tiling covered by "
+                        f"element {j}"
+                    )
+                covers.add((i, j))
         return frozenset(covers)
 
+    @cached_property
+    def lower_covers(self) -> tuple:
+        """lower_covers[j]: the sorted indices of the elements j covers."""
+        below: list = [[] for _ in self.elements]
+        for i, j in sorted(self.hasse):
+            below[j].append(i)
+        return tuple(map(tuple, below))
+
     def minimal_indices(self) -> list[int]:
-        return [
-            j
-            for j in range(len(self.elements))
-            if not any(i != j and self.leq[i][j] for i in range(len(self.elements)))
-        ]
+        return [j for j, below in enumerate(self.lower_covers) if not below]
 
     def maximal_indices(self) -> list[int]:
-        return [
-            i
-            for i in range(len(self.elements))
-            if not any(j != i and self.leq[i][j] for j in range(len(self.elements)))
-        ]
+        covered = {i for i, _ in self.hasse}
+        return [i for i in range(len(self.elements)) if i not in covered]
 
     def down_set(self, j: int) -> list[int]:
-        return [i for i in range(len(self.elements)) if i != j and self.leq[i][j]]
+        """The elements strictly below j, in index order."""
+        seen: set = set()
+        stack = list(self.lower_covers[j])
+        while stack:
+            i = stack.pop()
+            if i not in seen:
+                seen.add(i)
+                stack.extend(self.lower_covers[i])
+        return sorted(seen)
 
 
 def poset(w: Perm) -> TilingPoset:
@@ -501,7 +572,11 @@ def poset(w: Perm) -> TilingPoset:
     p = TilingPoset(check_perm(w), elements)
     minimal = {elements[i].key() for i in p.minimal_indices()}
     rhombic = {t.key() for t in enumerate_rhombic(w)}
-    assert minimal == rhombic, "minimal elements must be the rhombic tilings"
+    if minimal != rhombic:
+        raise RuntimeError(
+            f"the {len(minimal)} minimal elements of P({format_perm(p.w)}) "
+            f"are not its {len(rhombic)} rhombic tilings"
+        )
     return p
 
 
@@ -521,7 +596,7 @@ def level2_cycle_correspondence(w: Perm) -> bool:
     """Level-2 poset elements are rhombi+2 hexagons or rhombi+1 octagon, and
     their induced cycles span the GF(2) cycle space of the flip graph."""
     p = poset(w)
-    minimal = p.minimal_indices()
+    minimal = set(p.minimal_indices())
     graph = flip_graph_from_tilings(w)
     vertex_index = {t.key(): i for i, t in enumerate(graph.vertices)}
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import redux.cli
 from redux import verify
 from redux.cli import main
 from redux.verify import VerifyResult
@@ -112,6 +113,17 @@ def test_budget_exit_3(capsys):
     code, _, err = run_cli(capsys, "enum", "words", "87654321")
     assert code == 3
     assert "budget exceeded" in err
+
+
+def test_internal_error_exit_4(capsys, monkeypatch):
+    def broken(w):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(redux.cli, "poset", broken)
+    code, out, err = run_cli(capsys, "enum", "poset", "321")
+    assert code == redux.cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_budget_flags(capsys):

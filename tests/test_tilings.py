@@ -15,6 +15,7 @@ from redux.redwords import evaluate
 from redux.tilings import (
     Tile,
     Tiling,
+    TilingPoset,
     boundary_edges,
     build_polygon,
     chain_equivalences,
@@ -59,8 +60,13 @@ def test_tile_validation():
 def test_tiling_area_check():
     w = (3, 2, 1)
     good = enumerate_rhombic(w)[0]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="cover X"):
         Tiling(w, frozenset(list(good.tiles)[:1]))  # pairs not fully covered
+    with pytest.raises(ValueError, match="cover X"):
+        Tiling(w, frozenset())
+    hexagon = Tile(frozenset({1, 2, 3}), frozenset())
+    with pytest.raises(ValueError, match="overlap"):
+        Tiling(w, frozenset({hexagon, Tile(frozenset({1, 2}), frozenset())}))
 
 
 def test_enumerate_rhombic_counts():
@@ -184,6 +190,62 @@ def test_poset_structure():
     assert p.hasse == frozenset(
         {(i, j) for i in p.minimal_indices() for j in p.maximal_indices()}
     )
+    assert "leq" not in vars(p)  # the covers never build the dense order
+
+
+def _dense_hasse(p):
+    """Transitive reduction of the full edge-inclusion order ``p.leq``."""
+    n = len(p.elements)
+    above = [{j for j in range(n) if j != i and p.leq[i][j]} for i in range(n)]
+    return frozenset(
+        (i, j)
+        for i in range(n)
+        for j in above[i] - set().union(*(above[k] for k in above[i]))
+    )
+
+
+@pytest.mark.parametrize(
+    "ws",
+    [perms5_all, [(4, 6, 5, 2, 3, 1), (2, 4, 3, 1, 9, 6, 5, 8, 7)]],
+    ids=["S5", "465231-W9"],
+)
+def test_local_covers_match_dense_order(ws):
+    for w in ws:
+        p = poset(w)
+        assert p.hasse == _dense_hasse(p), w
+
+
+def test_poset_queries_match_dense_order_S5():
+    for w in perms5_all:
+        p = poset(w)
+        n = range(len(p.elements))
+        assert p.minimal_indices() == [
+            j for j in n if not any(i != j and p.leq[i][j] for i in n)
+        ], w
+        assert p.maximal_indices() == [
+            i for i in n if not any(j != i and p.leq[i][j] for j in n)
+        ], w
+        for j in n:
+            assert p.down_set(j) == [i for i in n if i != j and p.leq[i][j]], w
+
+
+def test_hasse_rejects_incomplete_elements():
+    w = (3, 2, 1)
+    hexagon_only = tuple(z for z in enumerate_zonotopal(w) if not z.is_rhombic())
+    with pytest.raises(RuntimeError, match=r"Z\(321\) lacks a tiling"):
+        TilingPoset(w, hexagon_only).hasse
+
+
+def test_coatom_counts():
+    assert [len(redux.tilings._coatoms(k)) for k in (3, 4, 5)] == [2, 8, 40]
+
+
+def test_poset_rejects_missing_rhombic_tiling(monkeypatch):
+    real = redux.tilings.enumerate_rhombic
+    monkeypatch.setattr(redux.tilings, "enumerate_rhombic", lambda w: real(w)[1:])
+    with pytest.raises(RuntimeError, match=r"the 3 minimal elements of P\(4231\) "
+                       r"are not its 2 rhombic tilings"):
+        poset((4, 2, 3, 1))
 
 
 def test_unique_max_pattern_characterization_S4():
