@@ -541,15 +541,15 @@ class TilingPoset:
         return frozenset(covers)
 
     @cached_property
-    def lower_covers(self) -> tuple:
-        """lower_covers[j]: the sorted indices of the elements j covers."""
+    def _lower_covers(self) -> tuple:
+        """_lower_covers[j]: the sorted indices of the elements j covers."""
         below: list = [[] for _ in self.elements]
         for i, j in sorted(self.hasse):
             below[j].append(i)
         return tuple(map(tuple, below))
 
     def minimal_indices(self) -> list[int]:
-        return [j for j, below in enumerate(self.lower_covers) if not below]
+        return [j for j, below in enumerate(self._lower_covers) if not below]
 
     def maximal_indices(self) -> list[int]:
         covered = {i for i, _ in self.hasse}
@@ -558,12 +558,12 @@ class TilingPoset:
     def down_set(self, j: int) -> list[int]:
         """The elements strictly below j, in index order."""
         seen: set = set()
-        stack = list(self.lower_covers[j])
+        stack = list(self._lower_covers[j])
         while stack:
             i = stack.pop()
             if i not in seen:
                 seen.add(i)
-                stack.extend(self.lower_covers[i])
+                stack.extend(self._lower_covers[i])
         return sorted(seen)
 
 
