@@ -319,7 +319,8 @@ def gf2_rank(vectors: list[int]) -> int:
 
 def cycle_space_generated_by_4_8_cycles(g: FlipGraph) -> bool:
     """Do the 4- and 8-cycles span the full GF(2) cycle space of ``g``?"""
-    assert is_connected(g)
+    if not is_connected(g):
+        raise ValueError("the graph must be connected")
     edge_index = {e: i for i, e in enumerate(sorted(g.edges))}
     cycles = simple_cycles_of_length(g, 4) + simple_cycles_of_length(g, 8)
     vectors = [

@@ -43,7 +43,10 @@ class Tile:
     anchor: frozenset
 
     def __post_init__(self):
-        assert len(self.labels) >= 2 and not (self.labels & self.anchor)
+        if len(self.labels) < 2:
+            raise ValueError("a tile needs at least two labels")
+        if self.labels & self.anchor:
+            raise ValueError("a tile's labels must not meet its anchor")
 
     @property
     def order(self) -> int:
@@ -61,6 +64,10 @@ class Tile:
     def pairs(self) -> frozenset:
         """The unit cells covered: all unordered label pairs of the tile."""
         return frozenset(frozenset(pq) for pq in combinations(self.labels, 2))
+
+    def sort_key(self) -> tuple:
+        """Sorted labels, then sorted anchor: the one order of tiles."""
+        return (tuple(sorted(self.labels)), tuple(sorted(self.anchor)))
 
 
 def boundary_edges(w: Perm) -> frozenset:
@@ -110,12 +117,7 @@ class Tiling:
 
     def key(self):
         """Deterministic sort key (tilings of the same w only)."""
-        return tuple(
-            sorted(
-                (tuple(sorted(t.labels)), tuple(sorted(t.anchor)))
-                for t in self.tiles
-            )
-        )
+        return tuple(sorted(t.sort_key() for t in self.tiles))
 
     def leq(self, other: "Tiling") -> bool:
         """Reverse edge inclusion: finer tilings are smaller."""
@@ -344,11 +346,11 @@ def flip_neighbors(t: Tiling) -> list:
 def flip_graph_from_tilings(w: Perm) -> FlipGraph:
     """The flip graph on T(w); vertices in deterministic order."""
     tilings = enumerate_rhombic(w)
-    index = {t.key(): i for i, t in enumerate(tilings)}
+    index = {t.tiles: i for i, t in enumerate(tilings)}
     edges = set()
     for i, t in enumerate(tilings):
         for nbr in flip_neighbors(t):
-            j = index[nbr.key()]
+            j = index[nbr.tiles]
             edges.add((min(i, j), max(i, j)))
     return FlipGraph(
         vertices=tuple(tilings),
@@ -570,8 +572,8 @@ class TilingPoset:
 def poset(w: Perm) -> TilingPoset:
     elements = enumerate_zonotopal(w)
     p = TilingPoset(check_perm(w), elements)
-    minimal = {elements[i].key() for i in p.minimal_indices()}
-    rhombic = {t.key() for t in enumerate_rhombic(w)}
+    minimal = {elements[i].tiles for i in p.minimal_indices()}
+    rhombic = {t.tiles for t in enumerate_rhombic(w)}
     if minimal != rhombic:
         raise RuntimeError(
             f"the {len(minimal)} minimal elements of P({format_perm(p.w)}) "
@@ -598,7 +600,7 @@ def level2_cycle_correspondence(w: Perm) -> bool:
     p = poset(w)
     minimal = set(p.minimal_indices())
     graph = flip_graph_from_tilings(w)
-    vertex_index = {t.key(): i for i, t in enumerate(graph.vertices)}
+    vertex_index = {t.tiles: i for i, t in enumerate(graph.vertices)}
 
     edge_level = set()
     for i, j in p.hasse:
@@ -617,7 +619,7 @@ def level2_cycle_correspondence(w: Perm) -> bool:
         profile = [o for o in p.elements[j].shape_profile() if o > 2]
         if profile not in ([3, 3], [4]):
             return False
-        below = [vertex_index[p.elements[i].key()] for i in p.down_set(j) if i in minimal]
+        below = [vertex_index[p.elements[i].tiles] for i in p.down_set(j) if i in minimal]
         expected = 4 if profile == [3, 3] else 8
         if len(below) != expected:
             return False
@@ -799,9 +801,8 @@ def polygon_svg(w: Perm, scale: float = 40.0) -> str:
         f'<polygon points="{path}" fill="none" stroke="black" stroke-width="1"/>'
     )
     # labels midway along each boundary edge
-    labels = list(range(1, n + 1)) + list(reversed(w))
     ring = shifted + [shifted[0]]
-    for (a, b), lab in zip(zip(ring, ring[1:]), labels):
+    for (a, b), lab in zip(zip(ring, ring[1:]), poly.boundary_label_cycle()):
         mx, my = (a[0] + b[0]) / 2, (a[1] + b[1]) / 2
         lines.append(
             f'<text x="{_fmt(mx)}" y="{_fmt(my)}" font-size="10">{lab}</text>'
@@ -823,7 +824,7 @@ def tiling_svg(t: Tiling, scale: float = 40.0) -> str:
     all_points += [tuple(scale * c for c in poly.locate(pt)) for pt in boundary]
     header, x0, y0 = _svg_header(all_points)
     lines = [header]
-    for tile in sorted(t.tiles, key=lambda s: (sorted(s.labels), sorted(s.anchor))):
+    for tile in sorted(t.tiles, key=Tile.sort_key):
         pts = [
             tuple(scale * c for c in poly.locate(pt)) for pt in _tile_cycle(tile)
         ]
@@ -846,18 +847,15 @@ def _tile_cycle(tile: Tile) -> list:
     return down + list(reversed(up[1:-1]))
 
 
+def _tiles_json(tiles: frozenset) -> list:
+    return [
+        {"labels": list(labels), "anchor": list(anchor)}
+        for labels, anchor in sorted(tile.sort_key() for tile in tiles)
+    ]
+
+
 def tiling_to_json(t: Tiling) -> str:
-    payload = {
-        "schema": 1,
-        "w": list(t.w),
-        "tiles": sorted(
-            (
-                {"labels": sorted(tile.labels), "anchor": sorted(tile.anchor)}
-                for tile in t.tiles
-            ),
-            key=lambda d: (d["labels"], d["anchor"]),
-        ),
-    }
+    payload = {"schema": 1, "w": list(t.w), "tiles": _tiles_json(t.tiles)}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -865,18 +863,7 @@ def poset_to_json(p: TilingPoset) -> str:
     payload = {
         "schema": 1,
         "w": list(p.w),
-        "elements": [
-            {
-                "tiles": sorted(
-                    (
-                        {"labels": sorted(t.labels), "anchor": sorted(t.anchor)}
-                        for t in elt.tiles
-                    ),
-                    key=lambda d: (d["labels"], d["anchor"]),
-                )
-            }
-            for elt in p.elements
-        ],
+        "elements": [{"tiles": _tiles_json(elt.tiles)} for elt in p.elements],
         "hasse": sorted([i, j] for i, j in p.hasse),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

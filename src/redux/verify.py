@@ -1,7 +1,13 @@
-"""Brute-force theorem sweeps over all of S_n, one function per statement.
+"""Brute-force theorem sweeps over all of S_n.
 
-Each sweep returns a :class:`VerifyResult`; ``ok`` is False only with a
-concrete counterexample attached, so a failure is always reproducible.
+Each theorem is a stream of cases and a predicate that must hold on each one,
+e.g. every freely braided w in S_n and ``freely_braided_structure(w).all_ok()``.
+:func:`_sweep` is the one loop that walks such a stream: it counts the cases,
+stops at the first one the predicate rejects and formats it as the
+counterexample.  ``monotone`` and ``vexthm`` test (w, p) pairs with loops of
+their own.  :func:`run` turns a sweep's (checked, counterexample) into a
+:class:`VerifyResult`; ``ok`` is False only with a concrete counterexample
+attached, so a failure is always reproducible.
 """
 
 from __future__ import annotations
@@ -58,11 +64,17 @@ def all_perms(n: int):
     return (tuple(p) for p in permutations(range(1, n + 1)))
 
 
-def _result(theorem: str, checked: int, counterexample=None) -> VerifyResult:
-    return VerifyResult(theorem, counterexample is None, checked, counterexample)
+def _sweep(cases, holds, show=format_perm) -> tuple[int, str | None]:
+    """(cases checked, ``show`` of the first case failing ``holds`` or None)."""
+    checked = 0
+    for case in cases:
+        checked += 1
+        if not holds(case):
+            return checked, show(case)
+    return checked, None
 
 
-def verify_vexthm(n: int) -> VerifyResult:
+def _vexthm(n: int) -> tuple[int, str | None]:
     """Vexillary patterns always embed a shifted reduced word; the witness of
     a non-vexillary pattern never does."""
     checked = 0
@@ -80,9 +92,7 @@ def verify_vexthm(n: int) -> VerifyResult:
                     try:
                         embed_reduced_word(w, occs[0], pattern_word)
                     except AssertionError:
-                        return _result(
-                            "vexthm", checked, f"w={format_perm(w)} p={format_perm(p)}"
-                        )
+                        return checked, f"w={format_perm(w)} p={format_perm(p)}"
     for k in (4, 5):
         for p in all_perms(k):
             if is_vexillary(p):
@@ -94,8 +104,8 @@ def verify_vexthm(n: int) -> VerifyResult:
                 find_shift_factor(word, pattern_words) is not None
                 for word in enumerate_R(witness)
             ):
-                return _result("vexthm", checked, f"p={format_perm(p)}")
-    return _result("vexthm", checked)
+                return checked, f"p={format_perm(p)}"
+    return checked, None
 
 
 def _max_long_moves(w: Perm) -> int:
@@ -114,24 +124,19 @@ def _max_long_moves(w: Perm) -> int:
     return best(w, 0, 0)
 
 
-def verify_1lbm(n: int) -> VerifyResult:
+def _one_long_move(w: Perm) -> bool:
     """U_n membership = no word with two long braid moves; path graph corollary."""
-    checked = 0
-    for w in all_perms(n):
-        checked += 1
-        shares = in_U_n(w)
-        at_most_one = _max_long_moves(w) <= 1
-        if shares != at_most_one:
-            return _result("1lbm", checked, format_perm(w))
-        if shares:
-            k = len(occurrences(w, (3, 2, 1)))
-            g = graph(w)
-            if g.vertex_count != k + 1 or not is_path(g):
-                return _result("1lbm", checked, format_perm(w))
-    return _result("1lbm", checked)
+    shares = in_U_n(w)
+    if shares != (_max_long_moves(w) <= 1):
+        return False
+    if not shares:
+        return True
+    k = len(occurrences(w, (3, 2, 1)))
+    g = graph(w)
+    return g.vertex_count == k + 1 and is_path(g)
 
 
-def verify_monotone(n: int) -> VerifyResult:
+def _monotone(n: int) -> tuple[int, str | None]:
     """|C(w)| >= |C(p)| whenever w contains p, for all p in S4."""
     counts = {p: len(classes(p)) for p in all_perms(4)}
     checked = 0
@@ -141,120 +146,65 @@ def verify_monotone(n: int) -> VerifyResult:
             if occurrences(w, p):
                 checked += 1
                 if cw < cp:
-                    return _result(
-                        "monotone", checked, f"w={format_perm(w)} p={format_perm(p)}"
-                    )
-    return _result("monotone", checked)
+                    return checked, f"w={format_perm(w)} p={format_perm(p)}"
+    return checked, None
 
 
-def verify_elthm(n: int) -> VerifyResult:
+def _tilings_match_classes(w: Perm) -> bool:
     """|T(w)| = |C(w)| and the flip graph is isomorphic to the class graph."""
-    checked = 0
-    for w in all_perms(n):
-        checked += 1
-        tilings = enumerate_rhombic(w)
-        cls = classes(w)
-        if len(tilings) != len(cls):
-            return _result("elthm", checked, format_perm(w))
-        if not graphs_isomorphic(flip_graph_from_tilings(w), graph(w)):
-            return _result("elthm", checked, format_perm(w))
-    return _result("elthm", checked)
+    return len(enumerate_rhombic(w)) == len(classes(w)) and graphs_isomorphic(
+        flip_graph_from_tilings(w), graph(w)
+    )
 
 
-def verify_2kgon(n: int) -> VerifyResult:
-    checked = 0
-    for w in all_perms(n):
-        checked += 1
-        if not decreasing_tile_check(w):
-            return _result("2kgon", checked, format_perm(w))
-    return _result("2kgon", checked)
-
-
-def verify_2ktiles(n: int) -> VerifyResult:
+def _uniform_2k_tiling_iff(nk: tuple[int, int]) -> bool:
     """Uniform 2k-gon tilings of X(w0) exist exactly for k=2 and k=n."""
-    checked = 0
-    for m in range(3, n + 1):
-        for k in range(2, m + 1):
-            checked += 1
-            if uniform_2k_tiling_exists(m, k) != (k == 2 or k == m):
-                return _result("2ktiles", checked, f"n={m} k={k}")
-    return _result("2ktiles", checked)
+    n, k = nk
+    return uniform_2k_tiling_exists(n, k) == (k == 2 or k == n)
 
 
-def verify_chainthm(n: int) -> VerifyResult:
-    checked = 0
-    for w in all_perms(n):
-        checked += 1
-        a, b, c, d = chain_equivalences(w)
-        if not a == b == c == d:
-            return _result("chainthm", checked, format_perm(w))
-    return _result("chainthm", checked)
+def _unique_max_iff_avoids(w: Perm) -> bool:
+    """P(w) has a unique maximum exactly when w avoids 4231, 4312 and 3421."""
+    predicted = (
+        avoids(w, (4, 2, 3, 1)) and avoids(w, (4, 3, 1, 2)) and avoids(w, (3, 4, 2, 1))
+    )
+    return has_unique_max(poset(w)) == predicted
 
 
-def verify_maxelt(n: int) -> VerifyResult:
-    checked = 0
-    for w in all_perms(n):
-        checked += 1
-        predicted = (
-            avoids(w, (4, 2, 3, 1))
-            and avoids(w, (4, 3, 1, 2))
-            and avoids(w, (3, 4, 2, 1))
-        )
-        if has_unique_max(poset(w)) != predicted:
-            return _result("maxelt", checked, format_perm(w))
-    return _result("maxelt", checked)
+def _words_count_tableaux(w: Perm) -> bool:
+    """|R(w)| equals the number of standard Young tableaux of shape lambda(w)
+    (swept over vexillary w)."""
+    _, shape = code_and_shape(w)
+    return len(enumerate_R(w)) == syt_count(shape)
 
 
-def verify_ssv(n: int) -> VerifyResult:
-    checked = 0
-    for w in all_perms(n):
-        checked += 1
-        if not level2_cycle_correspondence(w):
-            return _result("ssv", checked, format_perm(w))
-    return _result("ssv", checked)
-
-
-def verify_fb(n: int) -> VerifyResult:
-    checked = 0
-    for w in all_perms(n):
-        if not is_freely_braided(w):
-            continue
-        checked += 1
-        if not freely_braided_structure(w).all_ok():
-            return _result("fb", checked, format_perm(w))
-    return _result("fb", checked)
-
-
-def verify_syt(n: int) -> VerifyResult:
-    """For vexillary w, |R(w)| equals the number of standard Young tableaux
-    of shape lambda(w)."""
-    checked = 0
-    for w in all_perms(n):
-        if not is_vexillary(w):
-            continue
-        checked += 1
-        _, shape = code_and_shape(w)
-        if len(enumerate_R(w)) != syt_count(shape):
-            return _result("syt", checked, format_perm(w))
-    return _result("syt", checked)
-
-
+# theorem id -> its sweep: n -> (cases checked, counterexample or None)
 THEOREMS = {
-    "vexthm": verify_vexthm,
-    "1lbm": verify_1lbm,
-    "monotone": verify_monotone,
-    "elthm": verify_elthm,
-    "2kgon": verify_2kgon,
-    "2ktiles": verify_2ktiles,
-    "chainthm": verify_chainthm,
-    "maxelt": verify_maxelt,
-    "ssv": verify_ssv,
-    "fb": verify_fb,
-    "syt": verify_syt,
+    "vexthm": _vexthm,
+    "1lbm": lambda n: _sweep(all_perms(n), _one_long_move),
+    "monotone": _monotone,
+    "elthm": lambda n: _sweep(all_perms(n), _tilings_match_classes),
+    "2kgon": lambda n: _sweep(all_perms(n), decreasing_tile_check),
+    "2ktiles": lambda n: _sweep(
+        ((m, k) for m in range(3, n + 1) for k in range(2, m + 1)),
+        _uniform_2k_tiling_iff,
+        show=lambda nk: "n={} k={}".format(*nk),
+    ),
+    "chainthm": lambda n: _sweep(
+        all_perms(n), lambda w: len(set(chain_equivalences(w))) == 1
+    ),
+    "maxelt": lambda n: _sweep(all_perms(n), _unique_max_iff_avoids),
+    "ssv": lambda n: _sweep(all_perms(n), level2_cycle_correspondence),
+    "fb": lambda n: _sweep(
+        filter(is_freely_braided, all_perms(n)),
+        lambda w: freely_braided_structure(w).all_ok(),
+    ),
+    "syt": lambda n: _sweep(filter(is_vexillary, all_perms(n)), _words_count_tableaux),
 }
 
 
 def run(theorem: str, n: int) -> VerifyResult:
     if theorem not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem!r}; known: {sorted(THEOREMS)}")
-    return THEOREMS[theorem](n)
+    checked, counterexample = THEOREMS[theorem](n)
+    return VerifyResult(theorem, counterexample is None, checked, counterexample)

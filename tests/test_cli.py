@@ -7,7 +7,6 @@ import pytest
 import redux.cli
 from redux import verify
 from redux.cli import main
-from redux.verify import VerifyResult
 
 
 def run_cli(capsys, *argv):
@@ -80,11 +79,10 @@ def test_verify_json(capsys):
 
 
 def test_verify_counterexample_exit_1(capsys, monkeypatch):
-    stub = lambda n: VerifyResult("stub", False, 1, "321")
-    monkeypatch.setitem(verify.THEOREMS, "stub", stub)
+    monkeypatch.setitem(verify.THEOREMS, "stub", lambda n: (1, "321"))
     code, out, _ = run_cli(capsys, "verify", "stub", "--n", "3")
     assert code == 1
-    assert "FAIL at 321" in out
+    assert "stub: FAIL at 321" in out
 
 
 def test_usage_errors_exit_2(capsys):

@@ -110,6 +110,9 @@ def test_graph_structure():
     assert g.vertex_count == 8
     assert is_connected(g) and is_bipartite(g)
     assert cycle_space_generated_by_4_8_cycles(g)
+    two_components = FlipGraph(vertices=(0, 1, 2, 3), edges=frozenset({(0, 1), (2, 3)}))
+    with pytest.raises(ValueError, match="must be connected"):
+        cycle_space_generated_by_4_8_cycles(two_components)
 
 
 def test_graph_path_for_shared_321s():

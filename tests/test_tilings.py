@@ -51,10 +51,10 @@ FIGURE_WORD = (1, 2, 3, 4, 3, 2, 1, 2)  # a tiling of X(53241)
 
 def test_tile_validation():
     Tile(frozenset({2, 3}), frozenset({1}))
-    with pytest.raises(AssertionError):
-        Tile(frozenset({2, 3}), frozenset({2}))  # label inside its own anchor
-    with pytest.raises(AssertionError):
-        Tile(frozenset({2}), frozenset())  # a tile needs at least two labels
+    with pytest.raises(ValueError, match="must not meet its anchor"):
+        Tile(frozenset({2, 3}), frozenset({2}))
+    with pytest.raises(ValueError, match="at least two labels"):
+        Tile(frozenset({2}), frozenset())
 
 
 def test_tiling_area_check():

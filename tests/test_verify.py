@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import redux
+from redux import verify
 from redux.redwords import braid_moves, enumerate_R
 from redux.verify import THEOREMS, VerifyResult, _max_long_moves, run
 
@@ -42,12 +43,45 @@ def test_summary_formatting():
     assert bad.summary() == "elthm: FAIL at 321"
 
 
-@pytest.mark.parametrize("theorem", sorted(THEOREMS))
-def test_small_sweeps_pass(theorem):
-    result = run(theorem, 4)
-    assert result.ok, result.summary()
-    assert result.checked > 0
-    assert result.counterexample is None
+CHECKED_AT_5 = {
+    "1lbm": 120,
+    "2kgon": 120,
+    "2ktiles": 9,
+    "chainthm": 120,
+    "elthm": 120,
+    "fb": 71,
+    "maxelt": 120,
+    "monotone": 408,
+    "ssv": 120,
+    "syt": 103,
+    "vexthm": 966,
+}
+
+
+@pytest.mark.parametrize("theorem, checked", CHECKED_AT_5.items(), ids=list(CHECKED_AT_5))
+def test_small_sweeps_pass(theorem, checked):
+    result = run(theorem, 5)
+    assert result == VerifyResult(theorem, True, checked), result.summary()
+
+
+@pytest.mark.parametrize(
+    "theorem, n, predicate, bad, checked, summary",
+    [
+        ("2kgon", 3, "decreasing_tile_check", (2, 3, 1), 4, "2kgon: FAIL at 231"),
+        # 2143 is not vexillary, so 2314 is the 8th case of S4, not the 9th
+        ("syt", 4, "_words_count_tableaux", (2, 3, 1, 4), 8, "syt: FAIL at 2314"),
+        ("2ktiles", 5, "_uniform_2k_tiling_iff", (4, 3), 4, "2ktiles: FAIL at n=4 k=3"),
+    ],
+    ids=["all-of-Sn", "filtered", "n-k-pairs"],
+)
+def test_sweep_stops_at_first_failure(
+    monkeypatch, theorem, n, predicate, bad, checked, summary
+):
+    real = getattr(verify, predicate)
+    monkeypatch.setattr(verify, predicate, lambda case: case != bad and real(case))
+    result = run(theorem, n)
+    assert result.summary() == summary
+    assert (result.ok, result.checked) == (False, checked)
 
 
 def test_max_long_moves_matches_brute_force():
