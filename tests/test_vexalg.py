@@ -1,5 +1,6 @@
 """The constructive embedding machine and the non-vexillary witness."""
 
+import hashlib
 from itertools import permutations
 
 import pytest
@@ -117,3 +118,36 @@ def test_embed_output_is_verified(w, p, pick):
     out = embed_reduced_word(w, occ, word)
     assert evaluate(out, len(w)) == (w, True)
     assert find_shift_factor(out, [word]) is not None
+
+
+# sha256 over the vex result and the embedded word for every occurrence of
+# every vexillary pattern of size 3 or 4 in every w of S_3 .. S_5.  Any change
+# to a single output of vex fails here; to re-record after an intended change,
+# print ``cases`` and ``h.hexdigest()``.
+VEX_CASES = 1900
+VEX_DIGEST = "6254920a3738a65c9d8b7239cd2c5c8f3230a23a95abed0a20f1baf2af5fabc2"
+
+
+def test_vex_outputs_pinned():
+    h = hashlib.sha256()
+    cases = 0
+    for k in (3, 4):
+        for p in map(tuple, permutations(range(1, k + 1))):
+            if not is_vexillary(p):
+                continue
+            pattern_word = lex_least_reduced_word(p)
+            for n in range(k, 6):
+                for w in map(tuple, permutations(range(1, n + 1))):
+                    for occ in occurrences(w, p):
+                        res = vex(w, occ)
+                        fields = (
+                            res.prefix_letters,
+                            res.w_tilde,
+                            res.suffix_letters,
+                            res.M,
+                            res.pattern_positions,
+                        )
+                        word = embed_reduced_word(w, occ, pattern_word)
+                        h.update(repr((w, occ.values, fields, word)).encode())
+                        cases += 1
+    assert (cases, h.hexdigest()) == (VEX_CASES, VEX_DIGEST)
