@@ -54,6 +54,7 @@ from .commutation import (
     rotate_suffix,
 )
 from .vexalg import (
+    VexError,
     VexResult,
     embed_reduced_word,
     nonvex_witness,

@@ -192,5 +192,6 @@ def syt_count(shape) -> int:
         for c in range(row_len):
             hooks *= (row_len - c) + (conj[c] - r) - 1
     count, rem = divmod(math.factorial(n), hooks)
-    assert rem == 0
+    if rem:
+        raise RuntimeError(f"the hook product {hooks} does not divide {n}!")
     return count

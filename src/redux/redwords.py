@@ -204,13 +204,15 @@ def braid_moves(word: Word) -> tuple[list[int], list[int]]:
 
 def apply_short_move(word: Word, pos: int) -> Word:
     a, b = word[pos - 1], word[pos]
-    assert abs(a - b) > 1
+    if abs(a - b) <= 1:
+        raise ValueError(f"no short braid move at position {pos} of {word}")
     return word[: pos - 1] + (b, a) + word[pos + 1 :]
 
 
 def apply_long_move(word: Word, pos: int) -> Word:
     a, b = word[pos - 1], word[pos]
-    assert word[pos + 1] == a and abs(a - b) == 1
+    if word[pos + 1 : pos + 2] != (a,) or abs(a - b) != 1:
+        raise ValueError(f"no long braid move at position {pos} of {word}")
     return word[: pos - 1] + (b, a, b) + word[pos + 2 :]
 
 

@@ -121,7 +121,8 @@ class Tiling:
 
     def leq(self, other: "Tiling") -> bool:
         """Reverse edge inclusion: finer tilings are smaller."""
-        assert self.w == other.w
+        if self.w != other.w:
+            raise ValueError("only tilings of the same w are comparable")
         return self.edge_set >= other.edge_set
 
 
@@ -238,7 +239,7 @@ def _peel_sequence(t: Tiling):
             if tile in remaining:
                 break
         else:
-            raise AssertionError("no tile on the right boundary; not a tiling")
+            raise ValueError("no tile on the right boundary; not a tiling")
         remaining.discard(tile)
         u = rest
         yield j, m, tile, u
@@ -254,10 +255,12 @@ def peel_word(t: Tiling) -> Word:
         for r in range(1, m):
             for a in range(r, 0, -1):
                 pos = j - 1 + a
-                assert u[pos - 1] > u[pos]
+                if u[pos - 1] < u[pos]:
+                    raise RuntimeError(f"peel letter {pos} adds an inversion")
                 letters.append(pos)
                 u = right_mult_adjacent(u, pos)
-    assert length(u) == 0
+    if length(u):
+        raise RuntimeError("the peeled word does not reach the identity")
     return tuple(reversed(letters))
 
 
@@ -391,11 +394,14 @@ def mono(w: Perm, occ: Occurrence, t: Tiling) -> Tiling:
     for _, _, tile, pcur in _peel_sequence(t):
         r = u.index(amb[max(tile.labels) - 1]) + 1
         s = u.index(amb[min(tile.labels) - 1]) + 1
-        assert r < s
+        if r >= s:
+            raise RuntimeError("a pattern tile's entries are out of order in w")
         u = _sort_window(u, r, s, tiles)
-    assert pcur == tuple(sorted(pcur))
+    if pcur != tuple(sorted(pcur)):
+        raise RuntimeError("the peel did not sort the pattern")
     u = _sort_window(u, 1, len(u), tiles)
-    assert u == identity(len(w))
+    if u != identity(len(w)):
+        raise RuntimeError("the lifted tiles do not sort w")
     return Tiling(w, frozenset(tiles))
 
 

@@ -4,10 +4,11 @@ Each theorem is a stream of cases and a predicate that must hold on each one,
 e.g. every freely braided w in S_n and ``freely_braided_structure(w).all_ok()``.
 :func:`_sweep` is the one loop that walks such a stream: it counts the cases,
 stops at the first one the predicate rejects and formats it as the
-counterexample.  ``monotone`` and ``vexthm`` test (w, p) pairs with loops of
-their own.  :func:`run` turns a sweep's (checked, counterexample) into a
-:class:`VerifyResult`; ``ok`` is False only with a concrete counterexample
-attached, so a failure is always reproducible.
+counterexample.  ``monotone`` sweeps the (w, p) pairs with w containing p;
+``vexthm`` sweeps two streams in turn, the embeddings of vexillary patterns
+and then the witnesses of non-vexillary ones.  :func:`run` turns a sweep's
+(checked, counterexample) into a :class:`VerifyResult`; ``ok`` is False only
+with a concrete counterexample attached, so a failure is always reproducible.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .tilings import (
     has_unique_max,
     uniform_2k_tiling_exists,
 )
-from .vexalg import embed_reduced_word, nonvex_witness
+from .vexalg import VexError, embed_reduced_word, lex_least_reduced_word, nonvex_witness
 
 
 @dataclass(frozen=True)
@@ -74,38 +75,50 @@ def _sweep(cases, holds, show=format_perm) -> tuple[int, str | None]:
     return checked, None
 
 
+def _show_pair(case) -> str:
+    """``w=<w> p=<p>`` for a case (w, ..., p) of monotone or vexthm."""
+    return f"w={format_perm(case[0])} p={format_perm(case[-1])}"
+
+
+def _embeds(case) -> bool:
+    """``embed_reduced_word`` builds its word with all its checks passing."""
+    w, occ, pattern_word, _ = case
+    try:
+        embed_reduced_word(w, occ, pattern_word)
+    except VexError:
+        return False
+    return True
+
+
+def _witness_has_no_factor(p: Perm) -> bool:
+    """No reduced word of ``nonvex_witness(p)`` has a shifted word of p as a factor."""
+    witness = nonvex_witness(p)
+    pattern_words = enumerate_R(p)
+    return all(
+        find_shift_factor(word, pattern_words) is None for word in enumerate_R(witness)
+    )
+
+
 def _vexthm(n: int) -> tuple[int, str | None]:
     """Vexillary patterns always embed a shifted reduced word; the witness of
     a non-vexillary pattern never does."""
-    checked = 0
-    for k in (3, 4):
-        for p in all_perms(k):
-            if not is_vexillary(p):
-                continue
-            pattern_word = min(enumerate_R(p))
-            for m in range(k, n + 1):
-                for w in all_perms(m):
-                    occs = occurrences(w, p)
-                    if not occs:
-                        continue
-                    checked += 1
-                    try:
-                        embed_reduced_word(w, occs[0], pattern_word)
-                    except AssertionError:
-                        return checked, f"w={format_perm(w)} p={format_perm(p)}"
-    for k in (4, 5):
-        for p in all_perms(k):
-            if is_vexillary(p):
-                continue
-            checked += 1
-            witness = nonvex_witness(p)
-            pattern_words = enumerate_R(p)
-            if any(
-                find_shift_factor(word, pattern_words) is not None
-                for word in enumerate_R(witness)
-            ):
-                return checked, f"p={format_perm(p)}"
-    return checked, None
+    embeddings = (
+        (w, occs[0], pattern_word, p)
+        for k in (3, 4)
+        for p in filter(is_vexillary, all_perms(k))
+        for pattern_word in [lex_least_reduced_word(p)]
+        for m in range(k, n + 1)
+        for w in all_perms(m)
+        if (occs := occurrences(w, p))
+    )
+    checked, failure = _sweep(embeddings, _embeds, show=_show_pair)
+    if failure is not None:
+        return checked, failure
+    nonvexillary = (p for k in (4, 5) for p in all_perms(k) if not is_vexillary(p))
+    more, failure = _sweep(
+        nonvexillary, _witness_has_no_factor, show=lambda p: f"p={format_perm(p)}"
+    )
+    return checked + more, failure
 
 
 def _max_long_moves(w: Perm) -> int:
@@ -139,15 +152,14 @@ def _one_long_move(w: Perm) -> bool:
 def _monotone(n: int) -> tuple[int, str | None]:
     """|C(w)| >= |C(p)| whenever w contains p, for all p in S4."""
     counts = {p: len(classes(p)) for p in all_perms(4)}
-    checked = 0
-    for w in all_perms(n):
-        cw = len(classes(w))
-        for p, cp in counts.items():
-            if occurrences(w, p):
-                checked += 1
-                if cw < cp:
-                    return checked, f"w={format_perm(w)} p={format_perm(p)}"
-    return checked, None
+    pairs = (
+        (w, cw, p)
+        for w in all_perms(n)
+        for cw in [len(classes(w))]
+        for p in counts
+        if occurrences(w, p)
+    )
+    return _sweep(pairs, lambda case: case[1] >= counts[case[2]], show=_show_pair)
 
 
 def _tilings_match_classes(w: Perm) -> bool:

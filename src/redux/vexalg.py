@@ -16,7 +16,6 @@ from .patterns import Occurrence, is_vexillary, obstruction, occurrences
 from .permcore import (
     Perm,
     check_perm,
-    format_perm,
     identity,
     left_mult_adjacent,
     length,
@@ -26,6 +25,19 @@ from .permcore import (
 from .redwords import Word, evaluate, find_shift_factor, shift
 
 _STEP_CAP = 100_000
+
+
+class VexError(RuntimeError):
+    """An invariant of ``vex`` or of the embedding built from it failed.
+
+    This is a fault in the construction, never bad input (that raises
+    ``ValueError``), and it is raised under ``python -O`` too.
+    """
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise VexError(message)
 
 
 @dataclass(frozen=True)
@@ -42,18 +54,12 @@ class VexResult:
 class _VexState:
     """Mutable working state; every multiplication must remove an inversion."""
 
-    def __init__(self, w: Perm, pattern: Perm, values, trace=None):
+    def __init__(self, w: Perm, pattern: Perm, values):
         self.w = w
         self.p = pattern
         self.pat = sorted(values)  # pat[m-1] is the value in role m
         self.left: list[int] = []  # left multipliers, in order of application
         self.right: list[int] = []  # right multipliers, in order of application
-        self.trace = trace
-
-    def log(self, step: str, x=None) -> None:
-        if self.trace is not None:
-            extra = f", x := {x}" if x is not None else ""
-            self.trace.append(f"Step {step}: w = {format_perm(self.w)}{extra}")
 
     def pos(self, value: int) -> int:
         return position(self.w, value)
@@ -72,28 +78,20 @@ class _VexState:
         ]
 
     def rmult(self, i: int) -> None:
-        assert self.w[i - 1] > self.w[i], "right multiplication must remove an inversion"
+        _require(self.w[i - 1] > self.w[i], "right multiplier adds an inversion")
         self.w = right_mult_adjacent(self.w, i)
         self.right.append(i)
 
     def lmult(self, v: int) -> None:
-        assert self.pos(v + 1) < self.pos(v), "left multiplication must remove an inversion"
+        _require(self.pos(v + 1) < self.pos(v), "left multiplier adds an inversion")
         self.w = left_mult_adjacent(self.w, v)
         self.left.append(v)
 
-    def assert_occurrence(self) -> None:
-        assert self.pat == sorted(self.pat)
+    def check_occurrence(self) -> None:
+        _require(self.pat == sorted(self.pat), "pattern roles must stay increasing")
         by_position = sorted(self.pat, key=self.pos)
         ranks = tuple(self.pat.index(v) + 1 for v in by_position)
-        assert ranks == self.p, "pattern occurrence lost during vex"
-
-    def move_right_of_pattern(self, y: int) -> None:
-        while self.pos(y) < self.pattern_positions()[-1]:
-            self.rmult(self.pos(y))
-
-    def move_left_of_pattern(self, y: int) -> None:
-        while self.pos(y) > self.pattern_positions()[0]:
-            self.rmult(self.pos(y) - 1)
+        _require(ranks == self.p, "pattern occurrence lost during vex")
 
     def sort_values_left(self, lo: int, hi: int) -> None:
         """Left-multiply until the values lo..hi appear in increasing order."""
@@ -114,27 +112,33 @@ class _VexState:
         )
 
 
-def _slide_right(st: _VexState, x: int, m: int, b: int) -> int:
-    """Step 5a: push x rightward past the chain end <m+1+b>, trading roles
-    with the chain bounds met en route.  A larger non-pattern entry blocking
-    the way is cleared first, recursively.  Returns the value x turns into.
+def _slide(st: _VexState, x: int, m: int, reach: int, d: int) -> int:
+    """Step 5a (d = 1) or its mirror 5b (d = -1): push x rightward past the
+    chain end <m+1+b> (reach = b), or leftward past <m-a> (reach = a),
+    trading roles with the chain bounds met en route.  A non-pattern
+    neighbour that x cannot pass without adding an inversion is pushed
+    first, recursively.  Returns the value x turns into.
 
-    Every mover exceeds the chain element immediately to its left, so each
-    role interchange keeps the bounds increasing.
+    Every mover lies beyond the chain element behind it (above it when moving
+    right, below it when moving left), so each role interchange keeps the
+    bounds increasing.
     """
-    end = m + b  # 0-based index of <m+1+b> in st.pat
+    near = m if d == 1 else m - 1  # 0-based index in st.pat of the bound x faces
+    end = near + d * reach
+    lo, hi = sorted((near, end))
 
     def push(y: int) -> int:
-        while st.pos(y) < st.pos(st.pat[end]):
-            z = st.w[st.pos(y)]  # right neighbor
-            if z < y:
-                st.rmult(st.pos(y))
+        while d * (st.pos(st.pat[end]) - st.pos(y)) > 0:
+            py = st.pos(y)
+            z = st.w[py + d - 1]  # neighbour on the side of travel
+            if d * (y - z) > 0:
+                st.rmult(min(py, py + d))
             elif z in st.pat:
                 idx = st.pat.index(z)
-                assert m <= idx <= end, "blocking entry must be a chain bound"
-                assert st.pat[idx - 1] < y, "interchange must keep bounds sorted"
+                _require(lo <= idx <= hi, "blocking entry must be a chain bound")
+                _require(d * (y - st.pat[idx - d]) > 0, "interchange unsorts bounds")
                 st.pat[idx] = y
-                st.assert_occurrence()
+                st.check_occurrence()
                 y = z
             else:
                 push(z)
@@ -143,36 +147,32 @@ def _slide_right(st: _VexState, x: int, m: int, b: int) -> int:
     return push(x)
 
 
-def _slide_left(st: _VexState, x: int, m: int, a: int) -> int:
-    """Step 5b: mirror of Step 5a, pushing left past the chain end <m-a>."""
-    end = m - 1 - a  # 0-based index of <m-a> in st.pat
-
-    def push(y: int) -> int:
-        while st.pos(y) > st.pos(st.pat[end]):
-            z = st.w[st.pos(y) - 2]  # left neighbor
-            if z > y:
-                st.rmult(st.pos(y) - 1)
-            elif z in st.pat:
-                idx = st.pat.index(z)
-                assert end <= idx <= m - 1, "blocking entry must be a chain bound"
-                assert st.pat[idx + 1] > y, "interchange must keep bounds sorted"
-                st.pat[idx] = y
-                st.assert_occurrence()
-                y = z
-            else:
-                push(z)
-        return y
-
-    return push(x)
+def _trade(st: _VexState, x: int, idx: int) -> int:
+    """Steps 6 (idx = m, x right of <m+1>) and 7 (idx = m - 1, x left of <m>):
+    left-multiply until the values between x and the bound st.pat[idx] are
+    increasing; the values then at the bound's and at x's positions become
+    the new bound and the new x.  Returns the new x."""
+    old_bound = st.pat[idx]
+    s, t = st.pos(old_bound), st.pos(x)
+    _require((t - s) * (x - old_bound) < 0, "x and its bound must form an inversion")
+    lo, hi = sorted((x, old_bound))
+    st.sort_values_left(lo, hi)
+    st.pat[idx], new_x = st.w[s - 1], st.w[t - 1]
+    _require(lo <= st.pat[idx] <= hi and st.pat[idx] != old_bound, "bound not moved")
+    _require(lo <= new_x <= hi and new_x != x, "x not moved toward its bound")
+    st.check_occurrence()
+    return new_x
 
 
-def vex(w: Perm, occ: Occurrence, trace=None) -> VexResult:
+def vex(w: Perm, occ: Occurrence) -> VexResult:
     """Shorten ``w`` until the occurrence of ``occ.pattern`` is consecutive.
 
-    The pattern must be vexillary.  The default tie-breaks (below-range inside
-    entries first, then above-range, then the largest interior one; the
-    unobstructed-right branch preferred) make the output deterministic, but
-    any output satisfying the two defining invariants is a correct answer.
+    The pattern must be vexillary.  Step 1 picks an inside entry x, and Steps
+    2-7 act on x until it is no longer inside; vex stops when nothing is
+    inside.  The tie-breaks (below-range inside entries first, then
+    above-range, then the largest interior one; 5a before 5b) make the output
+    deterministic, but any output satisfying the two defining invariants is a
+    correct answer.
     """
     w = check_perm(w)
     p = occ.pattern
@@ -180,102 +180,53 @@ def vex(w: Perm, occ: Occurrence, trace=None) -> VexResult:
         raise ValueError("vex requires a vexillary pattern")
     if tuple(w[i - 1] for i in occ.positions) != occ.values:
         raise ValueError("occurrence does not match the permutation")
-    st = _VexState(w, p, occ.values, trace=trace)
-    st.assert_occurrence()
+    st = _VexState(w, p, occ.values)
+    st.check_occurrence()
     k = len(p)
 
-    pc = 1
-    x = m = 0
-    for _ in range(_STEP_CAP):
-        if pc == 1:
+    steps = 0
+    while inside := st.inside():
+        # Step 1.  Tie-break: clear the entries below the pattern's value
+        # range first, then those above it, then the largest interior entry.
+        below = [v for v in inside if v < st.pat[0]]
+        above = [v for v in inside if v > st.pat[-1]]
+        x = max(below) if below else min(above) if above else max(inside)
+        while x in inside:
+            steps += 1
+            if steps > _STEP_CAP:
+                raise VexError(f"vex did not terminate within {_STEP_CAP} steps")
+            if x > st.pat[-1]:  # Step 2
+                for y in sorted((y for y in inside if y >= x), reverse=True):
+                    while st.pos(y) < st.pattern_positions()[-1]:
+                        st.rmult(st.pos(y))
+            elif x < st.pat[0]:  # Step 3
+                for y in sorted(y for y in inside if y <= x):
+                    while st.pos(y) > st.pattern_positions()[0]:
+                        st.rmult(st.pos(y) - 1)
+            else:
+                # Step 4: <m> < x < <m+1>
+                m = next(m for m in range(1, k) if st.pat[m - 1] < x < st.pat[m])
+                if st.pos(st.pat[m - 1]) < st.pos(x) < st.pos(st.pat[m]):  # Step 5
+                    report = obstruction(st.w, st.current_occurrence(), x)
+                    _require(report.m == m, "obstruction names another role")
+                    if not report.obstructed_right:
+                        x = _slide(st, x, m, report.b, 1)
+                    elif not report.obstructed_left:
+                        x = _slide(st, x, m, report.a, -1)
+                    else:
+                        raise VexError("inside entry obstructed on both sides")
+                elif st.pos(st.pat[m]) < st.pos(x):  # Step 6
+                    x = _trade(st, x, m)
+                else:  # Step 7
+                    x = _trade(st, x, m - 1)
             inside = st.inside()
-            if not inside:
-                break
-            # Tie-break: clear the entries below the pattern's value range
-            # first, then those above it, then the largest interior entry.
-            below = [v for v in inside if v < st.pat[0]]
-            above = [v for v in inside if v > st.pat[-1]]
-            if below:
-                x = max(below)
-            elif above:
-                x = min(above)
-            else:
-                x = max(inside)
-            st.log("1", x)
-            pc = 2
-        elif pc == 2:
-            if x > st.pat[-1]:
-                for y in sorted((y for y in st.inside() if y >= x), reverse=True):
-                    st.move_right_of_pattern(y)
-                st.log("2")
-                pc = 1
-            else:
-                pc = 3
-        elif pc == 3:
-            if x < st.pat[0]:
-                for y in sorted(y for y in st.inside() if y <= x):
-                    st.move_left_of_pattern(y)
-                st.log("3")
-                pc = 1
-            else:
-                pc = 4
-        elif pc == 4:
-            m = next(m for m in range(1, k) if st.pat[m - 1] < x < st.pat[m])
-            pc = 5
-        elif pc == 5:
-            if st.pos(st.pat[m - 1]) < st.pos(x) < st.pos(st.pat[m]):
-                report = obstruction(st.w, st.current_occurrence(), x)
-                assert report.m == m
-                if not report.obstructed_right:
-                    x = _slide_right(st, x, m, report.b)
-                    st.log("5a", x)
-                    pc = 2 if x in st.inside() else 1
-                elif not report.obstructed_left:
-                    x = _slide_left(st, x, m, report.a)
-                    st.log("5b", x)
-                    pc = 3 if x in st.inside() else 1
-                else:
-                    raise AssertionError(
-                        "inside entry obstructed on both sides of a vexillary pattern"
-                    )
-            else:
-                pc = 6
-        elif pc == 6:
-            if st.pos(st.pat[m]) < st.pos(x):
-                s, t = st.pos(st.pat[m]), st.pos(x)
-                old_bound = st.pat[m]
-                st.sort_values_left(x, old_bound)
-                st.pat[m] = st.w[s - 1]
-                new_x = st.w[t - 1]
-                assert x <= st.pat[m] < old_bound and x < new_x <= old_bound
-                x = new_x
-                st.assert_occurrence()
-                st.log("6", x)
-                pc = 2
-            else:
-                pc = 7
-        else:  # pc == 7
-            assert st.pos(st.pat[m - 1]) > st.pos(x)
-            s, t = st.pos(st.pat[m - 1]), st.pos(x)
-            old_bound = st.pat[m - 1]
-            st.sort_values_left(old_bound, x)
-            st.pat[m - 1] = st.w[s - 1]
-            new_x = st.w[t - 1]
-            assert old_bound < st.pat[m - 1] <= x and old_bound <= new_x < x
-            x = new_x
-            st.assert_occurrence()
-            st.log("7", x)
-            pc = 3
-    else:
-        raise RuntimeError("vex did not terminate")
 
-    st.assert_occurrence()
+    st.check_occurrence()
     positions = st.pattern_positions()
     M = positions[0] - 1
-    assert positions == list(range(1 + M, k + M + 1)), "occurrence must be consecutive"
+    _require(positions == list(range(1 + M, k + M + 1)), "occurrence not consecutive")
     moves = len(st.left) + len(st.right)
-    assert length(st.w) == length(w) - moves, "each multiplication must shorten w"
-    st.log("output")
+    _require(length(st.w) == length(w) - moves, "a multiplication did not shorten w")
     return VexResult(
         prefix_letters=tuple(reversed(st.left)),
         w_tilde=st.w,
@@ -291,9 +242,7 @@ def lex_least_reduced_word(w: Perm) -> Word:
     w = check_perm(w)
     letters = []
     while w != identity(len(w)):
-        i = next(
-            i for i in range(1, len(w)) if position(w, i + 1) < position(w, i)
-        )
+        i = next(i for i in range(1, len(w)) if position(w, i + 1) < position(w, i))
         letters.append(i)
         w = left_mult_adjacent(w, i)
     return tuple(letters)
@@ -316,9 +265,7 @@ def embed_reduced_word(w: Perm, occ: Occurrence, pattern_word: Word) -> Word:
         raise ValueError("pattern_word is not a reduced word of the pattern")
     res = vex(w, occ)
     window = sorted(res.w_tilde[res.M : res.M + k])
-    w_prime = (
-        res.w_tilde[: res.M] + tuple(window) + res.w_tilde[res.M + k :]
-    )
+    w_prime = res.w_tilde[: res.M] + tuple(window) + res.w_tilde[res.M + k :]
     h = lex_least_reduced_word(w_prime)
     word = (
         res.prefix_letters[::-1]
@@ -327,10 +274,11 @@ def embed_reduced_word(w: Perm, occ: Occurrence, pattern_word: Word) -> Word:
         + res.suffix_letters[::-1]
     )
     value, reduced = evaluate(word, n)
-    if value != w or not reduced:
-        raise AssertionError("assembled word must be a reduced word of w")
-    if find_shift_factor(word, [pattern_word]) is None:
-        raise AssertionError("assembled word must contain the shifted pattern word")
+    _require(value == w and reduced, "assembled word must be a reduced word of w")
+    _require(
+        find_shift_factor(word, [pattern_word]) is not None,
+        "assembled word must contain the shifted pattern word",
+    )
     return word
 
 
@@ -371,5 +319,5 @@ def nonvex_witness(p: Perm) -> Perm:
         val = p[pos - 1] if pos <= z else p[pos - 2]
         w.append(val if val <= r2 else val + 1)
     result = check_perm(w)
-    assert occurrences(result, p), "witness must contain the pattern"
+    _require(bool(occurrences(result, p)), "witness must contain the pattern")
     return result

@@ -108,6 +108,15 @@ def test_braid_moves_preserve_the_word(w, rnd):
         assert apply_long_move(other, pos) == word
 
 
+def test_braid_moves_reject_other_positions():
+    with pytest.raises(ValueError, match="no short braid move at position 1"):
+        apply_short_move((1, 2), 1)
+    with pytest.raises(ValueError, match="no long braid move at position 1"):
+        apply_long_move((1, 2, 3), 1)
+    with pytest.raises(ValueError, match="no long braid move at position 2"):
+        apply_long_move((1, 2, 1), 2)
+
+
 def test_is_isolated():
     # factor (2, 3) at position 2 of 523451, window {2, 3, 4} (M = 1, k = 3)
     assert is_isolated((5, 2, 3, 4, 5, 1), 2, 2, 1, 3, 6)

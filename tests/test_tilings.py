@@ -69,6 +69,12 @@ def test_tiling_area_check():
         Tiling(w, frozenset({hexagon, Tile(frozenset({1, 2}), frozenset())}))
 
 
+def test_leq_compares_tilings_of_one_w():
+    t, u = enumerate_rhombic((3, 2, 1))[0], enumerate_rhombic((2, 3, 1))[0]
+    with pytest.raises(ValueError, match="same w"):
+        t.leq(u)
+
+
 def test_enumerate_rhombic_counts():
     assert len(enumerate_rhombic((3, 2, 1))) == 2
     assert len(enumerate_rhombic((4, 2, 3, 1))) == 3

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from redux.patterns import is_vexillary, occurrences
 from redux.permcore import left_mult_adjacent, length, right_mult_adjacent
 from redux.redwords import enumerate_R, evaluate, find_shift_factor
+from redux import vexalg
 from redux.vexalg import (
+    VexError,
     embed_reduced_word,
     lex_least_reduced_word,
     nonvex_witness,
@@ -54,6 +56,13 @@ def test_vex_rejects_bad_input():
         vex(w, _occ(w, (2, 1, 4, 3), (2, 1, 4, 3)))  # pattern not vexillary
     with pytest.raises(ValueError):
         embed_reduced_word((3, 2, 1), _occ((3, 2, 1), (2, 1), (3, 2)), (1, 2))
+
+
+def test_vex_step_cap_names_its_limit(monkeypatch):
+    w = (3, 1, 4, 6, 5, 2)
+    monkeypatch.setattr(vexalg, "_STEP_CAP", 1)
+    with pytest.raises(VexError, match="vex did not terminate within 1 steps"):
+        vex(w, _occ(w, (2, 3, 1), (3, 6, 2)))
 
 
 def test_nonvex_witness_golden():
