@@ -79,6 +79,12 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(args, payload: dict) -> int:
+    """Emit ``payload`` under schema 1 as indented, key-sorted JSON."""
+    _emit(args, json.dumps({"schema": 1, **payload}, indent=2, sort_keys=True) + "\n")
+    return EXIT_OK
+
+
 def cmd_info(args) -> int:
     w = _parse(args.w)
     code, shape = code_and_shape(w)
@@ -96,56 +102,54 @@ def cmd_info(args) -> int:
         "count_321": count_321,
     }
     if args.format == "json":
-        _emit(args, json.dumps({"schema": 1, **fields}, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [f"{key}: {value}" for key, value in fields.items()]
-        _emit(args, "\n".join(lines) + "\n")
+        return _emit_json(args, fields)
+    lines = [f"{key}: {value}" for key, value in fields.items()]
+    _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_enum(args) -> int:
+    """Text output lists one line per object and then ``count``; JSON output
+    is built only when asked for."""
     w = _parse(args.w)
+    as_json = args.format == "json"
     if args.what == "words":
-        words = enumerate_R(w)
-        body = [format_word(word) for word in words]
-        payload = {"words": body}
+        body = [format_word(word) for word in enumerate_R(w)]
+        if as_json:
+            return _emit_json(args, {"words": body})
     elif args.what == "classes":
         cls = classes(w)
+        if as_json:
+            return _emit_json(
+                args,
+                {
+                    "classes": [
+                        {"representative": format_word(c.representative), "size": c.size}
+                        for c in cls
+                    ]
+                },
+            )
+        body = [f"{format_word(c.representative)} (size {c.size})" for c in cls]
+    elif args.what in ("tilings", "zonotopal"):
+        rhombic = args.what == "tilings"
+        tilings = enumerate_rhombic(w) if rhombic else enumerate_zonotopal(w)
+        if as_json:
+            return _emit_json(
+                args, {"tilings": [json.loads(tiling_to_json(t)) for t in tilings]}
+            )
         body = [
-            f"{format_word(c.representative)} (size {c.size})" for c in cls
-        ]
-        payload = {
-            "classes": [
-                {"representative": format_word(c.representative), "size": c.size}
-                for c in cls
-            ]
-        }
-    elif args.what == "tilings":
-        tilings = enumerate_rhombic(w)
-        body = [format_word(peel_word(t)) for t in tilings]
-        payload = {"tilings": [json.loads(tiling_to_json(t)) for t in tilings]}
-    elif args.what == "zonotopal":
-        tilings = enumerate_zonotopal(w)
-        body = [
-            format_word(peel_word(t)) + " " + str(list(t.shape_profile()))
+            format_word(peel_word(t))
+            + ("" if rhombic else " " + str(list(t.shape_profile())))
             for t in tilings
         ]
-        payload = {"tilings": [json.loads(tiling_to_json(t)) for t in tilings]}
     else:  # poset
         p = poset(w)
-        if args.format == "json":
+        if as_json:
             _emit(args, poset_to_json(p))
-            return EXIT_OK
-        body = [f"elements {len(p.elements)}", f"covers {len(p.hasse)}"]
-        _emit(args, "\n".join(body) + "\n")
+        else:
+            _emit(args, f"elements {len(p.elements)}\ncovers {len(p.hasse)}\n")
         return EXIT_OK
-    if args.format == "json":
-        _emit(
-            args,
-            json.dumps({"schema": 1, **payload}, indent=2, sort_keys=True) + "\n",
-        )
-    else:
-        _emit(args, "\n".join(body + [f"count {len(body)}"]) + "\n")
+    _emit(args, "\n".join(body + [f"count {len(body)}"]) + "\n")
     return EXIT_OK
 
 
@@ -156,20 +160,14 @@ def cmd_verify(args) -> int:
         )
     result = run_verify(args.theorem, args.n)
     if args.format == "json":
-        _emit(
+        _emit_json(
             args,
-            json.dumps(
-                {
-                    "schema": 1,
-                    "theorem": result.theorem,
-                    "ok": result.ok,
-                    "checked": result.checked,
-                    "counterexample": result.counterexample,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
+            {
+                "theorem": result.theorem,
+                "ok": result.ok,
+                "checked": result.checked,
+                "counterexample": result.counterexample,
+            },
         )
     else:
         _emit(args, result.summary() + "\n")

@@ -165,6 +165,7 @@ def _normal_forms(w: Perm) -> list[Word]:
         return found
 
     extend(inverse(w), 0)
+    del extend  # extend refers to itself; unbinding it frees ``dead`` at once
     return forms
 
 
@@ -285,24 +286,25 @@ def simple_cycles_of_length(g: FlipGraph, target: int) -> list[frozenset[tuple[i
     """All simple cycles with exactly ``target`` edges, as canonical edge sets."""
     adj = g.adjacency()
     found: set[frozenset[tuple[int, int]]] = set()
-
-    def extend(path: list[int]) -> None:
-        v = path[-1]
-        for nbr in adj[v]:
-            if nbr == path[0] and len(path) == target:
-                if path[1] < path[-1]:  # each cycle once, not once per direction
-                    found.add(
-                        frozenset(
-                            (min(a, b), max(a, b))
-                            for a, b in zip(path, path[1:] + path[:1])
-                        )
-                    )
-            elif nbr > path[0] and nbr not in path and len(path) < target:
-                extend(path + [nbr])
-
     for start in range(g.vertex_count):
-        extend([start])
+        _extend_cycles([start], adj, target, found)
     return sorted(found, key=sorted)
+
+
+def _extend_cycles(path: list[int], adj: list, target: int, found: set) -> None:
+    """Add to ``found`` every simple cycle of ``target`` edges that starts
+    with ``path`` and whose other vertices all exceed path[0]."""
+    for nbr in adj[path[-1]]:
+        if nbr == path[0] and len(path) == target:
+            if path[1] < path[-1]:  # each cycle once, not once per direction
+                found.add(
+                    frozenset(
+                        (min(a, b), max(a, b))
+                        for a, b in zip(path, path[1:] + path[:1])
+                    )
+                )
+        elif nbr > path[0] and nbr not in path and len(path) < target:
+            _extend_cycles(path + [nbr], adj, target, found)
 
 
 def gf2_rank(vectors: list[int]) -> int:

@@ -57,9 +57,12 @@ def occurrences(w: Perm, p: Perm) -> list[Occurrence]:
 
 
 def contains(w: Perm, p: Perm) -> bool:
-    if len(p) > len(w):
-        return False
-    return next(iter(occurrences(w, p)), None) is not None
+    """Does ``w`` have an occurrence of ``p``?  Stops at the first one."""
+    w, p = check_perm(w), check_perm(p)
+    return any(
+        _same_relative_order(tuple(w[i] for i in pos), p)
+        for pos in combinations(range(len(w)), len(p))
+    )
 
 
 def avoids(w: Perm, p: Perm) -> bool:

@@ -132,21 +132,21 @@ def enumerate_R(w: Perm) -> tuple[Word, ...]:
     ['121', '212']
     """
     w = check_budget(w, words=True)
-    memo: dict[Perm, tuple[Word, ...]] = {}
+    return tuple(sorted(_words(w, {})))
 
-    def rec(u: Perm) -> tuple[Word, ...]:
-        ds = descents(u)
-        if not ds:
-            return ((),)
-        cached = memo.get(u)
-        if cached is None:
-            cached = tuple(
-                prefix + (i,) for i in ds for prefix in rec(right_mult_adjacent(u, i))
-            )
-            memo[u] = cached
-        return cached
 
-    return tuple(sorted(rec(w)))
+def _words(u: Perm, memo: dict) -> tuple[Word, ...]:
+    """R(u), unsorted; ``memo`` maps each permutation done so far to its words."""
+    ds = descents(u)
+    if not ds:
+        return ((),)
+    cached = memo.get(u)
+    if cached is None:
+        cached = tuple(
+            prefix + (i,) for i in ds for prefix in _words(right_mult_adjacent(u, i), memo)
+        )
+        memo[u] = cached
+    return cached
 
 
 def shift(word: Word, M: int, new_n: int) -> Word:

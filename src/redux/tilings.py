@@ -199,18 +199,20 @@ def _enumerate(w: Perm, max_order: int) -> tuple[Tiling, ...]:
     Peels every eligible tile off the right boundary, recursively;
     memoization on the boundary permutation deduplicates shared subproblems.
     """
-    memo: dict[Perm, frozenset] = {}
+    tile_sets = _tile_sets(w, max_order, {})
+    return tuple(sorted((Tiling(w, ts) for ts in tile_sets), key=Tiling.key))
 
-    def rec(u: Perm) -> frozenset:
-        if u not in memo:
-            out = {frozenset()} if length(u) == 0 else set()
-            for _, _, tile, rest_u in _peels(u, 2, max_order):
-                for rest in rec(rest_u):
-                    out.add(rest | {tile})
-            memo[u] = frozenset(out)
-        return memo[u]
 
-    return tuple(sorted((Tiling(w, ts) for ts in rec(w)), key=Tiling.key))
+def _tile_sets(u: Perm, max_order: int, memo: dict) -> frozenset:
+    """The tile sets of the tilings of X(u) by 2m-gons with m <= max_order;
+    ``memo`` maps each boundary done so far to its tile sets."""
+    if u not in memo:
+        out = {frozenset()} if length(u) == 0 else set()
+        for _, _, tile, rest_u in _peels(u, 2, max_order):
+            for rest in _tile_sets(rest_u, max_order, memo):
+                out.add(rest | {tile})
+        memo[u] = frozenset(out)
+    return memo[u]
 
 
 def enumerate_rhombic(w: Perm) -> tuple[Tiling, ...]:
@@ -348,7 +350,12 @@ def flip_neighbors(t: Tiling) -> list:
 
 def flip_graph_from_tilings(w: Perm) -> FlipGraph:
     """The flip graph on T(w); vertices in deterministic order."""
-    tilings = enumerate_rhombic(w)
+    return _flip_graph(enumerate_rhombic(w))
+
+
+def _flip_graph(tilings) -> FlipGraph:
+    """The flip graph on all the rhombic tilings of one w, in the given order."""
+    tilings = tuple(tilings)
     index = {t.tiles: i for i, t in enumerate(tilings)}
     edges = set()
     for i, t in enumerate(tilings):
@@ -420,6 +427,27 @@ def _decreasing_subsequence_sets(w: Perm) -> set:
     return out
 
 
+def _tile_label_sets(w: Perm) -> set:
+    """The label sets of the tiles across Z(w), found without building Z(w).
+
+    Z(w) is built from the peel sequences of w, and every boundary that
+    peels reach can be peeled on down to the identity, so the tiles that
+    can be peeled off some reachable boundary are exactly the tiles of the
+    tilings in Z(w).
+    """
+    w = check_perm(w)
+    out: set = set()
+    seen = {w}
+    stack = [w]
+    while stack:
+        for _, _, tile, rest in _peels(stack.pop(), 2, len(w)):
+            out.add(tile.labels)
+            if rest not in seen:
+                seen.add(rest)
+                stack.append(rest)
+    return out
+
+
 def decreasing_tile_check(w: Perm) -> bool:
     """Tiles appearing across Z(w) are exactly the decreasing subsequences.
 
@@ -427,12 +455,8 @@ def decreasing_tile_check(w: Perm) -> bool:
     decreasing subsequence i_k ... i_1 in w, and every decreasing subsequence
     of length >= 2 is the label set of a tile in some zonotopal tiling.
     """
-    tile_sets = {
-        t.labels
-        for z in enumerate_zonotopal(w)
-        for t in z.tiles
-    }
-    return tile_sets == _decreasing_subsequence_sets(check_perm(w))
+    w = check_perm(w)
+    return _tile_label_sets(w) == _decreasing_subsequence_sets(w)
 
 
 def uniform_2k_tiling_exists(n: int, k: int) -> bool:
@@ -443,16 +467,17 @@ def uniform_2k_tiling_exists(n: int, k: int) -> bool:
     """
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n")
-    memo: dict[Perm, bool] = {}
+    return _uniform_2k_tiling_of(longest_element(n), k, {})
 
-    def rec(u: Perm) -> bool:
-        if u not in memo:
-            memo[u] = length(u) == 0 or any(
-                rec(rest) for _, _, _, rest in _peels(u, k, k)
-            )
-        return memo[u]
 
-    return rec(longest_element(n))
+def _uniform_2k_tiling_of(u: Perm, k: int, memo: dict) -> bool:
+    """Is there a tiling of X(u) by 2k-gons alone?  ``memo`` maps each
+    boundary done so far to its answer."""
+    if u not in memo:
+        memo[u] = length(u) == 0 or any(
+            _uniform_2k_tiling_of(rest, k, memo) for _, _, _, rest in _peels(u, k, k)
+        )
+    return memo[u]
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +629,9 @@ def level2_cycle_correspondence(w: Perm) -> bool:
     """Level-2 poset elements are rhombi+2 hexagons or rhombi+1 octagon, and
     their induced cycles span the GF(2) cycle space of the flip graph."""
     p = poset(w)
-    minimal = set(p.minimal_indices())
-    graph = flip_graph_from_tilings(w)
-    vertex_index = {t.tiles: i for i, t in enumerate(graph.vertices)}
+    # the minimal elements are T(w): element index -> flip graph vertex
+    minimal = {j: v for v, j in enumerate(p.minimal_indices())}
+    graph = _flip_graph(p.elements[j] for j in minimal)
 
     edge_level = set()
     for i, j in p.hasse:
@@ -625,7 +650,7 @@ def level2_cycle_correspondence(w: Perm) -> bool:
         profile = [o for o in p.elements[j].shape_profile() if o > 2]
         if profile not in ([3, 3], [4]):
             return False
-        below = [vertex_index[p.elements[i].tiles] for i in p.down_set(j) if i in minimal]
+        below = [minimal[i] for i in p.down_set(j) if i in minimal]
         expected = 4 if profile == [3, 3] else 8
         if len(below) != expected:
             return False
@@ -651,8 +676,8 @@ def chain_equivalences(w: Perm) -> tuple[bool, bool, bool, bool]:
     from .commutation import is_path, is_tree
     from .patterns import avoids
 
-    g = flip_graph_from_tilings(w)
     p = poset(w)
+    g = _flip_graph(p.elements[j] for j in p.minimal_indices())
     occs = occurrences(w, (3, 2, 1))
     pattern_cond = avoids(w, (4, 3, 2, 1)) and all(
         len(set(a.positions) & set(b.positions)) >= 2

@@ -14,12 +14,12 @@ with a concrete counterexample attached, so a failure is always reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 
 from .commutation import classes, graph, graphs_isomorphic, is_path
 from .patterns import (
     avoids,
+    contains,
     in_U_n,
     is_freely_braided,
     is_vexillary,
@@ -27,13 +27,14 @@ from .patterns import (
 )
 from .permcore import (
     Perm,
+    check_perm,
     code_and_shape,
     descents,
     format_perm,
     right_mult_adjacent,
     syt_count,
 )
-from .redwords import enumerate_R, find_shift_factor
+from .redwords import count_R, enumerate_R, find_shift_factor
 from .tilings import (
     chain_equivalences,
     decreasing_tile_check,
@@ -128,13 +129,21 @@ def _max_long_moves(w: Perm) -> int:
     placing x before y z opens a long move when x == z (in a reduced word y
     is then x +- 1).
     """
+    return _best_long_moves(check_perm(w), 0, 0, {})
 
-    @lru_cache(maxsize=None)
-    def best(u: Perm, y: int, z: int) -> int:
-        gains = [(x == z) + best(right_mult_adjacent(u, x), x, y) for x in descents(u)]
-        return max(gains, default=0)
 
-    return best(w, 0, 0)
+def _best_long_moves(u: Perm, y: int, z: int, memo: dict) -> int:
+    """The most long moves open to words of u placed before the letters y z;
+    ``memo`` maps each state (u, y, z) done so far to its answer."""
+    if (u, y, z) not in memo:
+        memo[u, y, z] = max(
+            (
+                (x == z) + _best_long_moves(right_mult_adjacent(u, x), x, y, memo)
+                for x in descents(u)
+            ),
+            default=0,
+        )
+    return memo[u, y, z]
 
 
 def _one_long_move(w: Perm) -> bool:
@@ -157,7 +166,7 @@ def _monotone(n: int) -> tuple[int, str | None]:
         for w in all_perms(n)
         for cw in [len(classes(w))]
         for p in counts
-        if occurrences(w, p)
+        if contains(w, p)
     )
     return _sweep(pairs, lambda case: case[1] >= counts[case[2]], show=_show_pair)
 
@@ -187,7 +196,7 @@ def _words_count_tableaux(w: Perm) -> bool:
     """|R(w)| equals the number of standard Young tableaux of shape lambda(w)
     (swept over vexillary w)."""
     _, shape = code_and_shape(w)
-    return len(enumerate_R(w)) == syt_count(shape)
+    return count_R(w) == syt_count(shape)
 
 
 # theorem id -> its sweep: n -> (cases checked, counterexample or None)

@@ -57,6 +57,17 @@ def test_enum_tilings_and_zonotopal(capsys):
     assert len(payload["tilings"]) == 2
 
 
+def test_enum_text_builds_no_json(capsys, monkeypatch):
+    code, expected, _ = run_cli(capsys, "enum", "zonotopal", "4231")
+
+    def refuse(t):
+        raise RuntimeError("text output must not build the JSON payload")
+
+    monkeypatch.setattr(redux.cli, "tiling_to_json", refuse)
+    assert run_cli(capsys, "enum", "zonotopal", "4231") == (code, expected, "")
+    assert code == 0
+
+
 def test_enum_poset(capsys):
     code, out, _ = run_cli(capsys, "enum", "poset", "321")
     assert code == 0
@@ -145,6 +156,14 @@ def test_max_words_limits_words_not_classes(capsys):
     code, _, err = run_cli(capsys, "--max-words", "1", "enum", "words", "321")
     assert code == 3
     assert "|R(w)| = 2 exceeds the limit 1" in err
+
+
+def test_2kgon_and_syt_sweeps_are_not_budgeted(capsys):
+    """Neither sweep enumerates Z(w) or R(w), so no budget flag refuses it."""
+    code, out, _ = run_cli(capsys, "--max-length", "2", "verify", "2kgon", "--n", "4")
+    assert (code, out) == (0, "2kgon: PASS (24 checked)\n")
+    code, out, _ = run_cli(capsys, "--max-words", "1", "verify", "syt", "--n", "4")
+    assert (code, out) == (0, "syt: PASS (23 checked)\n")
 
 
 def test_render_polygon_deterministic(capsys):

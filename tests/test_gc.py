@@ -1,0 +1,49 @@
+"""The memoised recursions free their memos when they return.
+
+A memo held in a cycle (a nested recursive function refers to itself through
+its closure) lives on until the cyclic garbage collector runs, so peak
+memory would follow the collector's schedule.
+"""
+
+import gc
+
+import pytest
+
+from redux.commutation import classes, simple_cycles_of_length
+from redux.redwords import enumerate_R
+from redux.tilings import (
+    _tile_label_sets,
+    enumerate_rhombic,
+    enumerate_zonotopal,
+    flip_graph_from_tilings,
+    poset,
+    uniform_2k_tiling_exists,
+)
+from redux.verify import _max_long_moves
+
+W = (5, 6, 4, 2, 3, 1)
+
+CALLS = {
+    "enumerate_R": lambda: enumerate_R(W),
+    "enumerate_rhombic": lambda: enumerate_rhombic(W),
+    "enumerate_zonotopal": lambda: enumerate_zonotopal(W),
+    "poset.hasse": lambda: poset(W).hasse,
+    "uniform_2k_tiling_exists": lambda: uniform_2k_tiling_exists(6, 3),
+    "classes": lambda: classes(W),
+    "simple_cycles_of_length": lambda: simple_cycles_of_length(
+        flip_graph_from_tilings(W), 4
+    ),
+    "_max_long_moves": lambda: _max_long_moves(W),
+    "_tile_label_sets": lambda: _tile_label_sets(W),
+}
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=list(CALLS))
+def test_leaves_no_cyclic_garbage(call):
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -176,6 +176,15 @@ def test_decreasing_tile_check_S4():
         assert decreasing_tile_check(w), w
 
 
+@pytest.mark.parametrize(
+    "ws", [perms5_all, [(2, 4, 3, 1, 9, 6, 5, 8, 7)]], ids=["S5", "W9"]
+)
+def test_tile_label_sets_are_the_tiles_across_Z(ws):
+    for w in ws:
+        across_Z = {t.labels for z in enumerate_zonotopal(w) for t in z.tiles}
+        assert redux.tilings._tile_label_sets(w) == across_Z, w
+
+
 def test_uniform_2k_table():
     table = {
         (n, k): uniform_2k_tiling_exists(n, k)
@@ -273,6 +282,24 @@ def test_chain_equivalences_agree_S4():
     for w in perms4:
         flags = chain_equivalences(w)
         assert len(set(flags)) == 1, w
+
+
+@pytest.mark.parametrize(
+    "check, verdict",
+    [(level2_cycle_correspondence, True), (chain_equivalences, (False,) * 4)],
+    ids=["ssv", "chainthm"],
+)
+def test_one_rhombic_enumeration_per_call(monkeypatch, check, verdict):
+    """The flip graph is built on the minimal elements of P(w), so T(w) is
+    enumerated once, by poset's check of those elements."""
+    calls = []
+    real = redux.tilings.enumerate_rhombic
+    monkeypatch.setattr(
+        redux.tilings, "enumerate_rhombic", lambda w: calls.append(w) or real(w)
+    )
+    w = (4, 6, 5, 2, 3, 1)
+    assert check(w) == verdict
+    assert calls == [w]
 
 
 def test_freely_braided_report():
