@@ -1,5 +1,6 @@
 """Rhombic and zonotopal tilings of the polygon X(w), flips, MONO, the poset."""
 
+import hashlib
 import json
 from itertools import permutations
 
@@ -144,6 +145,22 @@ def test_sub_hexagons():
     with_hex = [t for t in enumerate_rhombic(w) if sub_hexagons(t)]
     assert len(with_hex) == 2  # both tilings of a hexagon are flippable
     assert all(len(sub_hexagons(t)) == 1 for t in with_hex)
+
+
+# sha256 over the sorted flip-graph edges and the sorted covers of P(w) for
+# every w of S_5.  Any change to a single flip or cover fails here; to
+# re-record after an intended change, print ``h.hexdigest()``.
+FLIPS_AND_COVERS_S5_DIGEST = (
+    "7deb501bc8c071e89a82cf05847c511aaf7faa0519d28598716983b260957b32"
+)
+
+
+def test_flips_and_covers_pinned_S5():
+    h = hashlib.sha256()
+    for w in perms5_all:
+        edges = sorted(flip_graph_from_tilings(w).edges)
+        h.update(repr((w, edges, sorted(poset(w).hasse))).encode())
+    assert h.hexdigest() == FLIPS_AND_COVERS_S5_DIGEST
 
 
 def test_mono_is_injective_on_the_worked_example():
