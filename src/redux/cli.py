@@ -178,6 +178,8 @@ def cmd_render(args) -> int:
     w = _parse(args.w)
     target, _, index_text = args.target.partition(":")
     if target == "polygon":
+        if args.format == "json":
+            raise SystemExit2("render polygon has no JSON form; it emits SVG only")
         _emit(args, polygon_svg(w))
     elif target == "tiling":
         tilings = enumerate_rhombic(w)
@@ -218,9 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "svg", "dot"],
+        choices=["text", "json"],
         default="text",
-        help="output format (svg/dot apply to render targets)",
+        help="output format; render emits SVG or DOT by target unless json",
     )
     parser.add_argument("--max-length", type=int, default=Budget.max_length)
     parser.add_argument("--max-words", type=int, default=Budget.max_words)

@@ -339,30 +339,27 @@ def _iso_backtrack(adj1: list[set[int]], adj2: list[set[int]]) -> bool:
     if sorted(deg1) != sorted(deg2):
         return False
     order = sorted(range(n), key=lambda v: -deg1[v])
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
+    return _place(adj1, adj2, order, {}, set())
 
-    def place(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        for cand in range(n):
-            if cand in used or deg2[cand] != deg1[v]:
-                continue
-            ok = all(
-                (u2 in adj2[cand]) == (u1 in adj1[v])
-                for u1, u2 in mapping.items()
-            )
-            if ok:
-                mapping[v] = cand
-                used.add(cand)
-                if place(idx + 1):
-                    return True
-                del mapping[v]
-                used.remove(cand)
-        return False
 
-    return place(0)
+def _place(adj1, adj2, order: list, mapping: dict, used: set) -> bool:
+    """Extend ``mapping`` (vertex of adj1 -> unused vertex of adj2) to the
+    rest of ``order``, keeping adjacency and degrees; backtracks on failure."""
+    idx = len(mapping)
+    if idx == len(order):
+        return True
+    v = order[idx]
+    for cand in range(len(adj2)):
+        if cand in used or len(adj2[cand]) != len(adj1[v]):
+            continue
+        if all((u2 in adj2[cand]) == (u1 in adj1[v]) for u1, u2 in mapping.items()):
+            mapping[v] = cand
+            used.add(cand)
+            if _place(adj1, adj2, order, mapping, used):
+                return True
+            del mapping[v]
+            used.remove(cand)
+    return False
 
 
 def graphs_isomorphic(g1: FlipGraph, g2: FlipGraph) -> bool:

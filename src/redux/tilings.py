@@ -25,7 +25,7 @@ from .permcore import (
     longest_element,
     right_mult_adjacent,
 )
-from .redwords import Word, check_budget, check_reduced, format_word
+from .redwords import Word, check_budget, check_reduced
 
 Point = frozenset  # of labels in 1..n
 Edge = tuple  # (Point, label): the unit edge from P to P | {label}
@@ -295,57 +295,37 @@ def eln(t: Tiling):
 # Flips and the flip graph
 
 
-def _flip_templates(a: int, b: int, c: int, S: Point):
-    variant_a = frozenset(
-        {
-            Tile(frozenset({b, c}), S),
-            Tile(frozenset({a, c}), S | {b}),
-            Tile(frozenset({a, b}), S),
-        }
-    )
-    variant_b = frozenset(
-        {
-            Tile(frozenset({a, b}), S | {c}),
-            Tile(frozenset({a, c}), S),
-            Tile(frozenset({b, c}), S | {a}),
-        }
-    )
-    return variant_a, variant_b
+def _hexagons(t: Tiling):
+    """Every flippable hexagon of t: (the hexagon tile, its refinement inside
+    t, its other refinement).
+
+    When t holds a refinement of the hexagon {a < b < c} on anchor S, exactly
+    one of its rhombi lies on S with smallest label a (labels {a, b} or
+    {a, c}), so each hexagon is found once, from that rhombus.
+    """
+    for r in t.tiles:
+        if r.order != 2:
+            continue
+        for c in range(min(r.labels) + 1, len(t.w) + 1):
+            if c in r.labels or c in r.anchor:
+                continue
+            hexagon = Tile(r.labels | {c}, r.anchor)
+            first, second = _refinements(hexagon)
+            if first <= t.tiles:
+                yield hexagon, first, second
+            elif second <= t.tiles:
+                yield hexagon, second, first
 
 
 def sub_hexagons(t: Tiling) -> list:
     """All flippable sub-hexagons, as (labels {a,b,c}, anchor, tile triple)."""
-    out = []
-    tiles = t.tiles
-    for tile in tiles:
-        if tile.order != 2:
-            continue
-        a, b = sorted(tile.labels)
-        S = tile.anchor
-        for c in range(b + 1, len(t.w) + 1):
-            if c in S:
-                continue
-            va, vb = _flip_templates(a, b, c, S)
-            if va <= tiles:
-                out.append((frozenset({a, b, c}), S, va))
-        # tile may be the {a, c} rhombus of variant B
-        for mid in range(a + 1, b):
-            if mid in S:
-                continue
-            va, vb = _flip_templates(a, mid, b, S)
-            if vb <= tiles:
-                out.append((frozenset({a, mid, b}), S, vb))
-    return out
+    return [(h.labels, h.anchor, inside) for h, inside, _ in _hexagons(t)]
 
 
 def flip_neighbors(t: Tiling) -> list:
-    out = []
-    for labels, S, triple in sub_hexagons(t):
-        a, b, c = sorted(labels)
-        va, vb = _flip_templates(a, b, c, S)
-        other = vb if triple == va else va
-        out.append(Tiling(t.w, (t.tiles - triple) | other))
-    return out
+    return [
+        Tiling(t.w, (t.tiles - inside) | other) for _, inside, other in _hexagons(t)
+    ]
 
 
 def flip_graph_from_tilings(w: Perm) -> FlipGraph:
@@ -362,11 +342,7 @@ def _flip_graph(tilings) -> FlipGraph:
         for nbr in flip_neighbors(t):
             j = index[nbr.tiles]
             edges.add((min(i, j), max(i, j)))
-    return FlipGraph(
-        vertices=tuple(tilings),
-        edges=frozenset(edges),
-        labels=tuple(format_word(peel_word(t)) for t in tilings),
-    )
+    return FlipGraph(vertices=tilings, edges=frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -498,36 +474,38 @@ def _coatoms(k: int) -> tuple[frozenset, ...]:
     below_top = [
         z.tiles for z in _enumerate(longest_element(k), k) if len(z.tiles) > 1
     ]
-    refined: dict = {}
-    lower = {tiles for z in below_top for tiles in _down_covers(z, refined)}
+    lower = {tiles for z in below_top for tiles in _down_covers(z)}
     return tuple(z for z in below_top if z not in lower)
 
 
-def _down_covers(tiles: frozenset, refined: dict):
-    """Tile sets of the tilings covered by the tiling with these tiles.
-
-    Each replaces one tile T of order k >= 3 by a coatom of P(w0_k): inner
-    label i becomes the i-th smallest label of T and inner anchors are added
-    to T's anchor.  ``refined`` memoizes the relabelled coatoms per tile.
+@cache
+def _refinements(tile: Tile) -> tuple[frozenset, ...]:
+    """The tile sets that split a tile of order k >= 3 one step finer: the
+    coatoms of P(w0_k) relabelled onto it.  Inner label i becomes the i-th
+    smallest label of the tile and inner anchors are added to its anchor.
+    For a hexagon these are its two rhombic tilings.
     """
+    labels = sorted(tile.labels)
+    return tuple(
+        frozenset(
+            Tile(
+                frozenset(labels[i - 1] for i in t.labels),
+                tile.anchor | {labels[i - 1] for i in t.anchor},
+            )
+            for t in coatom
+        )
+        for coatom in _coatoms(tile.order)
+    )
+
+
+def _down_covers(tiles: frozenset):
+    """Tile sets of the tilings covered by the tiling with these tiles: each
+    replaces one tile of order k >= 3 by one of its refinements."""
     for tile in tiles:
-        if tile.order < 3:
-            continue
-        if tile not in refined:
-            labels = sorted(tile.labels)
-            refined[tile] = [
-                frozenset(
-                    Tile(
-                        frozenset(labels[i - 1] for i in t.labels),
-                        tile.anchor | {labels[i - 1] for i in t.anchor},
-                    )
-                    for t in coatom
-                )
-                for coatom in _coatoms(tile.order)
-            ]
-        rest = tiles - {tile}
-        for inner in refined[tile]:
-            yield rest | inner
+        if tile.order >= 3:
+            rest = tiles - {tile}
+            for inner in _refinements(tile):
+                yield rest | inner
 
 
 @dataclass(frozen=True)
@@ -536,7 +514,8 @@ class TilingPoset:
 
     The cover relation is generated locally from each element's tiles
     (``hasse``); minimal and maximal elements and down-sets are read off the
-    covers.  The dense comparison matrix ``leq`` is built only on demand.
+    covers.  The dense comparison matrix ``leq`` is the tests' reference
+    order; no sweep builds it.
     """
 
     w: Perm
@@ -560,10 +539,9 @@ class TilingPoset:
         one is missing, because Z(w) is then incomplete.
         """
         index = {z.tiles: i for i, z in enumerate(self.elements)}
-        refined: dict = {}
         covers = set()
         for j, z in enumerate(self.elements):
-            for tiles in _down_covers(z.tiles, refined):
+            for tiles in _down_covers(z.tiles):
                 i = index.get(tiles)
                 if i is None:
                     raise RuntimeError(
@@ -709,22 +687,17 @@ class FreelyBraidedReport:
         )
 
 
-def _cube_coordinate(z: Tiling, regions: list) -> tuple:
-    """z's coordinate in {0, 1, 2}^k: per hexagon region (labels, anchor),
-    0 for variant A, 1 for variant B, 2 for the hexagon tile, None if the
-    region is tiled none of these ways."""
-    out = []
-    for labels, S in regions:
-        va, vb = _flip_templates(*sorted(labels), S)
-        if va <= z.tiles:
-            out.append(0)
-        elif vb <= z.tiles:
-            out.append(1)
-        elif Tile(labels, S) in z.tiles:
-            out.append(2)
-        else:
-            out.append(None)
-    return tuple(out)
+def _cube_coordinate(z: Tiling, hexagons: list) -> tuple:
+    """z's coordinate in {0, 1, 2}^k: per hexagon tile, the index of its
+    refinement found inside z, 2 for the hexagon tile itself, None if the
+    hexagon is tiled none of these ways."""
+    return tuple(
+        next(
+            (i for i, part in enumerate((*_refinements(h), {h})) if part <= z.tiles),
+            None,
+        )
+        for h in hexagons
+    )
 
 
 def _onto(coords: list, digits: tuple, k: int) -> bool:
@@ -734,42 +707,52 @@ def _onto(coords: list, digits: tuple, k: int) -> bool:
     )
 
 
+def _face_covers(coords: list) -> set:
+    """The covers (i, j) of the cube's face lattice on coordinates onto
+    {0, 1, 2}^k: j is i with one 0 or 1 coordinate turned into 2."""
+    index = {c: i for i, c in enumerate(coords)}
+    return {
+        (i, index[c[:m] + (2,) + c[m + 1 :]])
+        for i, c in enumerate(coords)
+        for m, digit in enumerate(c)
+        if digit != 2
+    }
+
+
 def freely_braided_structure(w: Perm) -> FreelyBraidedReport:
     """Structure report for a freely braided permutation with k 321-patterns.
 
     Every rhombic tiling must have exactly k pairwise disjoint sub-hexagons,
     and |C(w)| = 2^k.  Each element of P(w) gets an explicit cube coordinate
-    in {0, 1, 2}^k: at each hexagon region, 0 for variant A, 1 for variant B
-    and 2 for the hexagon tile.  The flip graph is the k-cube when the
+    in {0, 1, 2}^k: at each hexagon, the index of its refinement inside the
+    element, or 2 for the hexagon tile.  The flip graph is the k-cube when the
     coordinates map T(w) onto {0, 1}^k and its edges are exactly the pairs
     differing in one coordinate.  P(w) is the face lattice of the k-cube
-    minus its bottom when the coordinates map it onto {0, 1, 2}^k and
-    i <= j exactly when every coordinate of j is 2 or equal to that of i.
+    minus its bottom when the coordinates map it onto {0, 1, 2}^k and its
+    covers are exactly those of the face lattice.
     """
     w = check_perm(w)
     if not is_freely_braided(w):
         raise ValueError("w is not freely braided")
     k = len(occurrences(w, (3, 2, 1)))
     cls = classes(w)
-    graph = flip_graph_from_tilings(w)
     p = poset(w)
+    minimal = p.minimal_indices()
+    graph = _flip_graph(p.elements[j] for j in minimal)
     hexagons_ok = True
     for t in graph.vertices:
-        hexes = sub_hexagons(t)
-        disjoint = all(
-            not (h1[2] & h2[2]) for h1, h2 in combinations(hexes, 2)
-        )
-        if len(hexes) != k or not disjoint:
+        inner = [inside for _, inside, _ in _hexagons(t)]
+        if len(inner) != k or any(a & b for a, b in combinations(inner, 2)):
             hexagons_ok = False
-    regions = [(labels, S) for labels, S, _ in sub_hexagons(graph.vertices[0])]
+    hexagons = [h for h, _, _ in _hexagons(graph.vertices[0])]
 
-    vertex_coords = [_cube_coordinate(t, regions) for t in graph.vertices]
+    coords = [_cube_coordinate(z, hexagons) for z in p.elements]
+    vertex_coords = [coords[j] for j in minimal]
     single_moves = {
         (i, j)
         for (i, ci), (j, cj) in combinations(enumerate(vertex_coords), 2)
         if sum(a != b for a, b in zip(ci, cj)) == 1
     }
-    coords = [_cube_coordinate(z, regions) for z in p.elements]
     return FreelyBraidedReport(
         k=k,
         class_count_ok=len(cls) == 2**k,
@@ -777,11 +760,7 @@ def freely_braided_structure(w: Perm) -> FreelyBraidedReport:
         and graph.edges == single_moves,
         poset_size=len(p.elements),
         poset_is_cube_face_lattice_minus_bottom=_onto(coords, (0, 1, 2), k)
-        and all(
-            p.leq[i][j] == all(b == 2 or b == a for a, b in zip(ci, cj))
-            for i, ci in enumerate(coords)
-            for j, cj in enumerate(coords)
-        ),
+        and p.hasse == _face_covers(coords),
         hexagons_ok=hexagons_ok,
     )
 

@@ -126,25 +126,21 @@ def _slide(st: _VexState, x: int, m: int, reach: int, d: int) -> int:
     near = m if d == 1 else m - 1  # 0-based index in st.pat of the bound x faces
     end = near + d * reach
     lo, hi = sorted((near, end))
-
-    def push(y: int) -> int:
-        while d * (st.pos(st.pat[end]) - st.pos(y)) > 0:
-            py = st.pos(y)
-            z = st.w[py + d - 1]  # neighbour on the side of travel
-            if d * (y - z) > 0:
-                st.rmult(min(py, py + d))
-            elif z in st.pat:
-                idx = st.pat.index(z)
-                _require(lo <= idx <= hi, "blocking entry must be a chain bound")
-                _require(d * (y - st.pat[idx - d]) > 0, "interchange unsorts bounds")
-                st.pat[idx] = y
-                st.check_occurrence()
-                y = z
-            else:
-                push(z)
-        return y
-
-    return push(x)
+    while d * (st.pos(st.pat[end]) - st.pos(x)) > 0:
+        px = st.pos(x)
+        z = st.w[px + d - 1]  # neighbour on the side of travel
+        if d * (x - z) > 0:
+            st.rmult(min(px, px + d))
+        elif z in st.pat:
+            idx = st.pat.index(z)
+            _require(lo <= idx <= hi, "blocking entry must be a chain bound")
+            _require(d * (x - st.pat[idx - d]) > 0, "interchange unsorts bounds")
+            st.pat[idx] = x
+            st.check_occurrence()
+            x = z
+        else:
+            _slide(st, z, m, reach, d)
+    return x
 
 
 def _trade(st: _VexState, x: int, idx: int) -> int:

@@ -104,6 +104,7 @@ def test_usage_errors_exit_2(capsys):
         ["render", "nope", "321"],
         ["render", "tiling:9", "321"],
         ["render", "tiling:-1", "321"],
+        ["--format", "json", "render", "polygon", "321"],
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -111,7 +112,11 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_argparse_usage_exit_2(capsys):
-    for argv in (["enum", "nothing", "321"], ["verify", "1lbm", "--n", "0"]):
+    for argv in (
+        ["enum", "nothing", "321"],
+        ["verify", "1lbm", "--n", "0"],
+        ["--format", "dot", "render", "tiling:0", "321"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

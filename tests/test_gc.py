@@ -9,7 +9,8 @@ import gc
 
 import pytest
 
-from redux.commutation import classes, simple_cycles_of_length
+from redux.commutation import classes, graph, graphs_isomorphic, simple_cycles_of_length
+from redux.patterns import Occurrence
 from redux.redwords import enumerate_R
 from redux.tilings import (
     _tile_label_sets,
@@ -20,6 +21,7 @@ from redux.tilings import (
     uniform_2k_tiling_exists,
 )
 from redux.verify import _max_long_moves
+from redux.vexalg import vex
 
 W = (5, 6, 4, 2, 3, 1)
 
@@ -35,6 +37,10 @@ CALLS = {
     ),
     "_max_long_moves": lambda: _max_long_moves(W),
     "_tile_label_sets": lambda: _tile_label_sets(W),
+    "vex": lambda: vex((1, 3, 4, 5, 2), Occurrence((2, 3, 1), (2, 4, 5), (3, 5, 2))),
+    "graphs_isomorphic": lambda: graphs_isomorphic(
+        flip_graph_from_tilings((4, 6, 5, 2, 3, 1)), graph((4, 6, 5, 2, 3, 1))
+    ),
 }
 
 

@@ -134,6 +134,23 @@ def test_flip_graph_matches_class_graph():
         assert graphs_isomorphic(flip_graph_from_tilings(w), graph(w))
 
 
+def test_hexagon_refinements_are_its_two_rhombic_tilings():
+    for (a, b, c), S in [((1, 2, 3), ()), ((2, 4, 6), (1, 5)), ((1, 3, 5), (4,))]:
+        S = frozenset(S)
+        variant_a = {
+            Tile(frozenset({b, c}), S),
+            Tile(frozenset({a, c}), S | {b}),
+            Tile(frozenset({a, b}), S),
+        }
+        variant_b = {
+            Tile(frozenset({a, b}), S | {c}),
+            Tile(frozenset({a, c}), S),
+            Tile(frozenset({b, c}), S | {a}),
+        }
+        hexagon = Tile(frozenset({a, b, c}), S)
+        assert redux.tilings._refinements(hexagon) == (variant_a, variant_b)
+
+
 def test_flips_are_symmetric():
     for t in enumerate_rhombic(longest_element(4)):
         for nbr in flip_neighbors(t):
@@ -302,11 +319,15 @@ def test_chain_equivalences_agree_S4():
 
 
 @pytest.mark.parametrize(
-    "check, verdict",
-    [(level2_cycle_correspondence, True), (chain_equivalences, (False,) * 4)],
-    ids=["ssv", "chainthm"],
+    "check, w, verdict",
+    [
+        (level2_cycle_correspondence, (4, 6, 5, 2, 3, 1), True),
+        (chain_equivalences, (4, 6, 5, 2, 3, 1), (False,) * 4),
+        (lambda w: freely_braided_structure(w).all_ok(), (5, 2, 1, 4, 3), True),
+    ],
+    ids=["ssv", "chainthm", "fb"],
 )
-def test_one_rhombic_enumeration_per_call(monkeypatch, check, verdict):
+def test_one_rhombic_enumeration_per_call(monkeypatch, check, w, verdict):
     """The flip graph is built on the minimal elements of P(w), so T(w) is
     enumerated once, by poset's check of those elements."""
     calls = []
@@ -314,7 +335,6 @@ def test_one_rhombic_enumeration_per_call(monkeypatch, check, verdict):
     monkeypatch.setattr(
         redux.tilings, "enumerate_rhombic", lambda w: calls.append(w) or real(w)
     )
-    w = (4, 6, 5, 2, 3, 1)
     assert check(w) == verdict
     assert calls == [w]
 
@@ -328,37 +348,38 @@ def test_freely_braided_report():
 
 
 def _drop_one_edge(real):
-    def broken(w, **kwargs):
-        g = real(w, **kwargs)
-        return FlipGraph(g.vertices, g.edges - {min(g.edges)}, g.labels)
+    def broken(tilings):
+        g = real(tilings)
+        return FlipGraph(g.vertices, g.edges - {min(g.edges)})
 
     return broken
 
 
-def _flip_one_leq(real):
-    def broken(w, **kwargs):
-        p = real(w, **kwargs)
-        leq = [list(row) for row in p.leq]
-        leq[0][-1] = not leq[0][-1]
-        p.__dict__["leq"] = tuple(map(tuple, leq))
-        return p
-
-    return broken
+def _drop_one_cover(real):
+    # every element above the minimal ones keeps a lower cover, so poset's
+    # check of the minimal elements still passes
+    return property(lambda p: real.func(p) - {min(real.func(p))})
 
 
 @pytest.mark.parametrize(
-    "name, breaker, flag",
+    "owner, name, breaker, flag",
     [
-        ("flip_graph_from_tilings", _drop_one_edge, "graph_is_kcube"),
-        ("poset", _flip_one_leq, "poset_is_cube_face_lattice_minus_bottom"),
+        (redux.tilings, "_flip_graph", _drop_one_edge, "graph_is_kcube"),
+        (
+            TilingPoset,
+            "hasse",
+            _drop_one_cover,
+            "poset_is_cube_face_lattice_minus_bottom",
+        ),
     ],
+    ids=["flip_graph_edge", "hasse_cover"],
 )
 def test_freely_braided_report_detects_broken_structure(
-    monkeypatch, name, breaker, flag
+    monkeypatch, owner, name, breaker, flag
 ):
     w = (5, 2, 1, 4, 3)
     assert freely_braided_structure(w).all_ok()
-    monkeypatch.setattr(redux.tilings, name, breaker(getattr(redux.tilings, name)))
+    monkeypatch.setattr(owner, name, breaker(getattr(owner, name)))
     report = freely_braided_structure(w)
     assert report.k == 2
     assert not getattr(report, flag) and not report.all_ok()
