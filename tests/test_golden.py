@@ -23,6 +23,10 @@ COMMANDS = {
     "json enum classes": ["--format", "json", "enum", "classes"],
     "render graph": ["render", "graph"],
     "json render graph": ["--format", "json", "render", "graph"],
+    "render polygon": ["render", "polygon"],
+    "json render tiling:1": ["--format", "json", "render", "tiling:1"],
+    "json enum tilings": ["--format", "json", "enum", "tilings"],
+    "json render poset": ["--format", "json", "render", "poset"],
 }
 
 DIGESTS = {
@@ -37,6 +41,10 @@ DIGESTS = {
         "json enum classes": "90aafa2ba4ff6193beb47b55dbeae9952f82b8691e0fddfb359181ba6e28f3b8",
         "render graph": "225a8a3b7bcc12b440f893049b4e8e6a826cb3aa6919d77a997e8d1b8185293f",
         "json render graph": "b21240e89721cd0425371cf16070ab679a256a05d81cfdbf0eeefb12e2b89b30",
+        "render polygon": "3f5376009137997c93998bdf031083f10fbd20292f84f87904e5fb51bc06a107",
+        "json render tiling:1": "85e44d1c96cf9698d88cc788ae2e2fe88059b40103b40b179beba366eb15a84c",
+        "json enum tilings": "4cde3c4ae479fcccc60bc45c33c07d31ee07c71d98ee3e42fb56f68028127a88",
+        "json render poset": "b9a66169ad6303027660e7e84fc5bc49e3cd4b4cce0869e6826bfb2a09504353",
     },
     "4231": {
         "enum tilings": "b33eda6d41daab43dd0f683a893e68373de2094fe8411e1d2b9f4eb7b2c0e329",
@@ -49,6 +57,10 @@ DIGESTS = {
         "json enum classes": "4ac20cc8e318a5592dc9af1a193e2dffba8f596caddc60a25104c6c9a9fc3db6",
         "render graph": "7f084994faa391332a42b282df747bb6afb2b601700878c005217148fa2a749f",
         "json render graph": "00611bcfe8d67083d3cade17de16703832d6eaba1ed79334fad939c6cce14515",
+        "render polygon": "527cb474a93811bbdf4df70688a1909aa8a677fc4a74842c481ebe5b7155b56c",
+        "json render tiling:1": "5e7cad6cc695d242554938837a192068ee3f8dad4a8fa914395878d38e33929b",
+        "json enum tilings": "a47d52a678654618bf068e5aeeaba5e7fda18e68742e80418db578889019e32e",
+        "json render poset": "88b4a52acb85c895c62d8f652d1728a006e8f9826bc16f6d5a197f7e31ca553f",
     },
     "53241": {
         "enum tilings": "fca31f18dc87bc30b4008f762018448c043c1c1fa8333a5757fbae1e7e5cb2fe",
@@ -61,6 +73,10 @@ DIGESTS = {
         "json enum classes": "668b05c9a5d05da510550ec8e0c6fb6e50d0d3fa84cca171c84f6501a3df7033",
         "render graph": "b0769bc2d962d841e87640fd619d452b8b9bd5c4fc037a9e38aef766bbb08cc6",
         "json render graph": "3af6dcc703834d116cdf564bd5d99b751de58221a7bda7526f58889e7768f181",
+        "render polygon": "c22b3fe3be2610fafd368dce1547380c00c9a16f593d894f27411141a0cd8580",
+        "json render tiling:1": "bc44cc3ab35fce0c37d15c418dbd2939398cf3ea82677bf7c557ca638706235f",
+        "json enum tilings": "dbf1a54f6c0bd90b94f954754915c50325796d9b14f57f101098734e67bfdd75",
+        "json render poset": "e8c45917b17926c4be5d2ebb7cce975029ac605d71c6f71b7d4b08e0c758fd56",
     },
     "465231": {
         "enum tilings": "eb596fff5af634249db650e267bec38ad08229f7dd9915e9cbe50afa69a1761a",
@@ -73,6 +89,10 @@ DIGESTS = {
         "json enum classes": "eb72f14454793b34739d6110523f75c0158c00892cdeabc3ac7099e940ef4ef0",
         "render graph": "06600de14bdad921cca64d545356f6e48b62354dae720bb4a5ca9d526d764bc0",
         "json render graph": "0f33440b6eae38cd812b382f1d25a0baf91511b44bd667175fb870ba71bd4b99",
+        "render polygon": "7689f2aa32c22c628497858f3c07cacc25b08eb37bc764d2b5d7c9910402ccfe",
+        "json render tiling:1": "9fefa32c2fe4b7490d1447edaa27953f2c736e327ca51dc067daadd5bed7909e",
+        "json enum tilings": "680756b006c01dab315eeaeba21c2988936d47776763ad852af95641da3f89fd",
+        "json render poset": "0b0306851c4a5adc8ac62ebf1399a9a57295ff8bdbcdc166d86337b6f6ab78aa",
     },
     "243196587": {
         "enum tilings": "49f9ea348713e51307e81969d816a9aacee8c77a080457455e4572403af316ed",
@@ -85,6 +105,10 @@ DIGESTS = {
         "json enum classes": "1a9ed1c697a255c29434a6378fb048cf97b608eba1e22cd7ce4717166c6389d8",
         "render graph": "79d8f784a0b2b12f1a9a3b09af5cc4237e37488f088e6d033ebb43f5e212041a",
         "json render graph": "e299a4bf1c0689c50ab14bd05acb1e99a7d9120fe6fb9f6135fd485b9b0f9a72",
+        "render polygon": "5b837bf2a02a70ef7f35d794329118f875cafdcd0f867ffa9ddff3e847d0990e",
+        "json render tiling:1": "c801e95426957718dbc0a8db9f63f126f3521f2fd458b367bea9752cccc7f0e9",
+        "json enum tilings": "201b9e3cc115369cc4d41ce4a803a7743ae36edd05a8cc602307f2900abb9af0",
+        "json render poset": "6812b3fe5dc749521bc93ae7491a26749cb0fc8bbb547774b0c5fe8490538d10",
     },
 }
 
