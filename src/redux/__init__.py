@@ -61,11 +61,9 @@ from .vexalg import (
     vex,
 )
 from .tilings import (
-    Polygon,
     Tile,
     Tiling,
     TilingPoset,
-    build_polygon,
     decreasing_tile_check,
     eln,
     enumerate_rhombic,

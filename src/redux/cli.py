@@ -11,10 +11,10 @@ command, ``verify`` sweeps included.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 
-from .commutation import classes, graph, graph_to_dot, graph_to_json
+from .commutation import classes, graph
 from .patterns import (
     analyze_321,
     in_U_n,
@@ -30,18 +30,18 @@ from .permcore import (
     parse_perm,
 )
 from .redwords import Budget, BudgetError, budget, enumerate_R, format_word
-from .tilings import (
-    enumerate_rhombic,
-    enumerate_zonotopal,
-    peel_word,
-    poset,
-    poset_to_dot,
-    poset_to_json,
+from .render import (
+    graph_dot,
+    graph_payload,
     polygon_svg,
+    poset_dot,
+    poset_payload,
+    tiling_payload,
     tiling_svg,
-    tiling_to_json,
+    to_json,
 )
-from .verify import THEOREMS, run as run_verify
+from .tilings import enumerate_rhombic, enumerate_zonotopal, peel_word, poset
+from .verify import THEOREMS, EmptySweepError, run as run_verify
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -80,8 +80,8 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload: dict) -> int:
-    """Emit ``payload`` under schema 1 as indented, key-sorted JSON."""
-    _emit(args, json.dumps({"schema": 1, **payload}, indent=2, sort_keys=True) + "\n")
+    """Emit ``payload`` as a schema-1 JSON document."""
+    _emit(args, to_json(payload))
     return EXIT_OK
 
 
@@ -134,9 +134,7 @@ def cmd_enum(args) -> int:
         rhombic = args.what == "tilings"
         tilings = enumerate_rhombic(w) if rhombic else enumerate_zonotopal(w)
         if as_json:
-            return _emit_json(
-                args, {"tilings": [json.loads(tiling_to_json(t)) for t in tilings]}
-            )
+            return _emit_json(args, {"tilings": [tiling_payload(t) for t in tilings]})
         body = [
             format_word(peel_word(t))
             + ("" if rhombic else " " + str(list(t.shape_profile())))
@@ -145,9 +143,8 @@ def cmd_enum(args) -> int:
     else:  # poset
         p = poset(w)
         if as_json:
-            _emit(args, poset_to_json(p))
-        else:
-            _emit(args, f"elements {len(p.elements)}\ncovers {len(p.hasse)}\n")
+            return _emit_json(args, poset_payload(p))
+        _emit(args, f"elements {len(p.elements)}\ncovers {len(p.hasse)}\n")
         return EXIT_OK
     _emit(args, "\n".join(body + [f"count {len(body)}"]) + "\n")
     return EXIT_OK
@@ -158,17 +155,12 @@ def cmd_verify(args) -> int:
         raise SystemExit2(
             f"unknown theorem {args.theorem!r}; known: {' '.join(sorted(THEOREMS))}"
         )
-    result = run_verify(args.theorem, args.n)
+    try:
+        result = run_verify(args.theorem, args.n)
+    except EmptySweepError as exc:
+        raise SystemExit2(str(exc))
     if args.format == "json":
-        _emit_json(
-            args,
-            {
-                "theorem": result.theorem,
-                "ok": result.ok,
-                "checked": result.checked,
-                "counterexample": result.counterexample,
-            },
-        )
+        _emit_json(args, dataclasses.asdict(result))
     else:
         _emit(args, result.summary() + "\n")
     return EXIT_OK if result.ok else EXIT_COUNTEREXAMPLE
@@ -181,32 +173,24 @@ def cmd_render(args) -> int:
         if args.format == "json":
             raise SystemExit2("render polygon has no JSON form; it emits SVG only")
         _emit(args, polygon_svg(w))
-    elif target == "tiling":
+        return EXIT_OK
+    if target == "tiling":
         tilings = enumerate_rhombic(w)
         index = index_text or "0"
         if not index.isdecimal() or int(index) >= len(tilings):
             raise SystemExit2(
                 f"tiling index {index_text!r} out of range 0..{len(tilings) - 1}"
             )
-        tiling = tilings[int(index)]
-        if args.format == "json":
-            _emit(args, tiling_to_json(tiling))
-        else:
-            _emit(args, tiling_svg(tiling))
+        shown, payload, picture = tilings[int(index)], tiling_payload, tiling_svg
     elif target == "graph":
-        g = graph(w)
-        if args.format == "json":
-            _emit(args, graph_to_json(g))
-        else:
-            _emit(args, graph_to_dot(g))
+        shown, payload, picture = graph(w), graph_payload, graph_dot
     elif target == "poset":
-        p = poset(w)
-        if args.format == "json":
-            _emit(args, poset_to_json(p))
-        else:
-            _emit(args, poset_to_dot(p))
+        shown, payload, picture = poset(w), poset_payload, poset_dot
     else:
         raise SystemExit2(f"unknown render target {args.target!r}")
+    if args.format == "json":
+        return _emit_json(args, payload(shown))
+    _emit(args, picture(shown))
     return EXIT_OK
 
 

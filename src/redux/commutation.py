@@ -9,9 +9,8 @@ directly, without building R(w) (Cartier-Foata; Anisimov-Knuth).
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .permcore import Perm, check_perm, format_perm, inverse, length
@@ -110,7 +109,6 @@ class FlipGraph:
 
     vertices: tuple
     edges: frozenset[tuple[int, int]]
-    labels: tuple[str, ...] = field(default=(), compare=False)
 
     @property
     def vertex_count(self) -> int:
@@ -229,11 +227,7 @@ def graph(w: Perm) -> FlipGraph:
         for word in _long_moves(c.representative):
             j = class_of(word, cls)
             edges.add((min(i, j), max(i, j)))
-    g = FlipGraph(
-        vertices=tuple(cls),
-        edges=frozenset(edges),
-        labels=tuple(format_word(c.representative) for c in cls),
-    )
+    g = FlipGraph(vertices=tuple(cls), edges=frozenset(edges))
     if not is_connected(g):
         raise RuntimeError(f"G({format_perm(w)}) is not connected")
     if not is_bipartite(g):
@@ -401,24 +395,3 @@ def rotate_suffix(w: Perm, j: int) -> Perm:
         raise ValueError(f"w must end with {j}, ..., 2, 1")
     tail = [_mod_n(w[t] - j, n) for t in range(n - j)]
     return tuple(list(range(n, n - j, -1)) + tail)
-
-
-def graph_to_dot(g: FlipGraph) -> str:
-    labels = g.labels or tuple(str(i) for i in range(g.vertex_count))
-    lines = ["graph G {"]
-    for i, label in enumerate(labels):
-        lines.append(f'  v{i} [label="{label}"];')
-    for a, b in sorted(g.edges):
-        lines.append(f"  v{a} -- v{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_to_json(g: FlipGraph) -> str:
-    labels = g.labels or tuple(str(i) for i in range(g.vertex_count))
-    payload = {
-        "schema": 1,
-        "vertices": list(labels),
-        "edges": [[a, b] for a, b in sorted(g.edges)],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -3,13 +3,11 @@
 Coordinates are combinatorial: a grid point is the set of edge labels crossed
 on the way down from the top vertex, so point and edge identity are exact set
 comparisons and tilings deduplicate without any geometry.  Planar coordinates
-enter only when rendering.
+enter only in :mod:`redux.render`, the one module that draws or serialises.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, product
@@ -28,7 +26,6 @@ from .permcore import (
 from .redwords import Word, check_budget, check_reduced
 
 Point = frozenset  # of labels in 1..n
-Edge = tuple  # (Point, label): the unit edge from P to P | {label}
 
 
 @dataclass(frozen=True)
@@ -134,39 +131,6 @@ def _inversion_pairs(w: Perm):
         for j in range(i + 1, n)
         if w[i] > w[j]
     ]
-
-
-# ---------------------------------------------------------------------------
-# Polygon realization (used only for rendering)
-
-
-@dataclass(frozen=True)
-class Polygon:
-    w: Perm
-
-    @property
-    def n(self) -> int:
-        return len(self.w)
-
-    def boundary_label_cycle(self) -> tuple[int, ...]:
-        return tuple(range(1, self.n + 1)) + tuple(reversed(self.w))
-
-    def direction(self, label: int) -> tuple[float, float]:
-        """Unit step for an edge with this label, screen coordinates (y down)."""
-        theta = -math.pi / 2 + (math.pi / 2) * (2 * label - self.n - 1) / (self.n + 1)
-        return (math.cos(theta), -math.sin(theta))
-
-    def locate(self, point: Point) -> tuple[float, float]:
-        x = sum(self.direction(label)[0] for label in point)
-        y = sum(self.direction(label)[1] for label in point)
-        return (x, y)
-
-    def is_degenerate(self) -> bool:
-        return self.w == identity(self.n)
-
-
-def build_polygon(w: Perm) -> Polygon:
-    return Polygon(check_perm(w))
 
 
 # ---------------------------------------------------------------------------
@@ -763,128 +727,3 @@ def freely_braided_structure(w: Perm) -> FreelyBraidedReport:
         and p.hasse == _face_covers(coords),
         hexagons_ok=hexagons_ok,
     )
-
-
-# ---------------------------------------------------------------------------
-# Rendering and serialization
-
-
-def _fmt(value: float) -> str:
-    out = f"{value + 0:.4f}"
-    return "0.0000" if out == "-0.0000" else out
-
-
-def _svg_header(points: list) -> tuple[str, float, float]:
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    pad = 20.0
-    x0, y0 = min(xs) - pad, min(ys) - pad
-    width, height = max(xs) - x0 + pad, max(ys) - y0 + pad
-    header = (
-        '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
-    )
-    return header, x0, y0
-
-
-def polygon_svg(w: Perm, scale: float = 40.0) -> str:
-    poly = build_polygon(w)
-    n = poly.n
-    if poly.is_degenerate():
-        return (
-            '<svg xmlns="http://www.w3.org/2000/svg" width="200" height="40">'
-            '<text x="10" y="25">degenerate polygon (identity permutation)</text>'
-            "</svg>\n"
-        )
-    left = [frozenset(range(1, j + 1)) for j in range(n + 1)]
-    right = [frozenset(w[:j]) for j in range(n + 1)]
-    cycle = left + list(reversed(right[1:-1]))
-    points = [
-        tuple(scale * c for c in poly.locate(pt)) for pt in cycle
-    ]
-    header, x0, y0 = _svg_header(points)
-    shifted = [(x - x0, y - y0) for x, y in points]
-    path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in shifted)
-    lines = [header]
-    lines.append(
-        f'<polygon points="{path}" fill="none" stroke="black" stroke-width="1"/>'
-    )
-    # labels midway along each boundary edge
-    ring = shifted + [shifted[0]]
-    for (a, b), lab in zip(zip(ring, ring[1:]), poly.boundary_label_cycle()):
-        mx, my = (a[0] + b[0]) / 2, (a[1] + b[1]) / 2
-        lines.append(
-            f'<text x="{_fmt(mx)}" y="{_fmt(my)}" font-size="10">{lab}</text>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
-def tiling_svg(t: Tiling, scale: float = 40.0) -> str:
-    poly = build_polygon(t.w)
-    if poly.is_degenerate():
-        return polygon_svg(t.w, scale)
-    all_points = [
-        tuple(scale * c for c in poly.locate(pt))
-        for tile in t.tiles
-        for pt in _tile_cycle(tile)
-    ] or [tuple(scale * c for c in poly.locate(frozenset()))]
-    boundary = [frozenset(range(1, j + 1)) for j in range(len(t.w) + 1)]
-    all_points += [tuple(scale * c for c in poly.locate(pt)) for pt in boundary]
-    header, x0, y0 = _svg_header(all_points)
-    lines = [header]
-    for tile in sorted(t.tiles, key=Tile.sort_key):
-        pts = [
-            tuple(scale * c for c in poly.locate(pt)) for pt in _tile_cycle(tile)
-        ]
-        path = " ".join(f"{_fmt(x - x0)},{_fmt(y - y0)}" for x, y in pts)
-        fill = "#cce5ff" if tile.order == 2 else "#ffd9b3"
-        lines.append(
-            f'<polygon points="{path}" fill="{fill}" stroke="black" stroke-width="1"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
-def _tile_cycle(tile: Tile) -> list:
-    down = [tile.anchor]
-    for label in sorted(tile.labels, reverse=True):
-        down.append(down[-1] | {label})
-    up = [tile.anchor]
-    for label in sorted(tile.labels):
-        up.append(up[-1] | {label})
-    return down + list(reversed(up[1:-1]))
-
-
-def _tiles_json(tiles: frozenset) -> list:
-    return [
-        {"labels": list(labels), "anchor": list(anchor)}
-        for labels, anchor in sorted(tile.sort_key() for tile in tiles)
-    ]
-
-
-def tiling_to_json(t: Tiling) -> str:
-    payload = {"schema": 1, "w": list(t.w), "tiles": _tiles_json(t.tiles)}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def poset_to_json(p: TilingPoset) -> str:
-    payload = {
-        "schema": 1,
-        "w": list(p.w),
-        "elements": [{"tiles": _tiles_json(elt.tiles)} for elt in p.elements],
-        "hasse": sorted([i, j] for i, j in p.hasse),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def poset_to_dot(p: TilingPoset) -> str:
-    lines = ["digraph P {", "  rankdir=BT;"]
-    for i, elt in enumerate(p.elements):
-        profile = ",".join(str(o) for o in elt.shape_profile()) or "empty"
-        lines.append(f'  z{i} [label="{profile}"];')
-    for i, j in sorted(p.hasse):
-        lines.append(f"  z{i} -> z{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

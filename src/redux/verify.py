@@ -224,8 +224,14 @@ THEOREMS = {
 }
 
 
+class EmptySweepError(ValueError):
+    """A sweep met no case, so it has nothing to report as PASS."""
+
+
 def run(theorem: str, n: int) -> VerifyResult:
     if theorem not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem!r}; known: {sorted(THEOREMS)}")
     checked, counterexample = THEOREMS[theorem](n)
+    if checked == 0:
+        raise EmptySweepError(f"{theorem} checks no case at n={n}")
     return VerifyResult(theorem, counterexample is None, checked, counterexample)

@@ -6,18 +6,17 @@ Criterion 5 sweeps all of S6 (about 2 seconds).
 
 from itertools import permutations
 
-from redux.commutation import classes, graph, graph_to_dot
+from redux.commutation import classes, graph
 from redux.patterns import occurrences
 from redux.permcore import longest_element, syt_count
 from redux.redwords import enumerate_R, format_word
+from redux.render import graph_dot, polygon_svg, tiling_svg
 from redux.tilings import (
     enumerate_rhombic,
     enumerate_zonotopal,
     flip_graph_from_tilings,
     freely_braided_structure,
-    polygon_svg,
     tiling_from_word,
-    tiling_svg,
 )
 from redux.vexalg import embed_reduced_word, nonvex_witness
 from redux.verify import run
@@ -102,7 +101,7 @@ def test_criterion_10_renderer_determinism():
     first = tiling_svg(tiling_from_word(figure, 5))
     second = tiling_svg(tiling_from_word(figure, 5))
     ok = ok and first == second and first.startswith("<svg")
-    dot1 = graph_to_dot(graph(W9))
-    dot2 = graph_to_dot(graph(W9))
+    dot1 = graph_dot(graph(W9))
+    dot2 = graph_dot(graph(W9))
     ok = ok and dot1 == dot2 and dot1.startswith("graph G {")
     _report(10, ok)

@@ -63,7 +63,7 @@ def test_enum_text_builds_no_json(capsys, monkeypatch):
     def refuse(t):
         raise RuntimeError("text output must not build the JSON payload")
 
-    monkeypatch.setattr(redux.cli, "tiling_to_json", refuse)
+    monkeypatch.setattr(redux.cli, "tiling_payload", refuse)
     assert run_cli(capsys, "enum", "zonotopal", "4231") == (code, expected, "")
     assert code == 0
 
@@ -105,6 +105,8 @@ def test_usage_errors_exit_2(capsys):
         ["render", "tiling:9", "321"],
         ["render", "tiling:-1", "321"],
         ["--format", "json", "render", "polygon", "321"],
+        ["verify", "monotone", "--n", "3"],
+        ["verify", "2ktiles", "--n", "2"],
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv

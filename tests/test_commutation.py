@@ -13,8 +13,6 @@ from redux.commutation import (
     cycle_space_generated_by_4_8_cycles,
     gf2_rank,
     graph,
-    graph_to_dot,
-    graph_to_json,
     graphs_isomorphic,
     is_bipartite,
     is_connected,
@@ -27,6 +25,7 @@ from redux.commutation import (
     simple_cycles_of_length,
 )
 from redux.permcore import longest_element
+from redux.render import graph_dot, graph_payload
 from redux.redwords import (
     BudgetError,
     apply_long_move,
@@ -203,13 +202,10 @@ def test_gf2_rank():
 
 def test_graph_exports():
     g = graph((3, 2, 1))
-    dot = graph_to_dot(g)
+    dot = graph_dot(g)
     assert dot.startswith("graph G {")
     assert 'v0 [label="121"]' in dot
     assert "v0 -- v1;" in dot
-    import json
-
-    payload = json.loads(graph_to_json(g))
-    assert payload["schema"] == 1
+    payload = graph_payload(g)
     assert payload["vertices"] == ["121", "212"]
     assert payload["edges"] == [[0, 1]]

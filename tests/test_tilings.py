@@ -13,12 +13,19 @@ from redux.commutation import FlipGraph, classes, graph, graphs_isomorphic
 from redux.patterns import avoids, occurrences
 from redux.permcore import identity, longest_element
 from redux.redwords import evaluate
+from redux.render import (
+    polygon_svg,
+    poset_dot,
+    poset_payload,
+    tiling_payload,
+    tiling_svg,
+    to_json,
+)
 from redux.tilings import (
     Tile,
     Tiling,
     TilingPoset,
     boundary_edges,
-    build_polygon,
     chain_equivalences,
     decreasing_tile_check,
     eln,
@@ -32,14 +39,9 @@ from redux.tilings import (
     maximal_cover_minimal,
     mono,
     peel_word,
-    polygon_svg,
     poset,
-    poset_to_dot,
-    poset_to_json,
     sub_hexagons,
     tiling_from_word,
-    tiling_svg,
-    tiling_to_json,
     uniform_2k_tiling_exists,
 )
 
@@ -386,10 +388,10 @@ def test_freely_braided_report_detects_broken_structure(
 
 
 def test_polygon_geometry():
-    poly = build_polygon((4, 1, 3, 2))
-    assert poly.n == 4
-    assert not poly.is_degenerate()
-    assert len(boundary_edges((4, 1, 3, 2))) == 8
+    svg = polygon_svg((4, 1, 3, 2))
+    assert svg.count("<text") == 8 == len(boundary_edges((4, 1, 3, 2)))
+    assert "degenerate" not in svg
+    assert "degenerate polygon" in polygon_svg(identity(4))
 
 
 def test_svg_output():
@@ -404,14 +406,14 @@ def test_svg_output():
 
 def test_json_exports():
     t = tiling_from_word(FIGURE_WORD, 5)
-    payload = json.loads(tiling_to_json(t))
+    payload = json.loads(to_json(tiling_payload(t)))
     assert payload["schema"] == 1
     assert len(payload["tiles"]) == 8
 
     p = poset((3, 2, 1))
-    payload = json.loads(poset_to_json(p))
+    payload = json.loads(to_json(poset_payload(p)))
     assert payload["schema"] == 1
     assert len(payload["elements"]) == 3
 
-    dot = poset_to_dot(p)
+    dot = poset_dot(p)
     assert dot.startswith("digraph") or dot.startswith("graph")

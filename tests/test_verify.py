@@ -36,6 +36,12 @@ def test_unknown_theorem():
         run("nope", 4)
 
 
+def test_empty_sweep_is_not_a_pass():
+    """No w in S3 contains a pattern of S4, so monotone has nothing to check."""
+    with pytest.raises(ValueError, match="monotone checks no case at n=3"):
+        run("monotone", 3)
+
+
 def test_summary_formatting():
     ok = VerifyResult("elthm", True, 24)
     assert ok.summary() == "elthm: PASS (24 checked)"
