@@ -1,5 +1,6 @@
 """Commutation classes, the flip graph on them, and small-graph utilities."""
 
+import json
 from itertools import permutations
 
 import pytest
@@ -25,7 +26,6 @@ from redux.commutation import (
     simple_cycles_of_length,
 )
 from redux.permcore import longest_element
-from redux.render import graph_dot, graph_payload
 from redux.redwords import (
     BudgetError,
     apply_long_move,
@@ -35,6 +35,7 @@ from redux.redwords import (
     evaluate,
     format_word,
 )
+from redux.render import graph_dot, graph_payload, to_json
 
 perms5 = st.permutations((1, 2, 3, 4, 5)).map(tuple)
 words5 = perms5.flatmap(lambda w: st.sampled_from(enumerate_R(w)))
@@ -206,6 +207,7 @@ def test_graph_exports():
     assert dot.startswith("graph G {")
     assert 'v0 [label="121"]' in dot
     assert "v0 -- v1;" in dot
-    payload = graph_payload(g)
+    payload = json.loads(to_json(graph_payload(g)))
+    assert payload["schema"] == 1
     assert payload["vertices"] == ["121", "212"]
     assert payload["edges"] == [[0, 1]]
