@@ -182,6 +182,25 @@ def test_flips_and_covers_pinned_S5():
     assert h.hexdigest() == FLIPS_AND_COVERS_S5_DIGEST
 
 
+# sha256 over ``Tile.sort_key`` of every tile of every tiling in
+# enumerate_rhombic(w) and enumerate_zonotopal(w), tilings in list order and
+# each tiling's tiles sorted, for every w of S_5 and for W9.  The list order
+# sets the tiling indices of every output, so it must never move.
+TILING_ORDER_DIGEST = (
+    "0939940ef2c6aa6e8d8da314e902f2d6cbea1d1a2efe62943c11a1492c1fd75f"
+)
+
+
+def test_tiling_order_pinned_S5():
+    h = hashlib.sha256()
+    for w in perms5_all + [(2, 4, 3, 1, 9, 6, 5, 8, 7)]:
+        for enumerate_tilings in (enumerate_rhombic, enumerate_zonotopal):
+            for t in enumerate_tilings(w):
+                keys = sorted(tile.sort_key() for tile in t.tiles)
+                h.update(repr((w, keys)).encode())
+    assert h.hexdigest() == TILING_ORDER_DIGEST
+
+
 def test_mono_is_injective_on_the_worked_example():
     w = (4, 6, 1, 7, 3, 5, 2)
     p = (3, 1, 5, 4, 2)
