@@ -121,8 +121,13 @@ def inversions(w: Perm) -> CellSet:
 
 
 def length(w: Perm) -> int:
-    """The Coxeter length, equal to the number of inversions."""
-    return sum(1 for _ in inversions(w))
+    """The Coxeter length, equal to the number of inversions.
+
+    >>> length((4, 2, 1, 3))
+    4
+    """
+    n = len(w)
+    return sum(w[i] > w[j] for i in range(n) for j in range(i + 1, n))
 
 
 def descents(w: Perm) -> list[int]:

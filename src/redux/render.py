@@ -32,22 +32,28 @@ def to_json(payload: dict) -> str:
     return json.dumps({"schema": 1, **payload}, indent=2, sort_keys=True) + "\n"
 
 
-def _tiles(tiles: frozenset) -> list:
+def _decoded(t: Tiling) -> list:
+    """The tiles of t decoded, in ``Tile.sort_key`` order."""
+    tiles = (Tile.from_code(code, len(t.w)) for code in t.tiles)
+    return sorted(tiles, key=Tile.sort_key)
+
+
+def _tiles(t: Tiling) -> list:
     return [
         {"labels": list(labels), "anchor": list(anchor)}
-        for labels, anchor in sorted(tile.sort_key() for tile in tiles)
+        for labels, anchor in map(Tile.sort_key, _decoded(t))
     ]
 
 
 def tiling_payload(t: Tiling) -> dict:
     """A tiling as a schema-1 document; ``enum`` lists these whole."""
-    return {"schema": 1, "w": list(t.w), "tiles": _tiles(t.tiles)}
+    return {"schema": 1, "w": list(t.w), "tiles": _tiles(t)}
 
 
 def poset_payload(p: TilingPoset) -> dict:
     return {
         "w": list(p.w),
-        "elements": [{"tiles": _tiles(elt.tiles)} for elt in p.elements],
+        "elements": [{"tiles": _tiles(elt)} for elt in p.elements],
         "hasse": sorted([i, j] for i, j in p.hasse),
     }
 
@@ -149,7 +155,7 @@ def tiling_svg(t: Tiling) -> str:
     if t.w == identity(n):
         return DEGENERATE_SVG
     shapes = []
-    for tile in sorted(t.tiles, key=Tile.sort_key):
+    for tile in _decoded(t):
         fill = "#cce5ff" if tile.order == 2 else "#ffd9b3"
         shapes.append(([_locate(n, pt) for pt in _tile_cycle(tile)], fill))
     left = [_locate(n, frozenset(range(1, j + 1))) for j in range(n + 1)]

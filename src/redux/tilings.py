@@ -4,13 +4,20 @@ Coordinates are combinatorial: a grid point is the set of edge labels crossed
 on the way down from the top vertex, so point and edge identity are exact set
 comparisons and tilings deduplicate without any geometry.  Planar coordinates
 enter only in :mod:`redux.render`, the one module that draws or serialises.
+
+A tile of X(w), w in S_n, is one int, its code: ``labels | anchor << n``,
+where bit i - 1 of each n-bit mask stands for label i.  A tiling is a
+frozenset of codes, and every split, flip, cover and peel is a mask
+operation.  :class:`Tile` is the decoded form that :mod:`redux.render` and
+the tests read; ``Tile.from_code`` and ``Tile.code`` are the one codec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from itertools import combinations, product
+from functools import cache, cached_property, lru_cache, reduce
+from itertools import combinations, product, repeat
+from operator import or_
 
 from .commutation import FlipGraph, class_of, classes, gf2_rank
 from .patterns import Occurrence, is_freely_braided, occurrences
@@ -19,31 +26,50 @@ from .permcore import (
     check_perm,
     format_perm,
     identity,
-    length,
     longest_element,
-    right_mult_adjacent,
 )
 from .redwords import Word, check_budget, check_reduced
 
 Point = frozenset  # of labels in 1..n
 
 
+def _labels(mask: int) -> list[int]:
+    """The labels of a mask, ascending: bit i - 1 stands for label i."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
+
+
+def _mask(labels) -> int:
+    return sum(1 << (label - 1) for label in labels)
+
+
 @dataclass(frozen=True)
 class Tile:
-    """A centrally symmetric 2k-gon tile, k = len(labels) >= 2.
+    """The decoded form of a tile code: a centrally symmetric 2k-gon tile,
+    k = len(labels) >= 2, of X(w) with w in S_n.
 
     ``anchor`` is the top vertex; going down the right side the labels are
     added in decreasing order, down the left side in increasing order.
+    Nothing checks a ``Tile``; its code is checked when a :class:`Tiling`
+    holds it.
     """
 
     labels: frozenset
     anchor: frozenset
 
-    def __post_init__(self):
-        if len(self.labels) < 2:
-            raise ValueError("a tile needs at least two labels")
-        if self.labels & self.anchor:
-            raise ValueError("a tile's labels must not meet its anchor")
+    @classmethod
+    def from_code(cls, code: int, n: int) -> "Tile":
+        labels = code & ((1 << n) - 1)
+        return cls(frozenset(_labels(labels)), frozenset(_labels(code >> n)))
+
+    def code(self, n: int) -> int:
+        if not self.labels | self.anchor <= set(range(1, n + 1)):
+            raise ValueError(f"a tile's labels and anchor must lie in 1..{n}")
+        return _mask(self.labels) | _mask(self.anchor) << n
 
     @property
     def order(self) -> int:
@@ -58,13 +84,50 @@ class Tile:
                 at = at | {label}
         return frozenset(out)
 
-    def pairs(self) -> frozenset:
-        """The unit cells covered: all unordered label pairs of the tile."""
-        return frozenset(frozenset(pq) for pq in combinations(self.labels, 2))
-
     def sort_key(self) -> tuple:
         """Sorted labels, then sorted anchor: the one order of tiles."""
         return (tuple(sorted(self.labels)), tuple(sorted(self.anchor)))
+
+
+def _sort_key(code: int, n: int) -> tuple:
+    """``Tile.sort_key`` of the tile with this code, read off its bits."""
+    return (tuple(_labels(code & ((1 << n) - 1))), tuple(_labels(code >> n)))
+
+
+def _order(code: int, n: int) -> int:
+    return (code & ((1 << n) - 1)).bit_count()
+
+
+def _pair_bit(a: int, b: int) -> int:
+    """The bit of the unit cell of labels a < b."""
+    return 1 << ((b - 1) * (b - 2) // 2 + a - 1)
+
+
+@cache
+def _tile_pairs(code: int, n: int) -> int:
+    """The unit cells the tile with this code covers, all its label pairs;
+    raises ValueError when the code is no tile of X(w), w in S_n."""
+    labels = code & ((1 << n) - 1)
+    if code >> 2 * n:
+        raise ValueError("a tile code has bits beyond 2n")
+    if not labels & (labels - 1):
+        raise ValueError("a tile needs at least two labels")
+    if labels & code >> n:
+        raise ValueError("a tile's labels must not meet its anchor")
+    return sum(_pair_bit(a, b) for a, b in combinations(_labels(labels), 2))
+
+
+@lru_cache(maxsize=1)
+def _inversion_mask(w: Perm) -> int:
+    """The unit cells of X(w): the pairs of values that w inverts.  Tilings
+    are built one w at a time, so one entry serves a whole enumeration."""
+    n = len(w)
+    return sum(
+        _pair_bit(w[j], w[i])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if w[i] > w[j]
+    )
 
 
 def boundary_edges(w: Perm) -> frozenset:
@@ -82,55 +145,46 @@ def boundary_edges(w: Perm) -> frozenset:
 
 @dataclass(frozen=True)
 class Tiling:
-    """A zonotopal tiling of X(w); rhombic when every tile has order 2."""
+    """A zonotopal tiling of X(w); rhombic when every tile has order 2.
+
+    ``tiles`` is a frozenset of tile codes.
+    """
 
     w: Perm
     tiles: frozenset
 
     def __post_init__(self):
-        covered: set = set()
-        for t in self.tiles:
-            ps = t.pairs()
-            if covered & ps:
-                raise ValueError("tiles overlap")
-            covered |= ps
-        inv = {frozenset(pq) for pq in _inversion_pairs(self.w)}
-        if covered != inv:
+        pairs = list(map(_tile_pairs, self.tiles, repeat(len(self.w))))
+        covered = reduce(or_, pairs, 0)
+        if sum(map(int.bit_count, pairs)) != covered.bit_count():
+            raise ValueError("tiles overlap")
+        if covered != _inversion_mask(self.w):
             raise ValueError("tiles must cover X(w) exactly")
 
     @cached_property
     def edge_set(self) -> frozenset:
+        n = len(self.w)
         out = set(boundary_edges(self.w))
-        for t in self.tiles:
-            out |= t.edges()
+        for code in self.tiles:
+            out |= Tile.from_code(code, n).edges()
         return frozenset(out)
 
     def is_rhombic(self) -> bool:
-        return all(t.order == 2 for t in self.tiles)
+        return all(_order(code, len(self.w)) == 2 for code in self.tiles)
 
     def shape_profile(self) -> tuple[int, ...]:
         """Sorted tile orders, e.g. (2, 2, 3) = two rhombi and a hexagon."""
-        return tuple(sorted(t.order for t in self.tiles))
+        return tuple(sorted(_order(code, len(self.w)) for code in self.tiles))
 
     def key(self):
         """Deterministic sort key (tilings of the same w only)."""
-        return tuple(sorted(t.sort_key() for t in self.tiles))
+        return tuple(sorted(_sort_key(code, len(self.w)) for code in self.tiles))
 
     def leq(self, other: "Tiling") -> bool:
         """Reverse edge inclusion: finer tilings are smaller."""
         if self.w != other.w:
             raise ValueError("only tilings of the same w are comparable")
         return self.edge_set >= other.edge_set
-
-
-def _inversion_pairs(w: Perm):
-    n = len(w)
-    return [
-        (w[j], w[i])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if w[i] > w[j]
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -142,40 +196,74 @@ def _peels(u: Perm, lo: int, hi: int):
 
     A tile sits on the right boundary exactly where u has a descending run
     u(j) > ... > u(j+m-1); its labels are the run and its anchor is
-    {u(1), ..., u(j-1)}.  Yields (j, m, tile, u with the run sorted
-    ascending), topmost first: by j, then by m.
+    {u(1), ..., u(j-1)}.  Yields (j, m, tile code), topmost first: by j,
+    then by m; ``_peeled(u, j, m)`` is the boundary the peel leaves.
     """
-    anchor: Point = frozenset()
-    for j in range(1, len(u)):
+    n = len(u)
+    anchor = 0
+    for j in range(1, n):
+        run = 1 << (u[j - 1] - 1)
         m = 2
-        while m <= hi and j + m - 1 <= len(u) and u[j + m - 3] > u[j + m - 2]:
+        while m <= hi and j + m - 1 <= n and u[j + m - 3] > u[j + m - 2]:
+            run |= 1 << (u[j + m - 2] - 1)
             if m >= lo:
-                run = u[j - 1 : j - 1 + m]
-                rest = u[: j - 1] + run[::-1] + u[j - 1 + m :]
-                yield j, m, Tile(frozenset(run), anchor), rest
+                yield j, m, run | anchor << n
             m += 1
-        anchor = anchor | {u[j - 1]}
+        anchor |= 1 << (u[j - 1] - 1)
+
+
+def _peeled(u: Perm, j: int, m: int) -> Perm:
+    """u with its run at positions j..j+m-1 sorted ascending: the boundary
+    left when the tile on that run is peeled off."""
+    return u[: j - 1] + u[j - 1 : j - 1 + m][::-1] + u[j - 1 + m :]
 
 
 def _enumerate(w: Perm, max_order: int) -> tuple[Tiling, ...]:
     """All tilings of X(w) by 2m-gons with m <= max_order, sorted by key.
 
-    Peels every eligible tile off the right boundary, recursively;
-    memoization on the boundary permutation deduplicates shared subproblems.
+    Each tile code is ranked once by its ``_sort_key``; a tiling's sorted
+    ranks then order the tilings exactly as ``Tiling.key`` does.
     """
-    tile_sets = _tile_sets(w, max_order, {})
-    return tuple(sorted((Tiling(w, ts) for ts in tile_sets), key=Tiling.key))
+    n = len(w)
+    tile_sets = []
+    for chain in _canonical_peels(w, max_order, {}):
+        tiles = []
+        while chain is not None:
+            _, tile, chain = chain
+            tiles.append(tile)
+        tile_sets.append(frozenset(tiles))
+    codes = sorted(frozenset().union(*tile_sets), key=lambda code: _sort_key(code, n))
+    rank = {code: r for r, code in enumerate(codes)}
+    ordered = sorted(tile_sets, key=lambda tiles: sorted(map(rank.__getitem__, tiles)))
+    return tuple(Tiling(w, tiles) for tiles in ordered)
 
 
-def _tile_sets(u: Perm, max_order: int, memo: dict) -> frozenset:
-    """The tile sets of the tilings of X(u) by 2m-gons with m <= max_order;
-    ``memo`` maps each boundary done so far to its tile sets."""
+def _canonical_peels(u: Perm, max_order: int, memo: dict) -> tuple:
+    """The tilings of X(u) by 2m-gons with m <= max_order, each once, as the
+    chain of its canonical peel: the topmost tile on the boundary first.
+
+    A chain is None, the empty tiling of the identity (the one boundary with
+    no peel), or (end, tile, rest): the tile peels off positions j..end of u
+    and rest is the chain of the tiling left on the new boundary.  The peel
+    at j is canonical exactly when rest's first tile ends at j or below:
+    - a tile on rest's boundary ending above j sat on u's boundary too,
+      above the tile at j, so that peel was not the topmost;
+    - if rest has such a tile, its first tile, the topmost one, ends above j
+      as well, since two tiles of a tiling on one boundary share no position;
+    - no other tile on u's boundary lies above the tile at j: it would share
+      a position with it.
+    Every tiling is found once, and no tile set is built below the top.
+    ``memo`` maps each boundary done so far to its chains; chains share
+    their tails.
+    """
     if u not in memo:
-        out = {frozenset()} if length(u) == 0 else set()
-        for _, _, tile, rest_u in _peels(u, 2, max_order):
-            for rest in _tile_sets(rest_u, max_order, memo):
-                out.add(rest | {tile})
-        memo[u] = frozenset(out)
+        out = [
+            (j + m - 1, tile, rest)
+            for j, m, tile in _peels(u, 2, max_order)
+            for rest in _canonical_peels(_peeled(u, j, m), max_order, memo)
+            if rest is None or rest[0] >= j
+        ]
+        memo[u] = tuple(out) or (None,)
     return memo[u]
 
 
@@ -201,20 +289,20 @@ def _peel_sequence(t: Tiling):
     u = t.w
     remaining = set(t.tiles)
     while remaining:
-        for j, m, tile, rest in _peels(u, 2, len(u)):
+        for j, m, tile in _peels(u, 2, len(u)):
             if tile in remaining:
                 break
         else:
             raise ValueError("no tile on the right boundary; not a tiling")
         remaining.discard(tile)
-        u = rest
+        u = _peeled(u, j, m)
         yield j, m, tile, u
 
 
 def peel_word(t: Tiling) -> Word:
     """The reduced word produced by the deterministic peel (topmost eligible
     tile first); reading the peel sequence right-to-left gives the word."""
-    u = t.w
+    u = list(t.w)
     letters = []
     for j, m, _, _ in _peel_sequence(t):
         # a 2m-gon contributes a reduced word reversing the descending window
@@ -224,8 +312,8 @@ def peel_word(t: Tiling) -> Word:
                 if u[pos - 1] < u[pos]:
                     raise RuntimeError(f"peel letter {pos} adds an inversion")
                 letters.append(pos)
-                u = right_mult_adjacent(u, pos)
-    if length(u):
+                u[pos - 1], u[pos] = u[pos], u[pos - 1]
+    if u != sorted(u):
         raise RuntimeError("the peeled word does not reach the identity")
     return tuple(reversed(letters))
 
@@ -241,8 +329,9 @@ def tiling_from_word(word: Word, n: int) -> Tiling:
     u = w
     tiles = set()
     for letter in reversed(word):
-        _, _, tile, u = next(peel for peel in _peels(u, 2, 2) if peel[0] == letter)
+        tile = next(tile for j, _, tile in _peels(u, 2, 2) if j == letter)
         tiles.add(tile)
+        u = _peeled(u, letter, 2)
     return Tiling(w, frozenset(tiles))
 
 
@@ -265,25 +354,37 @@ def _hexagons(t: Tiling):
 
     When t holds a refinement of the hexagon {a < b < c} on anchor S, exactly
     one of its rhombi lies on S with smallest label a (labels {a, b} or
-    {a, c}), so each hexagon is found once, from that rhombus.
+    {a, c}), so each hexagon is found once, from that rhombus: the
+    candidates for c are the labels above a outside the rhombus and S.
     """
+    n = len(t.w)
+    full = (1 << n) - 1
     for r in t.tiles:
-        if r.order != 2:
+        labels = r & full
+        if labels.bit_count() != 2:
             continue
-        for c in range(min(r.labels) + 1, len(t.w) + 1):
-            if c in r.labels or c in r.anchor:
-                continue
-            hexagon = Tile(r.labels | {c}, r.anchor)
-            first, second = _refinements(hexagon)
+        low = labels & -labels
+        free = full & ~(labels | r >> n | (low << 1) - 1)
+        while free:
+            c = free & -free
+            free ^= c
+            first, second = _refinements(r | c, n)
             if first <= t.tiles:
-                yield hexagon, first, second
+                yield r | c, first, second
             elif second <= t.tiles:
-                yield hexagon, second, first
+                yield r | c, second, first
 
 
 def sub_hexagons(t: Tiling) -> list:
-    """All flippable sub-hexagons, as (labels {a,b,c}, anchor, tile triple)."""
-    return [(h.labels, h.anchor, inside) for h, inside, _ in _hexagons(t)]
+    """All flippable sub-hexagons, as (labels {a,b,c}, anchor, tile triple),
+    the tiles decoded."""
+    n = len(t.w)
+    out = []
+    for code, inside, _ in _hexagons(t):
+        h = Tile.from_code(code, n)
+        inner = frozenset(Tile.from_code(c, n) for c in inside)
+        out.append((h.labels, h.anchor, inner))
+    return out
 
 
 def flip_neighbors(t: Tiling) -> list:
@@ -303,8 +404,8 @@ def _flip_graph(tilings) -> FlipGraph:
     index = {t.tiles: i for i, t in enumerate(tilings)}
     edges = set()
     for i, t in enumerate(tilings):
-        for nbr in flip_neighbors(t):
-            j = index[nbr.tiles]
+        for _, inside, other in _hexagons(t):
+            j = index[(t.tiles - inside) | other]
             edges.add((min(i, j), max(i, j)))
     return FlipGraph(vertices=tilings, edges=frozenset(edges))
 
@@ -316,8 +417,9 @@ def _flip_graph(tilings) -> FlipGraph:
 def _sort_window(u: Perm, r: int, s: int, tiles: list) -> Perm:
     """Sort positions r..s ascending by peeling rhombi (topmost descent first)."""
     while peel := next((p for p in _peels(u, 2, 2) if r <= p[0] < s), None):
-        _, _, tile, u = peel
+        j, _, tile = peel
         tiles.append(tile)
+        u = _peeled(u, j, 2)
     return u
 
 
@@ -339,8 +441,9 @@ def mono(w: Perm, occ: Occurrence, t: Tiling) -> Tiling:
     u, pcur = w, p
     tiles: list = []
     for _, _, tile, pcur in _peel_sequence(t):
-        r = u.index(amb[max(tile.labels) - 1]) + 1
-        s = u.index(amb[min(tile.labels) - 1]) + 1
+        labels = tile & ((1 << len(p)) - 1)
+        r = u.index(amb[labels.bit_length() - 1]) + 1
+        s = u.index(amb[(labels & -labels).bit_length() - 1]) + 1
         if r >= s:
             raise RuntimeError("a pattern tile's entries are out of order in w")
         u = _sort_window(u, r, s, tiles)
@@ -357,18 +460,17 @@ def mono(w: Perm, occ: Occurrence, t: Tiling) -> Tiling:
 
 
 def _decreasing_subsequence_sets(w: Perm) -> set:
-    n = len(w)
-    out: set = set()
-    for size in range(2, n + 1):
-        for pos in combinations(range(n), size):
-            values = [w[i] for i in pos]
-            if all(values[t] > values[t + 1] for t in range(size - 1)):
-                out.add(frozenset(values))
-    return out
+    """The label masks of the decreasing subsequences of w of length >= 2."""
+    ending: list[set] = []  # ending[i]: those ending at position i, any length
+    for i, value in enumerate(w):
+        bit = 1 << (value - 1)
+        longer = {m | bit for j in range(i) if w[j] > value for m in ending[j]}
+        ending.append(longer | {bit})
+    return {m for masks in ending for m in masks if m & (m - 1)}
 
 
 def _tile_label_sets(w: Perm) -> set:
-    """The label sets of the tiles across Z(w), found without building Z(w).
+    """The label masks of the tiles across Z(w), found without building Z(w).
 
     Z(w) is built from the peel sequences of w, and every boundary that
     peels reach can be peeled on down to the identity, so the tiles that
@@ -376,12 +478,15 @@ def _tile_label_sets(w: Perm) -> set:
     tilings in Z(w).
     """
     w = check_perm(w)
+    full = (1 << len(w)) - 1
     out: set = set()
     seen = {w}
     stack = [w]
     while stack:
-        for _, _, tile, rest in _peels(stack.pop(), 2, len(w)):
-            out.add(tile.labels)
+        u = stack.pop()
+        for j, m, tile in _peels(u, 2, len(w)):
+            out.add(tile & full)
+            rest = _peeled(u, j, m)
             if rest not in seen:
                 seen.add(rest)
                 stack.append(rest)
@@ -414,8 +519,8 @@ def _uniform_2k_tiling_of(u: Perm, k: int, memo: dict) -> bool:
     """Is there a tiling of X(u) by 2k-gons alone?  ``memo`` maps each
     boundary done so far to its answer."""
     if u not in memo:
-        memo[u] = length(u) == 0 or any(
-            _uniform_2k_tiling_of(rest, k, memo) for _, _, _, rest in _peels(u, k, k)
+        memo[u] = u == identity(len(u)) or any(
+            _uniform_2k_tiling_of(_peeled(u, j, k), k, memo) for j, _, _ in _peels(u, k, k)
         )
     return memo[u]
 
@@ -438,37 +543,41 @@ def _coatoms(k: int) -> tuple[frozenset, ...]:
     below_top = [
         z.tiles for z in _enumerate(longest_element(k), k) if len(z.tiles) > 1
     ]
-    lower = {tiles for z in below_top for tiles in _down_covers(z)}
+    lower = {tiles for z in below_top for tiles in _down_covers(z, k)}
     return tuple(z for z in below_top if z not in lower)
 
 
 @cache
-def _refinements(tile: Tile) -> tuple[frozenset, ...]:
-    """The tile sets that split a tile of order k >= 3 one step finer: the
-    coatoms of P(w0_k) relabelled onto it.  Inner label i becomes the i-th
-    smallest label of the tile and inner anchors are added to its anchor.
-    For a hexagon these are its two rhombic tilings.
+def _refinements(tile: int, n: int) -> tuple[frozenset, ...]:
+    """The tile sets that split a tile of order k >= 3 of X(w), w in S_n,
+    one step finer: the coatoms of P(w0_k) relabelled onto it.  Inner label
+    i becomes the i-th smallest label of the tile and inner anchors are
+    added to its anchor.  For a hexagon these are its two rhombic tilings.
     """
-    labels = sorted(tile.labels)
+    bits = [1 << (label - 1) for label in _labels(tile & ((1 << n) - 1))]
+    k = len(bits)
+
+    def spread(inner: int) -> int:
+        return sum(bit for i, bit in enumerate(bits) if inner >> i & 1)
+
+    anchor = tile >> n
+    inner_full = (1 << k) - 1
     return tuple(
         frozenset(
-            Tile(
-                frozenset(labels[i - 1] for i in t.labels),
-                tile.anchor | {labels[i - 1] for i in t.anchor},
-            )
-            for t in coatom
+            spread(c & inner_full) | (anchor | spread(c >> k)) << n for c in coatom
         )
-        for coatom in _coatoms(tile.order)
+        for coatom in _coatoms(k)
     )
 
 
-def _down_covers(tiles: frozenset):
-    """Tile sets of the tilings covered by the tiling with these tiles: each
-    replaces one tile of order k >= 3 by one of its refinements."""
+def _down_covers(tiles: frozenset, n: int):
+    """Tile sets of the tilings covered by the tiling with these tiles, of
+    X(w) with w in S_n: each replaces one tile of order k >= 3 by one of its
+    refinements."""
     for tile in tiles:
-        if tile.order >= 3:
+        if _order(tile, n) >= 3:
             rest = tiles - {tile}
-            for inner in _refinements(tile):
+            for inner in _refinements(tile, n):
                 yield rest | inner
 
 
@@ -502,10 +611,11 @@ class TilingPoset:
         looked up among the elements by its tiles.  Raises RuntimeError when
         one is missing, because Z(w) is then incomplete.
         """
+        n = len(self.w)
         index = {z.tiles: i for i, z in enumerate(self.elements)}
         covers = set()
         for j, z in enumerate(self.elements):
-            for tiles in _down_covers(z.tiles):
+            for tiles in _down_covers(z.tiles, n):
                 i = index.get(tiles)
                 if i is None:
                     raise RuntimeError(
@@ -655,9 +765,10 @@ def _cube_coordinate(z: Tiling, hexagons: list) -> tuple:
     """z's coordinate in {0, 1, 2}^k: per hexagon tile, the index of its
     refinement found inside z, 2 for the hexagon tile itself, None if the
     hexagon is tiled none of these ways."""
+    n = len(z.w)
     return tuple(
         next(
-            (i for i, part in enumerate((*_refinements(h), {h})) if part <= z.tiles),
+            (i for i, part in enumerate((*_refinements(h, n), {h})) if part <= z.tiles),
             None,
         )
         for h in hexagons

@@ -38,7 +38,6 @@ from .redwords import count_R, enumerate_R, find_shift_factor
 from .tilings import (
     chain_equivalences,
     decreasing_tile_check,
-    enumerate_rhombic,
     flip_graph_from_tilings,
     freely_braided_structure,
     level2_cycle_correspondence,
@@ -172,9 +171,11 @@ def _monotone(n: int) -> tuple[int, str | None]:
 
 
 def _tilings_match_classes(w: Perm) -> bool:
-    """|T(w)| = |C(w)| and the flip graph is isomorphic to the class graph."""
-    return len(enumerate_rhombic(w)) == len(classes(w)) and graphs_isomorphic(
-        flip_graph_from_tilings(w), graph(w)
+    """|T(w)| = |C(w)| and the flip graph is isomorphic to the class graph;
+    T(w) is enumerated once, as the flip graph's vertices."""
+    tilings = flip_graph_from_tilings(w)
+    return tilings.vertex_count == len(classes(w)) and graphs_isomorphic(
+        tilings, graph(w)
     )
 
 

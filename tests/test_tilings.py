@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redux.tilings
+import redux.verify
 from redux.commutation import FlipGraph, classes, graph, graphs_isomorphic
 from redux.patterns import avoids, occurrences
 from redux.permcore import identity, longest_element
@@ -52,12 +53,22 @@ perms5 = st.permutations((1, 2, 3, 4, 5)).map(tuple)
 FIGURE_WORD = (1, 2, 3, 4, 3, 2, 1, 2)  # a tiling of X(53241)
 
 
+def _code(labels, anchor, n):
+    """The code of the tile with these labels and anchor, through the codec."""
+    return Tile(frozenset(labels), frozenset(anchor)).code(n)
+
+
 def test_tile_validation():
-    Tile(frozenset({2, 3}), frozenset({1}))
+    w = (1, 3, 2)
+    Tiling(w, frozenset({_code({2, 3}, {1}, 3)}))
     with pytest.raises(ValueError, match="must not meet its anchor"):
-        Tile(frozenset({2, 3}), frozenset({2}))
+        Tiling(w, frozenset({_code({2, 3}, {2}, 3)}))
     with pytest.raises(ValueError, match="at least two labels"):
-        Tile(frozenset({2}), frozenset())
+        Tiling(w, frozenset({_code({2}, (), 3)}))
+    with pytest.raises(ValueError, match="bits beyond 2n"):
+        Tiling(w, frozenset({_code({2, 3}, {1}, 3) | 1 << 6}))
+    with pytest.raises(ValueError, match=r"must lie in 1\.\.3"):
+        _code({2, 4}, (), 3)
 
 
 def test_tiling_area_check():
@@ -67,9 +78,26 @@ def test_tiling_area_check():
         Tiling(w, frozenset(list(good.tiles)[:1]))  # pairs not fully covered
     with pytest.raises(ValueError, match="cover X"):
         Tiling(w, frozenset())
-    hexagon = Tile(frozenset({1, 2, 3}), frozenset())
+    hexagon = _code({1, 2, 3}, (), 3)
     with pytest.raises(ValueError, match="overlap"):
-        Tiling(w, frozenset({hexagon, Tile(frozenset({1, 2}), frozenset())}))
+        Tiling(w, frozenset({hexagon, _code({1, 2}, (), 3)}))
+
+
+def test_tile_codec_round_trip_S5():
+    """Decoding and re-encoding gives every code back, and the per-code sort
+    key orders codes, and with them the tilings, as ``Tile.sort_key`` does."""
+    for w in perms5_all:
+        zonotopal = enumerate_zonotopal(w)
+        codes = {code for z in zonotopal for code in z.tiles}
+        for code in codes:
+            tile = Tile.from_code(code, 5)
+            assert tile.code(5) == code, (w, code)
+            assert redux.tilings._sort_key(code, 5) == tile.sort_key(), (w, code)
+        assert sorted(codes, key=lambda c: redux.tilings._sort_key(c, 5)) == sorted(
+            codes, key=lambda c: Tile.from_code(c, 5).sort_key()
+        ), w
+        keys = [z.key() for z in zonotopal]
+        assert keys == sorted(keys), w
 
 
 def test_leq_compares_tilings_of_one_w():
@@ -137,20 +165,21 @@ def test_flip_graph_matches_class_graph():
 
 
 def test_hexagon_refinements_are_its_two_rhombic_tilings():
+    n = 6
     for (a, b, c), S in [((1, 2, 3), ()), ((2, 4, 6), (1, 5)), ((1, 3, 5), (4,))]:
         S = frozenset(S)
         variant_a = {
-            Tile(frozenset({b, c}), S),
-            Tile(frozenset({a, c}), S | {b}),
-            Tile(frozenset({a, b}), S),
+            _code({b, c}, S, n),
+            _code({a, c}, S | {b}, n),
+            _code({a, b}, S, n),
         }
         variant_b = {
-            Tile(frozenset({a, b}), S | {c}),
-            Tile(frozenset({a, c}), S),
-            Tile(frozenset({b, c}), S | {a}),
+            _code({a, b}, S | {c}, n),
+            _code({a, c}, S, n),
+            _code({b, c}, S | {a}, n),
         }
-        hexagon = Tile(frozenset({a, b, c}), S)
-        assert redux.tilings._refinements(hexagon) == (variant_a, variant_b)
+        hexagon = _code({a, b, c}, S, n)
+        assert redux.tilings._refinements(hexagon, n) == (variant_a, variant_b)
 
 
 def test_flips_are_symmetric():
@@ -196,7 +225,7 @@ def test_tiling_order_pinned_S5():
     for w in perms5_all + [(2, 4, 3, 1, 9, 6, 5, 8, 7)]:
         for enumerate_tilings in (enumerate_rhombic, enumerate_zonotopal):
             for t in enumerate_tilings(w):
-                keys = sorted(tile.sort_key() for tile in t.tiles)
+                keys = sorted(Tile.from_code(c, len(w)).sort_key() for c in t.tiles)
                 h.update(repr((w, keys)).encode())
     assert h.hexdigest() == TILING_ORDER_DIGEST
 
@@ -236,8 +265,12 @@ def test_decreasing_tile_check_S4():
 )
 def test_tile_label_sets_are_the_tiles_across_Z(ws):
     for w in ws:
-        across_Z = {t.labels for z in enumerate_zonotopal(w) for t in z.tiles}
-        assert redux.tilings._tile_label_sets(w) == across_Z, w
+        n = len(w)
+        across_Z = {
+            Tile.from_code(c, n).labels for z in enumerate_zonotopal(w) for c in z.tiles
+        }
+        label_sets = redux.tilings._tile_label_sets(w)
+        assert {Tile.from_code(m, n).labels for m in label_sets} == across_Z, w
 
 
 def test_uniform_2k_table():
@@ -345,12 +378,14 @@ def test_chain_equivalences_agree_S4():
         (level2_cycle_correspondence, (4, 6, 5, 2, 3, 1), True),
         (chain_equivalences, (4, 6, 5, 2, 3, 1), (False,) * 4),
         (lambda w: freely_braided_structure(w).all_ok(), (5, 2, 1, 4, 3), True),
+        (redux.verify._tilings_match_classes, (4, 6, 5, 2, 3, 1), True),
     ],
-    ids=["ssv", "chainthm", "fb"],
+    ids=["ssv", "chainthm", "fb", "elthm"],
 )
 def test_one_rhombic_enumeration_per_call(monkeypatch, check, w, verdict):
-    """The flip graph is built on the minimal elements of P(w), so T(w) is
-    enumerated once, by poset's check of those elements."""
+    """T(w) is enumerated once: ssv, chainthm and fb build the flip graph on
+    the minimal elements of P(w), so poset's check of those elements
+    enumerates it; elthm counts T(w) as the vertices of its flip graph."""
     calls = []
     real = redux.tilings.enumerate_rhombic
     monkeypatch.setattr(
