@@ -106,7 +106,8 @@ def _pair_bit(a: int, b: int) -> int:
 @cache
 def _tile_pairs(code: int, n: int) -> int:
     """The unit cells the tile with this code covers, all its label pairs;
-    raises ValueError when the code is no tile of X(w), w in S_n."""
+    raises ValueError when the code is no tile of X(w), w in S_n.  Only
+    tiles enter the cache, and fewer than 3^n codes per n are tiles."""
     labels = code & ((1 << n) - 1)
     if code >> 2 * n:
         raise ValueError("a tile code has bits beyond 2n")

@@ -173,10 +173,8 @@ def _monotone(n: int) -> tuple[int, str | None]:
 def _tilings_match_classes(w: Perm) -> bool:
     """|T(w)| = |C(w)| and the flip graph is isomorphic to the class graph;
     T(w) is enumerated once, as the flip graph's vertices."""
-    tilings = flip_graph_from_tilings(w)
-    return tilings.vertex_count == len(classes(w)) and graphs_isomorphic(
-        tilings, graph(w)
-    )
+    flips = flip_graph_from_tilings(w)
+    return flips.vertex_count == len(classes(w)) and graphs_isomorphic(flips, graph(w))
 
 
 def _uniform_2k_tiling_iff(nk: tuple[int, int]) -> bool:

@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +253,24 @@ def test_mono_lifts_any_S3_pattern(w, pick):
     tilings = enumerate_rhombic(p)
     lifted = {mono(w, occ, t).key() for t in tilings}
     assert len(lifted) == len(tilings)
+
+
+def _decreasing_subsequences_by_subsets(w):
+    """Label masks of the position sets of size >= 2 whose values decrease."""
+    return {
+        sum(1 << (w[i] - 1) for i in pos)
+        for size in range(2, len(w) + 1)
+        for pos in combinations(range(len(w)), size)
+        if all(w[a] > w[b] for a, b in zip(pos, pos[1:]))
+    }
+
+
+def test_decreasing_subsequence_sets_match_subset_search_S6():
+    for n in range(1, 7):
+        for w in permutations(range(1, n + 1)):
+            assert redux.tilings._decreasing_subsequence_sets(
+                w
+            ) == _decreasing_subsequences_by_subsets(w), w
 
 
 def test_decreasing_tile_check_S4():
