@@ -54,8 +54,8 @@ class Tile:
 
     ``anchor`` is the top vertex; going down the right side the labels are
     added in decreasing order, down the left side in increasing order.
-    Nothing checks a ``Tile``; its code is checked when a :class:`Tiling`
-    holds it.
+    A ``Tile`` built by hand is checked when its code enters a
+    :class:`Tiling`.
     """
 
     labels: frozenset
@@ -63,8 +63,11 @@ class Tile:
 
     @classmethod
     def from_code(cls, code: int, n: int) -> "Tile":
-        labels = code & ((1 << n) - 1)
-        return cls(frozenset(_labels(labels)), frozenset(_labels(code >> n)))
+        """The tile with this code; raises ValueError unless the code is a
+        tile of X(w), w in S_n."""
+        _tile_pairs(code, n)
+        labels, anchor = _sort_key(code, n)
+        return cls(frozenset(labels), frozenset(anchor))
 
     def code(self, n: int) -> int:
         if not self.labels | self.anchor <= set(range(1, n + 1)):

@@ -69,6 +69,10 @@ def test_tile_validation():
         Tiling(w, frozenset({_code({2, 3}, {1}, 3) | 1 << 6}))
     with pytest.raises(ValueError, match=r"must lie in 1\.\.3"):
         _code({2, 4}, (), 3)
+    with pytest.raises(ValueError, match="bits beyond 2n"):
+        Tile.from_code(-1, 3)
+    with pytest.raises(ValueError, match="must not meet its anchor"):
+        Tile.from_code(_code({2, 3}, {2}, 3), 3)
 
 
 def test_tiling_area_check():
