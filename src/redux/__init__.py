@@ -61,7 +61,6 @@ from .vexalg import (
     vex,
 )
 from .tilings import (
-    Tile,
     Tiling,
     TilingPoset,
     decreasing_tile_check,

@@ -302,14 +302,15 @@ def _extend_cycles(path: list[int], adj: list, target: int, found: set) -> None:
 
 
 def gf2_rank(vectors: list[int]) -> int:
-    """Rank over GF(2) of int-encoded bit vectors."""
-    basis: list[int] = []
+    """Rank over GF(2) of int-encoded bit vectors.  The basis is keyed by
+    leading bit, so each step of a reduction clears the vector's leading
+    bit and visits a pivot at most once."""
+    basis: dict[int, int] = {}
     for vec in vectors:
-        for b in basis:
-            vec = min(vec, vec ^ b)
+        while vec and (lead := vec.bit_length()) in basis:
+            vec ^= basis[lead]
         if vec:
-            basis.append(vec)
-            basis.sort(reverse=True)
+            basis[lead] = vec
     return len(basis)
 
 

@@ -30,13 +30,43 @@ class Occurrence:
         return tuple(sorted(self.values))
 
 
-def _same_relative_order(values: tuple[int, ...], p: Perm) -> bool:
-    k = len(p)
-    return all(
-        (values[h] < values[j]) == (p[h] < p[j])
-        for h in range(k)
-        for j in range(h + 1, k)
-    )
+def _search(w: Perm, p: Perm):
+    """Every occurrence of p in w as its 1-based position tuple, in
+    lexicographic order, by backtracking over positions.
+
+    The entry of w chosen for p[d] must lie strictly between the entries
+    chosen for the nearest values below and above p[d] among p[:d].  A
+    prefix that fails this orders its entries unlike p already, so it is
+    dropped with every extension.
+    """
+    n, k = len(w), len(p)
+    bounds = [
+        (
+            max((v for v in p[:d] if v < p[d]), default=0),
+            min((v for v in p[:d] if v > p[d]), default=k + 1),
+        )
+        for d in range(k)
+    ]
+    entry = [0] * (k + 1) + [n + 1]  # entry[v]: the entry playing value v
+    positions: list[int] = []
+    i = 1  # the next candidate position for p[len(positions)]
+    while True:
+        d = len(positions)
+        if d == k:
+            yield tuple(positions)
+        else:
+            lo, hi = bounds[d]
+            last = n - k + d + 1  # leaves room for the rest of p
+            while i <= last and not entry[lo] < w[i - 1] < entry[hi]:
+                i += 1
+            if i <= last:
+                entry[p[d]] = w[i - 1]
+                positions.append(i)
+                i += 1
+                continue
+        if not positions:
+            return
+        i = positions.pop() + 1
 
 
 def occurrences(w: Perm, p: Perm) -> list[Occurrence]:
@@ -46,23 +76,16 @@ def occurrences(w: Perm, p: Perm) -> list[Occurrence]:
     [(2, 1, 4, 3)]
     """
     w, p = check_perm(w), check_perm(p)
-    if len(p) > len(w):
-        return []
-    out = []
-    for pos in combinations(range(1, len(w) + 1), len(p)):
-        values = tuple(w[i - 1] for i in pos)
-        if _same_relative_order(values, p):
-            out.append(Occurrence(pattern=p, positions=pos, values=values))
-    return out
+    return [
+        Occurrence(pattern=p, positions=pos, values=tuple(w[i - 1] for i in pos))
+        for pos in _search(w, p)
+    ]
 
 
 def contains(w: Perm, p: Perm) -> bool:
     """Does ``w`` have an occurrence of ``p``?  Stops at the first one."""
     w, p = check_perm(w), check_perm(p)
-    return any(
-        _same_relative_order(tuple(w[i] for i in pos), p)
-        for pos in combinations(range(len(w)), len(p))
-    )
+    return next(_search(w, p), None) is not None
 
 
 def avoids(w: Perm, p: Perm) -> bool:

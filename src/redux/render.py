@@ -16,7 +16,7 @@ import math
 from .commutation import FlipGraph
 from .permcore import Perm, check_perm, identity
 from .redwords import format_word
-from .tilings import Point, Tile, Tiling, TilingPoset
+from .tilings import Point, Tiling, TilingPoset, decode
 
 SCALE = 40.0  # screen units per unit edge
 PAD = 20.0  # margin around the drawing
@@ -33,15 +33,14 @@ def to_json(payload: dict) -> str:
 
 
 def _decoded(t: Tiling) -> list:
-    """The tiles of t decoded, in ``Tile.sort_key`` order."""
-    tiles = (Tile.from_code(code, len(t.w)) for code in t.tiles)
-    return sorted(tiles, key=Tile.sort_key)
+    """The tiles of t as decoded (labels, anchor) pairs, sorted."""
+    return sorted(decode(code, len(t.w)) for code in t.tiles)
 
 
 def _tiles(t: Tiling) -> list:
     return [
         {"labels": list(labels), "anchor": list(anchor)}
-        for labels, anchor in map(Tile.sort_key, _decoded(t))
+        for labels, anchor in _decoded(t)
     ]
 
 
@@ -139,12 +138,14 @@ def polygon_svg(w: Perm) -> str:
     return _svg(ring, [(ring, "none")], texts)
 
 
-def _tile_cycle(tile: Tile) -> list:
-    down = [tile.anchor]
-    for label in sorted(tile.labels, reverse=True):
+def _tile_cycle(labels: tuple, anchor: tuple) -> list:
+    """The grid points around a decoded tile: down its right side, then up
+    its left side."""
+    down = [frozenset(anchor)]
+    for label in reversed(labels):
         down.append(down[-1] | {label})
-    up = [tile.anchor]
-    for label in sorted(tile.labels):
+    up = [frozenset(anchor)]
+    for label in labels:
         up.append(up[-1] | {label})
     return down + list(reversed(up[1:-1]))
 
@@ -155,8 +156,8 @@ def tiling_svg(t: Tiling) -> str:
     if t.w == identity(n):
         return DEGENERATE_SVG
     shapes = []
-    for tile in _decoded(t):
-        fill = "#cce5ff" if tile.order == 2 else "#ffd9b3"
-        shapes.append(([_locate(n, pt) for pt in _tile_cycle(tile)], fill))
+    for labels, anchor in _decoded(t):
+        fill = "#cce5ff" if len(labels) == 2 else "#ffd9b3"
+        shapes.append(([_locate(n, pt) for pt in _tile_cycle(labels, anchor)], fill))
     left = [_locate(n, frozenset(range(1, j + 1))) for j in range(n + 1)]
     return _svg(left + [pt for points, _ in shapes for pt in points], shapes, [])

@@ -8,8 +8,9 @@ enter only in :mod:`redux.render`, the one module that draws or serialises.
 A tile of X(w), w in S_n, is one int, its code: ``labels | anchor << n``,
 where bit i - 1 of each n-bit mask stands for label i.  A tiling is a
 frozenset of codes, and every split, flip, cover and peel is a mask
-operation.  :class:`Tile` is the decoded form that :mod:`redux.render` and
-the tests read; ``Tile.from_code`` and ``Tile.code`` are the one codec.
+operation.  :func:`decode` is the one decoder: it checks a code and gives
+the tile as ascending (labels, anchor) tuples, which :mod:`redux.render` and
+the tests read, and its result is the one order of tiles.
 """
 
 from __future__ import annotations
@@ -43,58 +44,19 @@ def _labels(mask: int) -> list[int]:
     return out
 
 
-def _mask(labels) -> int:
-    return sum(1 << (label - 1) for label in labels)
-
-
-@dataclass(frozen=True)
-class Tile:
-    """The decoded form of a tile code: a centrally symmetric 2k-gon tile,
-    k = len(labels) >= 2, of X(w) with w in S_n.
+def decode(code: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The tile with this code, a centrally symmetric 2k-gon of X(w) with w
+    in S_n, as (labels, anchor), both ascending; raises ValueError unless
+    the code is a tile.  Sorting codes by it is the one order of tiles.
 
     ``anchor`` is the top vertex; going down the right side the labels are
     added in decreasing order, down the left side in increasing order.
-    A ``Tile`` built by hand is checked when its code enters a
-    :class:`Tiling`.
+
+    >>> decode(0b001_110, 3)
+    ((2, 3), (1,))
     """
-
-    labels: frozenset
-    anchor: frozenset
-
-    @classmethod
-    def from_code(cls, code: int, n: int) -> "Tile":
-        """The tile with this code; raises ValueError unless the code is a
-        tile of X(w), w in S_n."""
-        _tile_pairs(code, n)
-        labels, anchor = _sort_key(code, n)
-        return cls(frozenset(labels), frozenset(anchor))
-
-    def code(self, n: int) -> int:
-        if not self.labels | self.anchor <= set(range(1, n + 1)):
-            raise ValueError(f"a tile's labels and anchor must lie in 1..{n}")
-        return _mask(self.labels) | _mask(self.anchor) << n
-
-    @property
-    def order(self) -> int:
-        return len(self.labels)
-
-    def edges(self) -> frozenset:
-        out = set()
-        for side in (sorted(self.labels, reverse=True), sorted(self.labels)):
-            at = self.anchor
-            for label in side:
-                out.add((at, label))
-                at = at | {label}
-        return frozenset(out)
-
-    def sort_key(self) -> tuple:
-        """Sorted labels, then sorted anchor: the one order of tiles."""
-        return (tuple(sorted(self.labels)), tuple(sorted(self.anchor)))
-
-
-def _sort_key(code: int, n: int) -> tuple:
-    """``Tile.sort_key`` of the tile with this code, read off its bits."""
-    return (tuple(_labels(code & ((1 << n) - 1))), tuple(_labels(code >> n)))
+    _tile_pairs(code, n)
+    return tuple(_labels(code & ((1 << n) - 1))), tuple(_labels(code >> n))
 
 
 def _order(code: int, n: int) -> int:
@@ -170,7 +132,12 @@ class Tiling:
         n = len(self.w)
         out = set(boundary_edges(self.w))
         for code in self.tiles:
-            out |= Tile.from_code(code, n).edges()
+            labels, anchor = decode(code, n)
+            for side in (labels[::-1], labels):
+                at = frozenset(anchor)
+                for label in side:
+                    out.add((at, label))
+                    at = at | {label}
         return frozenset(out)
 
     def is_rhombic(self) -> bool:
@@ -182,7 +149,7 @@ class Tiling:
 
     def key(self):
         """Deterministic sort key (tilings of the same w only)."""
-        return tuple(sorted(_sort_key(code, len(self.w)) for code in self.tiles))
+        return tuple(sorted(decode(code, len(self.w)) for code in self.tiles))
 
     def leq(self, other: "Tiling") -> bool:
         """Reverse edge inclusion: finer tilings are smaller."""
@@ -225,7 +192,7 @@ def _peeled(u: Perm, j: int, m: int) -> Perm:
 def _enumerate(w: Perm, max_order: int) -> tuple[Tiling, ...]:
     """All tilings of X(w) by 2m-gons with m <= max_order, sorted by key.
 
-    Each tile code is ranked once by its ``_sort_key``; a tiling's sorted
+    Each tile code is ranked once by :func:`decode`; a tiling's sorted
     ranks then order the tilings exactly as ``Tiling.key`` does.
     """
     n = len(w)
@@ -236,7 +203,7 @@ def _enumerate(w: Perm, max_order: int) -> tuple[Tiling, ...]:
             _, tile, chain = chain
             tiles.append(tile)
         tile_sets.append(frozenset(tiles))
-    codes = sorted(frozenset().union(*tile_sets), key=lambda code: _sort_key(code, n))
+    codes = sorted(frozenset().union(*tile_sets), key=lambda code: decode(code, n))
     rank = {code: r for r, code in enumerate(codes)}
     ordered = sorted(tile_sets, key=lambda tiles: sorted(map(rank.__getitem__, tiles)))
     return tuple(Tiling(w, tiles) for tiles in ordered)
@@ -380,15 +347,13 @@ def _hexagons(t: Tiling):
 
 
 def sub_hexagons(t: Tiling) -> list:
-    """All flippable sub-hexagons, as (labels {a,b,c}, anchor, tile triple),
-    the tiles decoded."""
+    """All flippable sub-hexagons, as (labels (a, b, c), anchor, the three
+    rhombi inside t), every tile decoded and the rhombi sorted."""
     n = len(t.w)
-    out = []
-    for code, inside, _ in _hexagons(t):
-        h = Tile.from_code(code, n)
-        inner = frozenset(Tile.from_code(c, n) for c in inside)
-        out.append((h.labels, h.anchor, inner))
-    return out
+    return [
+        (*decode(code, n), tuple(sorted(decode(c, n) for c in inside)))
+        for code, inside, _ in _hexagons(t)
+    ]
 
 
 def flip_neighbors(t: Tiling) -> list:

@@ -1,12 +1,14 @@
 """Commutation classes, the flip graph on them, and small-graph utilities."""
 
 import json
+import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import redux.tilings
 from redux.commutation import (
     FlipGraph,
     class_of,
@@ -199,6 +201,47 @@ def test_gf2_rank():
     assert gf2_rank([]) == 0
     assert gf2_rank([0b101, 0b011, 0b110]) == 2
     assert gf2_rank([0b101, 0b011, 0b100]) == 3
+
+
+def _gf2_rank_by_sorted_basis(vectors):
+    """Reference rank: reduce each vector against the whole basis, kept
+    sorted in decreasing order."""
+    basis = []
+    for vec in vectors:
+        for b in basis:
+            vec = min(vec, vec ^ b)
+        if vec:
+            basis.append(vec)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def test_gf2_rank_matches_reference_on_random_vectors():
+    rng = random.Random(12)
+    for _ in range(300):
+        width = rng.randrange(1, 40)
+        vectors = [rng.getrandbits(width) for _ in range(rng.randrange(0, 30))]
+        # XORs of earlier vectors make the rank fall short of the count
+        for _ in range(rng.randrange(0, 10)):
+            vectors.append(rng.choice(vectors or [0]) ^ rng.choice(vectors or [0]))
+        rng.shuffle(vectors)
+        assert gf2_rank(vectors) == _gf2_rank_by_sorted_basis(vectors), vectors
+
+
+def test_gf2_rank_matches_reference_on_level2_cycles_S5(monkeypatch):
+    """The vectors ssv ranks: the level-2 cycles of every w in S_5."""
+    seen = []
+
+    def recording_rank(vectors):
+        seen.append(list(vectors))
+        return gf2_rank(vectors)
+
+    monkeypatch.setattr(redux.tilings, "gf2_rank", recording_rank)
+    for w in permutations(range(1, 6)):
+        assert redux.tilings.level2_cycle_correspondence(w), w
+    assert any(seen)
+    for vectors in seen:
+        assert gf2_rank(vectors) == _gf2_rank_by_sorted_basis(vectors)
 
 
 def test_graph_exports():

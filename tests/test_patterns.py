@@ -1,6 +1,6 @@
 """Pattern containment, vexillarity, obstructions, 321 analysis."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -39,6 +39,31 @@ def test_occurrences_golden():
     assert one.positions == (1, 4, 6)
     assert one.roles() == (2, 3, 6)
     assert one.value_of_role(3) == 6
+
+
+def _occurrences_by_subsets(w, p):
+    """(positions, values) of every occurrence of p in w: the reference scan
+    over all k-subsets of positions, each tested pair by pair."""
+    out = []
+    for pos in combinations(range(1, len(w) + 1), len(p)):
+        values = tuple(w[i - 1] for i in pos)
+        if all(
+            (values[h] < values[j]) == (p[h] < p[j])
+            for h, j in combinations(range(len(p)), 2)
+        ):
+            out.append((pos, values))
+    return out
+
+
+def test_search_matches_subset_scan_S6_S4():
+    patterns = [p for k in range(1, 5) for p in all_perms(k)]
+    for n in range(1, 7):
+        for w in all_perms(n):
+            for p in patterns:
+                expected = _occurrences_by_subsets(w, p)
+                found = [(o.positions, o.values) for o in occurrences(w, p)]
+                assert found == expected, (w, p)
+                assert contains(w, p) == bool(expected), (w, p)
 
 
 @given(perms, small_patterns)

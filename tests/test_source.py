@@ -1,9 +1,13 @@
 """Source-level checks on the library itself."""
 
 import ast
+import importlib
+import importlib.util
+from functools import cached_property
 from pathlib import Path
 
 import redux
+import redux.redwords
 
 
 def _is_assertion_error(exc) -> bool:
@@ -43,3 +47,26 @@ def test_no_assert_in_library():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _perfbench_spans():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_bindings_exist():
+    """Every name the benchmark's tracer wraps must exist, or ``--trace 1``
+    breaks; the benchmark's own tests are outside this suite."""
+    spans = _perfbench_spans()
+    for _, module, attr, _ in spans.FUNCTION_SPANS:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
+    for _, module, cls, attr, _ in spans.PROPERTY_SPANS:
+        owner = getattr(importlib.import_module(module), cls)
+        assert isinstance(owner.__dict__.get(attr), cached_property), (cls, attr)
+    for _, module, cls, attr in spans.COUNTED_METHODS:
+        owner = getattr(importlib.import_module(module), cls)
+        assert attr in owner.__dict__, (cls, attr)
+    assert callable(redux.redwords.count_R.cache_info)

@@ -23,11 +23,11 @@ from redux.render import (
     to_json,
 )
 from redux.tilings import (
-    Tile,
     Tiling,
     TilingPoset,
     boundary_edges,
     chain_equivalences,
+    decode,
     decreasing_tile_check,
     eln,
     enumerate_rhombic,
@@ -54,8 +54,9 @@ FIGURE_WORD = (1, 2, 3, 4, 3, 2, 1, 2)  # a tiling of X(53241)
 
 
 def _code(labels, anchor, n):
-    """The code of the tile with these labels and anchor, through the codec."""
-    return Tile(frozenset(labels), frozenset(anchor)).code(n)
+    """The code of the tile with these labels and anchor: ``labels | anchor
+    << n``, bit i - 1 of each n-bit mask standing for label i."""
+    return sum(1 << (v - 1) for v in labels) | sum(1 << (v - 1) for v in anchor) << n
 
 
 def test_tile_validation():
@@ -67,12 +68,13 @@ def test_tile_validation():
         Tiling(w, frozenset({_code({2}, (), 3)}))
     with pytest.raises(ValueError, match="bits beyond 2n"):
         Tiling(w, frozenset({_code({2, 3}, {1}, 3) | 1 << 6}))
-    with pytest.raises(ValueError, match=r"must lie in 1\.\.3"):
-        _code({2, 4}, (), 3)
+    assert decode(_code({2, 3}, {1}, 3), 3) == ((2, 3), (1,))
     with pytest.raises(ValueError, match="bits beyond 2n"):
-        Tile.from_code(-1, 3)
+        decode(-1, 3)
+    with pytest.raises(ValueError, match="at least two labels"):
+        decode(_code({2}, {1}, 3), 3)
     with pytest.raises(ValueError, match="must not meet its anchor"):
-        Tile.from_code(_code({2, 3}, {2}, 3), 3)
+        decode(_code({2, 3}, {2}, 3), 3)
 
 
 def test_tiling_area_check():
@@ -88,18 +90,15 @@ def test_tiling_area_check():
 
 
 def test_tile_codec_round_trip_S5():
-    """Decoding and re-encoding gives every code back, and the per-code sort
-    key orders codes, and with them the tilings, as ``Tile.sort_key`` does."""
+    """Decoding gives ascending labels and anchor, re-encoding them gives
+    every code back, and ``Tiling.key`` orders the tilings as listed."""
     for w in perms5_all:
         zonotopal = enumerate_zonotopal(w)
         codes = {code for z in zonotopal for code in z.tiles}
         for code in codes:
-            tile = Tile.from_code(code, 5)
-            assert tile.code(5) == code, (w, code)
-            assert redux.tilings._sort_key(code, 5) == tile.sort_key(), (w, code)
-        assert sorted(codes, key=lambda c: redux.tilings._sort_key(c, 5)) == sorted(
-            codes, key=lambda c: Tile.from_code(c, 5).sort_key()
-        ), w
+            labels, anchor = decode(code, 5)
+            assert list(labels) == sorted(labels) and list(anchor) == sorted(anchor)
+            assert _code(labels, anchor, 5) == code, (w, code)
         keys = [z.key() for z in zonotopal]
         assert keys == sorted(keys), w
 
@@ -215,7 +214,7 @@ def test_flips_and_covers_pinned_S5():
     assert h.hexdigest() == FLIPS_AND_COVERS_S5_DIGEST
 
 
-# sha256 over ``Tile.sort_key`` of every tile of every tiling in
+# sha256 over the decoded (labels, anchor) of every tile of every tiling in
 # enumerate_rhombic(w) and enumerate_zonotopal(w), tilings in list order and
 # each tiling's tiles sorted, for every w of S_5 and for W9.  The list order
 # sets the tiling indices of every output, so it must never move.
@@ -229,7 +228,7 @@ def test_tiling_order_pinned_S5():
     for w in perms5_all + [(2, 4, 3, 1, 9, 6, 5, 8, 7)]:
         for enumerate_tilings in (enumerate_rhombic, enumerate_zonotopal):
             for t in enumerate_tilings(w):
-                keys = sorted(Tile.from_code(c, len(w)).sort_key() for c in t.tiles)
+                keys = sorted(decode(c, len(w)) for c in t.tiles)
                 h.update(repr((w, keys)).encode())
     assert h.hexdigest() == TILING_ORDER_DIGEST
 
@@ -289,10 +288,10 @@ def test_tile_label_sets_are_the_tiles_across_Z(ws):
     for w in ws:
         n = len(w)
         across_Z = {
-            Tile.from_code(c, n).labels for z in enumerate_zonotopal(w) for c in z.tiles
+            decode(c, n)[0] for z in enumerate_zonotopal(w) for c in z.tiles
         }
         label_sets = redux.tilings._tile_label_sets(w)
-        assert {Tile.from_code(m, n).labels for m in label_sets} == across_Z, w
+        assert {decode(m, n)[0] for m in label_sets} == across_Z, w
 
 
 def test_uniform_2k_table():
