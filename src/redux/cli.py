@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections.abc import Iterable
+from itertools import chain
 
 from .commutation import classes, graph
 from .patterns import (
@@ -68,15 +70,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each string of an iterable of them in turn, to the
+    ``-o`` file or stdout; a long listing is written as it is formatted."""
+    chunks = [text] if isinstance(text, str) else text
     if args.output:
         try:
             with open(args.output, "w") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         except OSError as exc:
             raise SystemExit2(f"cannot write {args.output!r}: {exc.strerror}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_json(args, payload: dict) -> int:
@@ -109,44 +114,45 @@ def cmd_info(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    """Text output lists one line per object and then ``count``; JSON output
-    is built only when asked for."""
+    """Text output lists one line per object and then ``count``, formatting
+    each line as it is written; JSON output is built only when asked for."""
     w = _parse(args.w)
     as_json = args.format == "json"
     if args.what == "words":
-        body = [format_word(word) for word in enumerate_R(w)]
+        items = enumerate_R(w)
         if as_json:
-            return _emit_json(args, {"words": body})
+            return _emit_json(args, {"words": [format_word(word) for word in items]})
+        lines = map(format_word, items)
     elif args.what == "classes":
-        cls = classes(w)
+        items = classes(w)
         if as_json:
             return _emit_json(
                 args,
                 {
                     "classes": [
                         {"representative": format_word(c.representative), "size": c.size}
-                        for c in cls
+                        for c in items
                     ]
                 },
             )
-        body = [f"{format_word(c.representative)} (size {c.size})" for c in cls]
+        lines = (f"{format_word(c.representative)} (size {c.size})" for c in items)
     elif args.what in ("tilings", "zonotopal"):
         rhombic = args.what == "tilings"
-        tilings = enumerate_rhombic(w) if rhombic else enumerate_zonotopal(w)
+        items = enumerate_rhombic(w) if rhombic else enumerate_zonotopal(w)
         if as_json:
-            return _emit_json(args, {"tilings": [tiling_payload(t) for t in tilings]})
-        body = [
+            return _emit_json(args, {"tilings": [tiling_payload(t) for t in items]})
+        lines = (
             format_word(peel_word(t))
             + ("" if rhombic else " " + str(list(t.shape_profile())))
-            for t in tilings
-        ]
+            for t in items
+        )
     else:  # poset
         p = poset(w)
         if as_json:
             return _emit_json(args, poset_payload(p))
         _emit(args, f"elements {len(p.elements)}\ncovers {len(p.hasse)}\n")
         return EXIT_OK
-    _emit(args, "\n".join(body + [f"count {len(body)}"]) + "\n")
+    _emit(args, (f"{line}\n" for line in chain(lines, [f"count {len(items)}"])))
     return EXIT_OK
 
 

@@ -214,18 +214,39 @@ def _long_moves(rep: Word) -> list[Word]:
     return out
 
 
+def _trace_key(word: Word) -> tuple[int, ...]:
+    """A key equal for two words exactly when they are in one commutation
+    class: the projections of the word onto each dependent pair {i, i+1},
+    i = 0..max letter, each read as bits (1 for i+1) after a leading 1.
+
+    Letters commute exactly when they are not adjacent, so two words are
+    in one class iff all these projections agree (the projection lemma for
+    traces; Cori-Perrin 1985).  O(l), against O(l^2) for
+    :func:`lex_normal_form`.
+    """
+    key = [1] * (max(word, default=0) + 1)
+    for a in word:
+        key[a - 1] = key[a - 1] << 1 | 1
+        key[a] <<= 1
+    return tuple(key)
+
+
 def graph(w: Perm) -> FlipGraph:
     """The graph G(w): vertices C(w), edges between classes one long braid
-    move apart, found on each representative's heap.
+    move apart, found on each representative's heap.  The class a move
+    leads to is looked up by its :func:`_trace_key`.
 
     Raises RuntimeError if G(w) is not connected or not bipartite; the paper
     guarantees both, so a violation means the construction is broken.
     """
     cls = classes(w)
+    index = {_trace_key(c.representative): i for i, c in enumerate(cls)}
     edges = set()
     for i, c in enumerate(cls):
         for word in _long_moves(c.representative):
-            j = class_of(word, cls)
+            j = index.get(_trace_key(word))
+            if j is None:
+                raise ValueError(f"word {format_word(word)} is in no class")
             edges.add((min(i, j), max(i, j)))
     g = FlipGraph(vertices=tuple(cls), edges=frozenset(edges))
     if not is_connected(g):

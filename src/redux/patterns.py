@@ -76,10 +76,23 @@ def occurrences(w: Perm, p: Perm) -> list[Occurrence]:
     [(2, 1, 4, 3)]
     """
     w, p = check_perm(w), check_perm(p)
-    return [
-        Occurrence(pattern=p, positions=pos, values=tuple(w[i - 1] for i in pos))
-        for pos in _search(w, p)
-    ]
+    return [_occurrence(w, p, pos) for pos in _search(w, p)]
+
+
+def first_occurrence(w: Perm, p: Perm) -> Occurrence | None:
+    """The lexicographically first occurrence of ``p`` in ``w``, or None;
+    the search stops there.
+
+    >>> first_occurrence((3, 1, 2), (2, 1)).values
+    (3, 1)
+    """
+    w, p = check_perm(w), check_perm(p)
+    pos = next(_search(w, p), None)
+    return None if pos is None else _occurrence(w, p, pos)
+
+
+def _occurrence(w: Perm, p: Perm, pos: tuple[int, ...]) -> Occurrence:
+    return Occurrence(pattern=p, positions=pos, values=tuple(w[i - 1] for i in pos))
 
 
 def contains(w: Perm, p: Perm) -> bool:

@@ -15,7 +15,7 @@ the tests read, and its result is the one order of tiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache, reduce
 from itertools import combinations, product, repeat
 from operator import or_
@@ -113,11 +113,14 @@ def boundary_edges(w: Perm) -> frozenset:
 class Tiling:
     """A zonotopal tiling of X(w); rhombic when every tile has order 2.
 
-    ``tiles`` is a frozenset of tile codes.
+    ``tiles`` is a frozenset of tile codes.  ``chain`` is the chain of the
+    tiling's canonical peel when enumeration built it (see
+    :func:`_canonical_peels`), else None; :func:`peel_word` reads it.
     """
 
     w: Perm
     tiles: frozenset
+    chain: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         pairs = list(map(_tile_pairs, self.tiles, repeat(len(self.w))))
@@ -190,23 +193,23 @@ def _peeled(u: Perm, j: int, m: int) -> Perm:
 
 
 def _enumerate(w: Perm, max_order: int) -> tuple[Tiling, ...]:
-    """All tilings of X(w) by 2m-gons with m <= max_order, sorted by key.
+    """All tilings of X(w) by 2m-gons with m <= max_order, sorted by key,
+    each holding its chain.
 
-    Each tile code is ranked once by :func:`decode`; a tiling's sorted
-    ranks then order the tilings exactly as ``Tiling.key`` does.
+    Each tile code is ranked once by :func:`decode`; a chain's sorted ranks
+    then order the tilings exactly as ``Tiling.key`` does.  The chains are
+    sorted before any tile set is built, so the sort keys and the tile sets
+    are never held at once.
     """
     n = len(w)
-    tile_sets = []
-    for chain in _canonical_peels(w, max_order, {}):
-        tiles = []
-        while chain is not None:
-            _, tile, chain = chain
-            tiles.append(tile)
-        tile_sets.append(frozenset(tiles))
-    codes = sorted(frozenset().union(*tile_sets), key=lambda code: decode(code, n))
-    rank = {code: r for r, code in enumerate(codes)}
-    ordered = sorted(tile_sets, key=lambda tiles: sorted(map(rank.__getitem__, tiles)))
-    return tuple(Tiling(w, tiles) for tiles in ordered)
+    chains = _canonical_peels(w, max_order, {})
+    codes: set = set()
+    for chain in chains:
+        codes.update(_chain_tiles(chain))
+    ranked = sorted(codes, key=lambda code: decode(code, n))
+    rank = {code: r for r, code in enumerate(ranked)}
+    chains = sorted(chains, key=lambda chain: sorted(map(rank.__getitem__, _chain_tiles(chain))))
+    return tuple(Tiling(w, frozenset(_chain_tiles(chain)), chain) for chain in chains)
 
 
 def _canonical_peels(u: Perm, max_order: int, memo: dict) -> tuple:
@@ -214,9 +217,10 @@ def _canonical_peels(u: Perm, max_order: int, memo: dict) -> tuple:
     chain of its canonical peel: the topmost tile on the boundary first.
 
     A chain is None, the empty tiling of the identity (the one boundary with
-    no peel), or (end, tile, rest): the tile peels off positions j..end of u
-    and rest is the chain of the tiling left on the new boundary.  The peel
-    at j is canonical exactly when rest's first tile ends at j or below:
+    no peel), or (tile, rest): the tile peels off positions j..end of u and
+    rest is the chain of the tiling left on the new boundary.  The anchor
+    holds j - 1 labels, so the code has ``end`` bits set.  The peel at j is
+    canonical exactly when rest's first tile ends at j or below:
     - a tile on rest's boundary ending above j sat on u's boundary too,
       above the tile at j, so that peel was not the topmost;
     - if rest has such a tile, its first tile, the topmost one, ends above j
@@ -229,13 +233,22 @@ def _canonical_peels(u: Perm, max_order: int, memo: dict) -> tuple:
     """
     if u not in memo:
         out = [
-            (j + m - 1, tile, rest)
+            (tile, rest)
             for j, m, tile in _peels(u, 2, max_order)
             for rest in _canonical_peels(_peeled(u, j, m), max_order, memo)
-            if rest is None or rest[0] >= j
+            if rest is None or rest[0].bit_count() >= j
         ]
         memo[u] = tuple(out) or (None,)
     return memo[u]
+
+
+def _chain_tiles(chain) -> list[int]:
+    """The tiles of a chain, in peel order."""
+    tiles = []
+    while chain is not None:
+        tile, chain = chain
+        tiles.append(tile)
+    return tiles
 
 
 def enumerate_rhombic(w: Perm) -> tuple[Tiling, ...]:
@@ -270,20 +283,35 @@ def _peel_sequence(t: Tiling):
         yield j, m, tile, u
 
 
+@cache
+def _peel_letters(j: int, m: int) -> tuple[int, ...]:
+    """The letters that peeling the 2m-gon on positions j..j+m-1 adds to
+    the peel sequence, in order: j - 1 + a for a = r..1, for r = 1..m-1, a
+    reduced word reversing the descending run there."""
+    return tuple(j - 1 + a for r in range(1, m) for a in range(r, 0, -1))
+
+
 def peel_word(t: Tiling) -> Word:
     """The reduced word produced by the deterministic peel (topmost eligible
-    tile first); reading the peel sequence right-to-left gives the word."""
+    tile first); reading the peel sequence right-to-left gives the word.
+
+    A tiling that enumeration built is read off its chain, whose tiles
+    come in this peel order and each peel at j = |anchor| + 1; any other
+    tiling is peeled again by rescanning its boundary.
+    """
+    n = len(t.w)
+    letters: list[int] = []
+    if t.chain is not None:
+        for tile in _chain_tiles(t.chain):
+            letters += _peel_letters((tile >> n).bit_count() + 1, _order(tile, n))
+        return tuple(reversed(letters))
     u = list(t.w)
-    letters = []
     for j, m, _, _ in _peel_sequence(t):
-        # a 2m-gon contributes a reduced word reversing the descending window
-        for r in range(1, m):
-            for a in range(r, 0, -1):
-                pos = j - 1 + a
-                if u[pos - 1] < u[pos]:
-                    raise RuntimeError(f"peel letter {pos} adds an inversion")
-                letters.append(pos)
-                u[pos - 1], u[pos] = u[pos], u[pos - 1]
+        for pos in _peel_letters(j, m):
+            if u[pos - 1] < u[pos]:
+                raise RuntimeError(f"peel letter {pos} adds an inversion")
+            letters.append(pos)
+            u[pos - 1], u[pos] = u[pos], u[pos - 1]
     if u != sorted(u):
         raise RuntimeError("the peeled word does not reach the identity")
     return tuple(reversed(letters))

@@ -20,6 +20,7 @@ from .commutation import classes, graph, graphs_isomorphic, is_path
 from .patterns import (
     avoids,
     contains,
+    first_occurrence,
     in_U_n,
     is_freely_braided,
     is_vexillary,
@@ -103,13 +104,13 @@ def _vexthm(n: int) -> tuple[int, str | None]:
     """Vexillary patterns always embed a shifted reduced word; the witness of
     a non-vexillary pattern never does."""
     embeddings = (
-        (w, occs[0], pattern_word, p)
+        (w, occ, pattern_word, p)
         for k in (3, 4)
         for p in filter(is_vexillary, all_perms(k))
         for pattern_word in [lex_least_reduced_word(p)]
         for m in range(k, n + 1)
         for w in all_perms(m)
-        if (occs := occurrences(w, p))
+        if (occ := first_occurrence(w, p))
     )
     checked, failure = _sweep(embeddings, _embeds, show=_show_pair)
     if failure is not None:

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import redux.commutation
 import redux.tilings
 from redux.commutation import (
     FlipGraph,
+    _trace_key,
     class_of,
     classes,
     cycle_space_generated_by_4_8_cycles,
@@ -83,6 +85,28 @@ def test_graph_edges_match_long_moves_on_R():
                 j = class_of(apply_long_move(word, pos), cls)
                 edges.add((min(i, j), max(i, j)))
         assert graph(w).edges == edges, w
+
+
+def test_trace_key_matches_normal_form_on_R():
+    """Over R(w), equal trace keys and equal normal forms split the words
+    into the same classes."""
+    for w in permutations(range(1, 6)):
+        pairs = {(_trace_key(word), lex_normal_form(word)) for word in enumerate_R(w)}
+        assert len({key for key, _ in pairs}) == len(pairs), w
+        assert len({form for _, form in pairs}) == len(pairs), w
+
+
+@given(words5, st.data())
+def test_trace_key_matches_normal_form(word, data):
+    other = data.draw(st.sampled_from(enumerate_R(evaluate(word, 5)[0])))
+    same_key = _trace_key(word) == _trace_key(other)
+    assert same_key == (lex_normal_form(word) == lex_normal_form(other))
+
+
+def test_graph_rejects_a_move_into_no_class(monkeypatch):
+    monkeypatch.setattr(redux.commutation, "_long_moves", lambda rep: [(1, 1, 2)])
+    with pytest.raises(ValueError, match="is in no class"):
+        graph((3, 2, 1))
 
 
 @given(words5)

@@ -140,6 +140,20 @@ def test_peel_word_of_zonotopal_tilings_S5():
             assert evaluate(peel_word(t), 5) == (w, True), t.key()
 
 
+@pytest.mark.parametrize(
+    "ws", [perms5_all, [(2, 4, 3, 1, 9, 6, 5, 8, 7)]], ids=["S5", "W9"]
+)
+def test_chain_words_match_the_rescan(ws):
+    """An enumerated tiling's word is read off its chain; the same tiles
+    without the chain are peeled again by rescanning the boundary."""
+    for w in ws:
+        for t in enumerate_rhombic(w) + enumerate_zonotopal(w):
+            assert (t.chain is None) == (not t.tiles)  # only e has no peel
+            word = peel_word(t)
+            assert word == peel_word(Tiling(w, t.tiles)), t.key()
+            assert evaluate(word, len(w)) == (w, True), t.key()
+
+
 def test_eln_is_a_bijection_S4():
     for w in perms4:
         tilings = enumerate_rhombic(w)
