@@ -208,7 +208,9 @@ def _enumerate(w: Perm, max_order: int) -> tuple[Tiling, ...]:
         codes.update(_chain_tiles(chain))
     ranked = sorted(codes, key=lambda code: decode(code, n))
     rank = {code: r for r, code in enumerate(ranked)}
-    chains = sorted(chains, key=lambda chain: sorted(map(rank.__getitem__, _chain_tiles(chain))))
+    chains = sorted(
+        chains, key=lambda chain: sorted(map(rank.__getitem__, _chain_tiles(chain)))
+    )
     return tuple(Tiling(w, frozenset(_chain_tiles(chain)), chain) for chain in chains)
 
 
