@@ -247,6 +247,27 @@ def test_tiling_order_pinned_S5():
     assert h.hexdigest() == TILING_ORDER_DIGEST
 
 
+# sha256 over boundary_edges(w) and the edge_set of every tiling in
+# enumerate_zonotopal(w), each edge as (sorted point, label) and each set
+# sorted, for every w of S_5 and for W9.  edge_set is the reference order of
+# P(w) (TilingPoset.leq), so rewriting it must not move a single edge.
+EDGE_SETS_DIGEST = (
+    "db9a566ceafa19245e4e7d185431e0308503850a0a15dcbce368ad6ffb09f3a6"
+)
+
+
+def test_edge_sets_pinned_S5():
+    def edges(edge_set):
+        return sorted((tuple(sorted(point)), label) for point, label in edge_set)
+
+    h = hashlib.sha256()
+    for w in perms5_all + [(2, 4, 3, 1, 9, 6, 5, 8, 7)]:
+        h.update(repr((w, edges(boundary_edges(w)))).encode())
+        for t in enumerate_zonotopal(w):
+            h.update(repr(edges(t.edge_set)).encode())
+    assert h.hexdigest() == EDGE_SETS_DIGEST
+
+
 def test_mono_is_injective_on_the_worked_example():
     w = (4, 6, 1, 7, 3, 5, 2)
     p = (3, 1, 5, 4, 2)
