@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .permcore import Perm, check_perm, inversions, position
@@ -23,6 +24,8 @@ class Occurrence:
     values: tuple[int, ...]
 
     def value_of_role(self, m: int) -> int:
+        if not 1 <= m <= len(self.pattern):
+            raise ValueError(f"no role {m} in a pattern of length {len(self.pattern)}")
         return sorted(self.values)[m - 1]
 
     def roles(self) -> tuple[int, ...]:
@@ -30,23 +33,30 @@ class Occurrence:
         return tuple(sorted(self.values))
 
 
+@cache
+def _bounds(p: Perm) -> tuple:
+    """bounds[d]: the nearest values below and above p[d] among p[:d], 0 and
+    len(p) + 1 when there is none."""
+    return tuple(
+        (
+            max((v for v in p[:d] if v < p[d]), default=0),
+            min((v for v in p[:d] if v > p[d]), default=len(p) + 1),
+        )
+        for d in range(len(p))
+    )
+
+
 def _search(w: Perm, p: Perm):
     """Every occurrence of p in w as its 1-based position tuple, in
     lexicographic order, by backtracking over positions.
 
     The entry of w chosen for p[d] must lie strictly between the entries
-    chosen for the nearest values below and above p[d] among p[:d].  A
-    prefix that fails this orders its entries unlike p already, so it is
-    dropped with every extension.
+    chosen for the nearest values below and above p[d] among p[:d]
+    (:func:`_bounds`).  A prefix that fails this orders its entries unlike p
+    already, so it is dropped with every extension.
     """
     n, k = len(w), len(p)
-    bounds = [
-        (
-            max((v for v in p[:d] if v < p[d]), default=0),
-            min((v for v in p[:d] if v > p[d]), default=k + 1),
-        )
-        for d in range(k)
-    ]
+    bounds = _bounds(p)
     entry = [0] * (k + 1) + [n + 1]  # entry[v]: the entry playing value v
     positions: list[int] = []
     i = 1  # the next candidate position for p[len(positions)]

@@ -16,7 +16,7 @@ import math
 from .commutation import FlipGraph
 from .permcore import Perm, check_perm, identity
 from .redwords import format_word
-from .tilings import Point, Tiling, TilingPoset, decode
+from .tilings import Point, Tiling, TilingPoset, polygon_outline, tile_outline
 
 SCALE = 40.0  # screen units per unit edge
 PAD = 20.0  # margin around the drawing
@@ -32,15 +32,9 @@ def to_json(payload: dict) -> str:
     return json.dumps({"schema": 1, **payload}, indent=2, sort_keys=True) + "\n"
 
 
-def _decoded(t: Tiling) -> list:
-    """The tiles of t as decoded (labels, anchor) pairs, sorted."""
-    return sorted(decode(code, len(t.w)) for code in t.tiles)
-
-
 def _tiles(t: Tiling) -> list:
     return [
-        {"labels": list(labels), "anchor": list(anchor)}
-        for labels, anchor in _decoded(t)
+        {"labels": list(labels), "anchor": list(anchor)} for labels, anchor in t.key()
     ]
 
 
@@ -130,34 +124,21 @@ def polygon_svg(w: Perm) -> str:
     n = len(w)
     if w == identity(n):
         return DEGENERATE_SVG
-    left = [frozenset(range(1, j + 1)) for j in range(n + 1)]
-    right = [frozenset(w[:j]) for j in range(1, n)]
-    ring = [_locate(n, pt) for pt in left + right[::-1]]
+    ring = [_locate(n, pt) for pt in polygon_outline(w)]
     edge_labels = list(range(1, n + 1)) + list(reversed(w))
     texts = list(zip(ring, ring[1:] + ring[:1], edge_labels))
     return _svg(ring, [(ring, "none")], texts)
 
 
-def _tile_cycle(labels: tuple, anchor: tuple) -> list:
-    """The grid points around a decoded tile: down its right side, then up
-    its left side."""
-    down = [frozenset(anchor)]
-    for label in reversed(labels):
-        down.append(down[-1] | {label})
-    up = [frozenset(anchor)]
-    for label in labels:
-        up.append(up[-1] | {label})
-    return down + list(reversed(up[1:-1]))
-
-
 def tiling_svg(t: Tiling) -> str:
-    """The tiles of t, rhombi blue and larger tiles orange."""
+    """The tiles of t, rhombi blue and larger tiles orange, framed by X(w),
+    which holds every tile."""
     n = len(t.w)
     if t.w == identity(n):
         return DEGENERATE_SVG
     shapes = []
-    for labels, anchor in _decoded(t):
+    for labels, anchor in t.key():
         fill = "#cce5ff" if len(labels) == 2 else "#ffd9b3"
-        shapes.append(([_locate(n, pt) for pt in _tile_cycle(labels, anchor)], fill))
-    left = [_locate(n, frozenset(range(1, j + 1))) for j in range(n + 1)]
-    return _svg(left + [pt for points, _ in shapes for pt in points], shapes, [])
+        shapes.append(([_locate(n, pt) for pt in tile_outline(labels, anchor)], fill))
+    frame = [_locate(n, pt) for pt in polygon_outline(t.w)]
+    return _svg(frame, shapes, [])

@@ -20,8 +20,8 @@ from functools import cache, cached_property, lru_cache, reduce
 from itertools import combinations, product, repeat
 from operator import or_
 
-from .commutation import FlipGraph, class_of, classes, gf2_rank
-from .patterns import Occurrence, is_freely_braided, occurrences
+from .commutation import FlipGraph, class_of, classes, gf2_rank, is_path, is_tree
+from .patterns import Occurrence, avoids, is_freely_braided, occurrences
 from .permcore import (
     Perm,
     check_perm,
@@ -85,9 +85,10 @@ def _tile_pairs(code: int, n: int) -> int:
 
 @lru_cache(maxsize=1)
 def _inversion_mask(w: Perm) -> int:
-    """The unit cells of X(w): the pairs of values that w inverts.  Tilings
-    are built one w at a time, so one entry serves a whole enumeration."""
-    n = len(w)
+    """The unit cells of X(w): the pairs of values that w inverts; raises
+    ValueError unless w is a permutation.  Tilings are built one w at a
+    time, so one entry serves a whole enumeration."""
+    n = len(check_perm(w))
     return sum(
         _pair_bit(w[j], w[i])
         for i in range(n)
@@ -96,17 +97,30 @@ def _inversion_mask(w: Perm) -> int:
     )
 
 
-def boundary_edges(w: Perm) -> frozenset:
+def polygon_outline(w: Perm) -> list[Point]:
+    """The grid points around X(w): down its left side from the top vertex,
+    then up its right side."""
     n = len(w)
-    out = set()
-    left: Point = frozenset()
-    right: Point = frozenset()
-    for j in range(1, n + 1):
-        out.add((left, j))
-        out.add((right, w[j - 1]))
-        left = left | {j}
-        right = right | {w[j - 1]}
-    return frozenset(out)
+    left = [frozenset(range(1, j + 1)) for j in range(n + 1)]
+    return left + [frozenset(w[:j]) for j in range(n - 1, 0, -1)]
+
+
+def tile_outline(labels: tuple, anchor: tuple) -> list[Point]:
+    """The grid points around a decoded tile: down its right side from the
+    anchor, adding the labels in decreasing order, then up its left side."""
+    at, k = frozenset(anchor), len(labels)
+    down = [at.union(labels[i:]) for i in range(k, -1, -1)]
+    return down + [at.union(labels[:i]) for i in range(k - 1, 0, -1)]
+
+
+def _outline_edges(outline: list) -> set:
+    """The edges between consecutive points of a closed outline, each as
+    (the point above it, its label)."""
+    return {(a & b, *(a ^ b)) for a, b in zip(outline, outline[1:] + outline[:1])}
+
+
+def boundary_edges(w: Perm) -> frozenset:
+    return frozenset(_outline_edges(polygon_outline(w)))
 
 
 @dataclass(frozen=True)
@@ -115,7 +129,7 @@ class Tiling:
 
     ``tiles`` is a frozenset of tile codes.  ``chain`` is the chain of the
     tiling's canonical peel when enumeration built it (see
-    :func:`_canonical_peels`), else None; :func:`peel_word` reads it.
+    :func:`_canonical_peels`), else None; :func:`_peel_order` reads it.
     """
 
     w: Perm
@@ -133,14 +147,9 @@ class Tiling:
     @cached_property
     def edge_set(self) -> frozenset:
         n = len(self.w)
-        out = set(boundary_edges(self.w))
+        out = _outline_edges(polygon_outline(self.w))
         for code in self.tiles:
-            labels, anchor = decode(code, n)
-            for side in (labels[::-1], labels):
-                at = frozenset(anchor)
-                for label in side:
-                    out.add((at, label))
-                    at = at | {label}
+            out |= _outline_edges(tile_outline(*decode(code, n)))
         return frozenset(out)
 
     def is_rhombic(self) -> bool:
@@ -170,8 +179,9 @@ def _peels(u: Perm, lo: int, hi: int):
 
     A tile sits on the right boundary exactly where u has a descending run
     u(j) > ... > u(j+m-1); its labels are the run and its anchor is
-    {u(1), ..., u(j-1)}.  Yields (j, m, tile code), topmost first: by j,
-    then by m; ``_peeled(u, j, m)`` is the boundary the peel leaves.
+    {u(1), ..., u(j-1)}.  Yields (j, m, tile code, rest), topmost first: by
+    j, then by m; rest is the boundary the peel leaves, u with the run
+    sorted ascending.
     """
     n = len(u)
     anchor = 0
@@ -181,15 +191,10 @@ def _peels(u: Perm, lo: int, hi: int):
         while m <= hi and j + m - 1 <= n and u[j + m - 3] > u[j + m - 2]:
             run |= 1 << (u[j + m - 2] - 1)
             if m >= lo:
-                yield j, m, run | anchor << n
+                rest = u[: j - 1] + u[j - 1 : j - 1 + m][::-1] + u[j - 1 + m :]
+                yield j, m, run | anchor << n, rest
             m += 1
         anchor |= 1 << (u[j - 1] - 1)
-
-
-def _peeled(u: Perm, j: int, m: int) -> Perm:
-    """u with its run at positions j..j+m-1 sorted ascending: the boundary
-    left when the tile on that run is peeled off."""
-    return u[: j - 1] + u[j - 1 : j - 1 + m][::-1] + u[j - 1 + m :]
 
 
 def _enumerate(w: Perm, max_order: int) -> tuple[Tiling, ...]:
@@ -219,13 +224,13 @@ def _canonical_peels(u: Perm, max_order: int, memo: dict) -> tuple:
     chain of its canonical peel: the topmost tile on the boundary first.
 
     A chain is None, the empty tiling of the identity (the one boundary with
-    no peel), or (tile, rest): the tile peels off positions j..end of u and
-    rest is the chain of the tiling left on the new boundary.  The anchor
+    no peel), or (tile, tail): the tile peels off positions j..end of u and
+    tail is the chain of the tiling left on the new boundary.  The anchor
     holds j - 1 labels, so the code has ``end`` bits set.  The peel at j is
-    canonical exactly when rest's first tile ends at j or below:
-    - a tile on rest's boundary ending above j sat on u's boundary too,
+    canonical exactly when tail's first tile ends at j or below:
+    - a tile on the new boundary ending above j sat on u's boundary too,
       above the tile at j, so that peel was not the topmost;
-    - if rest has such a tile, its first tile, the topmost one, ends above j
+    - if tail has such a tile, its first tile, the topmost one, ends above j
       as well, since two tiles of a tiling on one boundary share no position;
     - no other tile on u's boundary lies above the tile at j: it would share
       a position with it.
@@ -235,10 +240,10 @@ def _canonical_peels(u: Perm, max_order: int, memo: dict) -> tuple:
     """
     if u not in memo:
         out = [
-            (tile, rest)
-            for j, m, tile in _peels(u, 2, max_order)
-            for rest in _canonical_peels(_peeled(u, j, m), max_order, memo)
-            if rest is None or rest[0].bit_count() >= j
+            (tile, tail)
+            for j, _, tile, rest in _peels(u, 2, max_order)
+            for tail in _canonical_peels(rest, max_order, memo)
+            if tail is None or tail[0].bit_count() >= j
         ]
         memo[u] = tuple(out) or (None,)
     return memo[u]
@@ -269,52 +274,53 @@ def enumerate_zonotopal(w: Perm) -> tuple[Tiling, ...]:
 # The Elnitsky bijection
 
 
-def _peel_sequence(t: Tiling):
-    """Peel the tiles of t off the right boundary, topmost eligible tile
-    first; yields (j, m, tile, boundary after the peel) for each."""
-    u = t.w
-    remaining = set(t.tiles)
-    while remaining:
-        for j, m, tile in _peels(u, 2, len(u)):
-            if tile in remaining:
+def _peel_order(t: Tiling) -> list[int]:
+    """The tiles of t in canonical peel order, topmost tile on the boundary
+    first.  A tiling that enumeration built holds this order as its chain;
+    any other tiling is peeled again by rescanning its boundary."""
+    if t.chain is not None:
+        return _chain_tiles(t.chain)
+    u, order = t.w, []
+    while len(order) < len(t.tiles):  # a peeled tile's run stays sorted
+        for _, _, tile, rest in _peels(u, 2, len(u)):
+            if tile in t.tiles:
                 break
         else:
             raise ValueError("no tile on the right boundary; not a tiling")
-        remaining.discard(tile)
-        u = _peeled(u, j, m)
-        yield j, m, tile, u
+        order.append(tile)
+        u = rest
+    return order
 
 
 @cache
 def _peel_letters(j: int, m: int) -> tuple[int, ...]:
     """The letters that peeling the 2m-gon on positions j..j+m-1 adds to
     the peel sequence, in order: j - 1 + a for a = r..1, for r = 1..m-1, a
-    reduced word reversing the descending run there."""
-    return tuple(j - 1 + a for r in range(1, m) for a in range(r, 0, -1))
+    reduced word reversing the descending run there.  Checked once per
+    (j, m): each letter removes an inversion of the run."""
+    letters = tuple(j - 1 + a for r in range(1, m) for a in range(r, 0, -1))
+    run = list(range(m, 0, -1))
+    for i in (pos - j for pos in letters):
+        if run[i] < run[i + 1]:
+            raise RuntimeError(f"peel letter {i + j} adds an inversion")
+        run[i], run[i + 1] = run[i + 1], run[i]
+    return letters
 
 
 def peel_word(t: Tiling) -> Word:
     """The reduced word produced by the deterministic peel (topmost eligible
     tile first); reading the peel sequence right-to-left gives the word.
 
-    A tiling that enumeration built is read off its chain, whose tiles
-    come in this peel order and each peel at j = |anchor| + 1; any other
-    tiling is peeled again by rescanning its boundary.
+    Each tile in :func:`_peel_order` peels at j = |anchor| + 1, and each of
+    its letters removes an inversion, so the word reaches the identity
+    exactly when it has l(w) letters.
     """
     n = len(t.w)
     letters: list[int] = []
-    if t.chain is not None:
-        for tile in _chain_tiles(t.chain):
-            letters += _peel_letters((tile >> n).bit_count() + 1, _order(tile, n))
-        return tuple(reversed(letters))
-    u = list(t.w)
-    for j, m, _, _ in _peel_sequence(t):
-        for pos in _peel_letters(j, m):
-            if u[pos - 1] < u[pos]:
-                raise RuntimeError(f"peel letter {pos} adds an inversion")
-            letters.append(pos)
-            u[pos - 1], u[pos] = u[pos], u[pos - 1]
-    if u != sorted(u):
+    for tile in _peel_order(t):
+        above = (tile >> n).bit_count()
+        letters += _peel_letters(above + 1, tile.bit_count() - above)
+    if len(letters) != _inversion_mask(t.w).bit_count():
         raise RuntimeError("the peeled word does not reach the identity")
     return tuple(reversed(letters))
 
@@ -330,9 +336,8 @@ def tiling_from_word(word: Word, n: int) -> Tiling:
     u = w
     tiles = set()
     for letter in reversed(word):
-        tile = next(tile for j, _, tile in _peels(u, 2, 2) if j == letter)
+        _, _, tile, u = next(p for p in _peels(u, 2, 2) if p[0] == letter)
         tiles.add(tile)
-        u = _peeled(u, letter, 2)
     return Tiling(w, frozenset(tiles))
 
 
@@ -416,9 +421,8 @@ def _flip_graph(tilings) -> FlipGraph:
 def _sort_window(u: Perm, r: int, s: int, tiles: list) -> Perm:
     """Sort positions r..s ascending by peeling rhombi (topmost descent first)."""
     while peel := next((p for p in _peels(u, 2, 2) if r <= p[0] < s), None):
-        j, _, tile = peel
+        _, _, tile, u = peel
         tiles.append(tile)
-        u = _peeled(u, j, 2)
     return u
 
 
@@ -437,17 +441,15 @@ def mono(w: Perm, occ: Occurrence, t: Tiling) -> Tiling:
     if t.w != p or not t.is_rhombic():
         raise ValueError("t must be a rhombic tiling of the pattern's polygon")
     amb = occ.roles()  # amb[v - 1] plays the pattern value v
-    u, pcur = w, p
+    u = w
     tiles: list = []
-    for _, _, tile, pcur in _peel_sequence(t):
+    for tile in _peel_order(t):
         labels = tile & ((1 << len(p)) - 1)
         r = u.index(amb[labels.bit_length() - 1]) + 1
         s = u.index(amb[(labels & -labels).bit_length() - 1]) + 1
         if r >= s:
             raise RuntimeError("a pattern tile's entries are out of order in w")
         u = _sort_window(u, r, s, tiles)
-    if pcur != tuple(sorted(pcur)):
-        raise RuntimeError("the peel did not sort the pattern")
     u = _sort_window(u, 1, len(u), tiles)
     if u != identity(len(w)):
         raise RuntimeError("the lifted tiles do not sort w")
@@ -483,9 +485,8 @@ def _tile_label_sets(w: Perm) -> set:
     stack = [w]
     while stack:
         u = stack.pop()
-        for j, m, tile in _peels(u, 2, len(w)):
+        for _, _, tile, rest in _peels(u, 2, len(w)):
             out.add(tile & full)
-            rest = _peeled(u, j, m)
             if rest not in seen:
                 seen.add(rest)
                 stack.append(rest)
@@ -519,7 +520,7 @@ def _uniform_2k_tiling_of(u: Perm, k: int, memo: dict) -> bool:
     boundary done so far to its answer."""
     if u not in memo:
         memo[u] = u == identity(len(u)) or any(
-            _uniform_2k_tiling_of(_peeled(u, j, k), k, memo) for j, _, _ in _peels(u, k, k)
+            _uniform_2k_tiling_of(rest, k, memo) for _, _, _, rest in _peels(u, k, k)
         )
     return memo[u]
 
@@ -724,9 +725,6 @@ def level2_cycle_correspondence(w: Perm) -> bool:
 def chain_equivalences(w: Perm) -> tuple[bool, bool, bool, bool]:
     """(flip graph is a tree, is a path, maximal covers minimal in P(w),
     w avoids 4321 and all 321-patterns pairwise intersect at least twice)."""
-    from .commutation import is_path, is_tree
-    from .patterns import avoids
-
     p = poset(w)
     g = _flip_graph(p.elements[j] for j in p.minimal_indices())
     occs = occurrences(w, (3, 2, 1))

@@ -41,6 +41,14 @@ def test_occurrences_golden():
     assert one.value_of_role(3) == 6
 
 
+def test_value_of_role_rejects_roles_outside_the_pattern():
+    occ = occurrences((3, 2, 1), (3, 2, 1))[0]
+    assert [occ.value_of_role(m) for m in (1, 2, 3)] == [1, 2, 3]
+    for m in (-1, 0, 4):
+        with pytest.raises(ValueError, match=f"no role {m} "):
+            occ.value_of_role(m)
+
+
 def _occurrences_by_subsets(w, p):
     """(positions, values) of every occurrence of p in w: the reference scan
     over all k-subsets of positions, each tested pair by pair."""

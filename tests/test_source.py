@@ -49,6 +49,21 @@ def test_no_assert_in_library():
     assert found == []
 
 
+def test_imports_are_at_module_level():
+    """No function imports on each call; every module states its imports
+    at the top."""
+    found = []
+    for path in sorted(Path(redux.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == []
+
+
 def _perfbench_spans():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)

@@ -87,6 +87,9 @@ def test_tiling_area_check():
     hexagon = _code({1, 2, 3}, (), 3)
     with pytest.raises(ValueError, match="overlap"):
         Tiling(w, frozenset({hexagon, _code({1, 2}, (), 3)}))
+    for not_a_perm in ((1, 1), (0,)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Tiling(not_a_perm, frozenset())
 
 
 def test_tile_codec_round_trip_S5():
@@ -145,13 +148,23 @@ def test_peel_word_of_zonotopal_tilings_S5():
 )
 def test_chain_words_match_the_rescan(ws):
     """An enumerated tiling's word is read off its chain; the same tiles
-    without the chain are peeled again by rescanning the boundary."""
+    without the chain are peeled again by rescanning the boundary, which
+    finds the chain's order."""
     for w in ws:
         for t in enumerate_rhombic(w) + enumerate_zonotopal(w):
             assert (t.chain is None) == (not t.tiles)  # only e has no peel
+            bare = Tiling(w, t.tiles)
+            order = redux.tilings._peel_order(bare)
+            assert order == redux.tilings._chain_tiles(t.chain), t.key()
             word = peel_word(t)
-            assert word == peel_word(Tiling(w, t.tiles)), t.key()
+            assert word == peel_word(bare), t.key()
             assert evaluate(word, len(w)) == (w, True), t.key()
+
+
+def test_peel_word_rejects_a_chain_lacking_a_tile():
+    t = enumerate_zonotopal((2, 4, 3, 1, 9, 6, 5, 8, 7))[-1]
+    with pytest.raises(RuntimeError, match="does not reach the identity"):
+        peel_word(Tiling(t.w, t.tiles, t.chain[1]))
 
 
 def test_eln_is_a_bijection_S4():
