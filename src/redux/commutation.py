@@ -114,6 +114,7 @@ class FlipGraph:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
+    @cached_property
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in self.vertices]
         for a, b in self.edges:
@@ -121,8 +122,26 @@ class FlipGraph:
             adj[b].add(a)
         return adj
 
-    def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adjacency()]
+    @cached_property
+    def _walk(self) -> tuple[int, bool]:
+        """(number of components, are they all 2-colourable), from one walk."""
+        color: dict[int, int] = {}
+        components, bipartite = 0, True
+        for start in range(self.vertex_count):
+            if start in color:
+                continue
+            components += 1
+            color[start] = 0
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                for nbr in self.adjacency[v]:
+                    if nbr not in color:
+                        color[nbr] = 1 - color[v]
+                        stack.append(nbr)
+                    elif color[nbr] == color[v]:
+                        bipartite = False
+        return components, bipartite
 
 
 def _normal_forms(w: Perm) -> list[Word]:
@@ -257,36 +276,11 @@ def graph(w: Perm) -> FlipGraph:
 
 
 def is_connected(g: FlipGraph) -> bool:
-    if g.vertex_count == 0:
-        return True
-    adj = g.adjacency()
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nbr in adj[stack.pop()]:
-            if nbr not in seen:
-                seen.add(nbr)
-                stack.append(nbr)
-    return len(seen) == g.vertex_count
+    return g._walk[0] <= 1
 
 
 def is_bipartite(g: FlipGraph) -> bool:
-    adj = g.adjacency()
-    color: dict[int, int] = {}
-    for start in range(g.vertex_count):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for nbr in adj[v]:
-                if nbr not in color:
-                    color[nbr] = 1 - color[v]
-                    stack.append(nbr)
-                elif color[nbr] == color[v]:
-                    return False
-    return True
+    return g._walk[1]
 
 
 def is_tree(g: FlipGraph) -> bool:
@@ -294,12 +288,12 @@ def is_tree(g: FlipGraph) -> bool:
 
 
 def is_path(g: FlipGraph) -> bool:
-    return is_tree(g) and all(d <= 2 for d in g.degrees())
+    return is_tree(g) and all(len(nbrs) <= 2 for nbrs in g.adjacency)
 
 
 def simple_cycles_of_length(g: FlipGraph, target: int) -> list[frozenset[tuple[int, int]]]:
     """All simple cycles with exactly ``target`` edges, as canonical edge sets."""
-    adj = g.adjacency()
+    adj = g.adjacency
     found: set[frozenset[tuple[int, int]]] = set()
     for start in range(g.vertex_count):
         _extend_cycles([start], adj, target, found)
@@ -335,17 +329,20 @@ def gf2_rank(vectors: list[int]) -> int:
     return len(basis)
 
 
+def spans_cycle_space(g: FlipGraph, cycles) -> bool:
+    """Do these cycles, each a set of edges, span the GF(2) cycle space of
+    the connected graph ``g``?"""
+    edge_index = {e: i for i, e in enumerate(sorted(g.edges))}
+    vectors = [sum(1 << edge_index[e] for e in cycle) for cycle in cycles]
+    return gf2_rank(vectors) == len(g.edges) - g.vertex_count + 1
+
+
 def cycle_space_generated_by_4_8_cycles(g: FlipGraph) -> bool:
     """Do the 4- and 8-cycles span the full GF(2) cycle space of ``g``?"""
     if not is_connected(g):
         raise ValueError("the graph must be connected")
-    edge_index = {e: i for i, e in enumerate(sorted(g.edges))}
     cycles = simple_cycles_of_length(g, 4) + simple_cycles_of_length(g, 8)
-    vectors = [
-        sum(1 << edge_index[e] for e in cycle) for cycle in cycles
-    ]
-    dim = len(g.edges) - g.vertex_count + 1
-    return gf2_rank(vectors) == dim
+    return spans_cycle_space(g, cycles)
 
 
 def _iso_backtrack(adj1: list[set[int]], adj2: list[set[int]]) -> bool:
@@ -386,7 +383,7 @@ def graphs_isomorphic(g1: FlipGraph, g2: FlipGraph) -> bool:
         )
     if g1.vertex_count != g2.vertex_count or len(g1.edges) != len(g2.edges):
         return False
-    return _iso_backtrack(g1.adjacency(), g2.adjacency())
+    return _iso_backtrack(g1.adjacency, g2.adjacency)
 
 
 def reverse(w: Perm) -> Perm:

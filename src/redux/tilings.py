@@ -20,7 +20,7 @@ from functools import cache, cached_property, lru_cache, reduce
 from itertools import combinations, product, repeat
 from operator import or_
 
-from .commutation import FlipGraph, class_of, classes, gf2_rank, is_path, is_tree
+from .commutation import FlipGraph, class_of, classes, is_path, is_tree, spans_cycle_space
 from .patterns import Occurrence, avoids, is_freely_braided, occurrences
 from .permcore import (
     Perm,
@@ -636,6 +636,12 @@ class TilingPoset:
     def minimal_indices(self) -> list[int]:
         return [j for j, below in enumerate(self._lower_covers) if not below]
 
+    @cached_property
+    def flip_graph(self) -> FlipGraph:
+        """The flip graph on the minimal elements, T(w): vertex v is element
+        ``minimal_indices()[v]``."""
+        return _flip_graph(self.elements[j] for j in self.minimal_indices())
+
     def maximal_indices(self) -> list[int]:
         covered = {i for i, _ in self.hasse}
         return [i for i in range(len(self.elements)) if i not in covered]
@@ -683,7 +689,7 @@ def level2_cycle_correspondence(w: Perm) -> bool:
     p = poset(w)
     # the minimal elements are T(w): element index -> flip graph vertex
     minimal = {j: v for v, j in enumerate(p.minimal_indices())}
-    graph = _flip_graph(p.elements[j] for j in minimal)
+    adj = p.flip_graph.adjacency
 
     edge_level = set()
     for i, j in p.hasse:
@@ -695,9 +701,7 @@ def level2_cycle_correspondence(w: Perm) -> bool:
             return False
     level2 = {j for i, j in p.hasse if i in edge_level}
 
-    cycle_vectors = []
-    edge_index = {e: i for i, e in enumerate(sorted(graph.edges))}
-    adj = graph.adjacency()
+    cycles = []
     for j in level2:
         profile = [o for o in p.elements[j].shape_profile() if o > 2]
         if profile not in ([3, 3], [4]):
@@ -706,27 +710,20 @@ def level2_cycle_correspondence(w: Perm) -> bool:
         expected = 4 if profile == [3, 3] else 8
         if len(below) != expected:
             return False
-        cycle_edges = {
-            (min(a, b), max(a, b))
-            for a in below
-            for b in adj[a]
-            if b in below
-        }
-        if len(cycle_edges) != expected or any(
+        cycle = {(min(a, b), max(a, b)) for a in below for b in adj[a] if b in below}
+        if len(cycle) != expected or any(
             sum(1 for b in adj[a] if b in below) != 2 for a in below
         ):
             return False
-        cycle_vectors.append(sum(1 << edge_index[e] for e in cycle_edges))
-
-    dim = len(graph.edges) - graph.vertex_count + 1
-    return gf2_rank(cycle_vectors) == dim
+        cycles.append(cycle)
+    return spans_cycle_space(p.flip_graph, cycles)
 
 
 def chain_equivalences(w: Perm) -> tuple[bool, bool, bool, bool]:
     """(flip graph is a tree, is a path, maximal covers minimal in P(w),
     w avoids 4321 and all 321-patterns pairwise intersect at least twice)."""
     p = poset(w)
-    g = _flip_graph(p.elements[j] for j in p.minimal_indices())
+    g = p.flip_graph
     occs = occurrences(w, (3, 2, 1))
     pattern_cond = avoids(w, (4, 3, 2, 1)) and all(
         len(set(a.positions) & set(b.positions)) >= 2
@@ -810,7 +807,7 @@ def freely_braided_structure(w: Perm) -> FreelyBraidedReport:
     cls = classes(w)
     p = poset(w)
     minimal = p.minimal_indices()
-    graph = _flip_graph(p.elements[j] for j in minimal)
+    graph = p.flip_graph
     hexagons_ok = True
     for t in graph.vertices:
         inner = [inside for _, inside, _ in _hexagons(t)]

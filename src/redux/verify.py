@@ -113,6 +113,8 @@ def _vexthm(n: int) -> tuple[int, str | None]:
         if (occ := first_occurrence(w, p))
     )
     checked, failure = _sweep(embeddings, _embeds, show=_show_pair)
+    if checked == 0:
+        raise EmptySweepError(f"vexthm checks no embedding at n={n}")
     if failure is not None:
         return checked, failure
     nonvexillary = (p for k in (4, 5) for p in all_perms(k) if not is_vexillary(p))
@@ -173,9 +175,9 @@ def _monotone(n: int) -> tuple[int, str | None]:
 
 def _tilings_match_classes(w: Perm) -> bool:
     """|T(w)| = |C(w)| and the flip graph is isomorphic to the class graph;
-    T(w) is enumerated once, as the flip graph's vertices."""
-    flips = flip_graph_from_tilings(w)
-    return flips.vertex_count == len(classes(w)) and graphs_isomorphic(flips, graph(w))
+    T(w) and C(w) are each enumerated once, as the vertices of one graph."""
+    flips, g = flip_graph_from_tilings(w), graph(w)
+    return flips.vertex_count == g.vertex_count and graphs_isomorphic(flips, g)
 
 
 def _uniform_2k_tiling_iff(nk: tuple[int, int]) -> bool:

@@ -107,6 +107,7 @@ def test_usage_errors_exit_2(capsys):
         ["--format", "json", "render", "polygon", "321"],
         ["verify", "monotone", "--n", "3"],
         ["verify", "2ktiles", "--n", "2"],
+        ["verify", "vexthm", "--n", "2"],
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv

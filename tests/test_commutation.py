@@ -207,6 +207,16 @@ def test_graph_utilities():
     assert not is_tree(square)
     assert len(simple_cycles_of_length(square, 4)) == 1
     assert simple_cycles_of_length(square, 3) == []
+    assert square.adjacency is square.adjacency
+    # (vertex count, edges, connected, bipartite); one walk answers both
+    for count, edges, connected, bipartite in [
+        (3, {(0, 1), (1, 2), (0, 2)}, True, False),
+        (5, {(0, 1), (2, 3), (3, 4), (2, 4)}, False, False),
+        (0, set(), True, True),
+        (3, {(0, 1)}, False, True),
+    ]:
+        g = FlipGraph(vertices=tuple(range(count)), edges=frozenset(edges))
+        assert (is_connected(g), is_bipartite(g)) == (connected, bipartite), edges
 
 
 def test_graphs_isomorphic():
@@ -260,7 +270,7 @@ def test_gf2_rank_matches_reference_on_level2_cycles_S5(monkeypatch):
         seen.append(list(vectors))
         return gf2_rank(vectors)
 
-    monkeypatch.setattr(redux.tilings, "gf2_rank", recording_rank)
+    monkeypatch.setattr(redux.commutation, "gf2_rank", recording_rank)
     for w in permutations(range(1, 6)):
         assert redux.tilings.level2_cycle_correspondence(w), w
     assert any(seen)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import redux.commutation
 import redux.tilings
 import redux.verify
 from redux.commutation import FlipGraph, classes, graph, graphs_isomorphic
@@ -461,6 +462,18 @@ def test_one_rhombic_enumeration_per_call(monkeypatch, check, w, verdict):
         redux.tilings, "enumerate_rhombic", lambda w: calls.append(w) or real(w)
     )
     assert check(w) == verdict
+    assert calls == [w]
+
+
+def test_one_class_enumeration_for_elthm(monkeypatch):
+    """elthm reads C(w) off the vertices of the class graph it builds; both
+    names a caller could reach ``classes`` through are counted."""
+    w = (4, 6, 5, 2, 3, 1)
+    calls = []
+    real = redux.commutation.classes
+    for module in (redux.commutation, redux.verify):
+        monkeypatch.setattr(module, "classes", lambda w: calls.append(w) or real(w))
+    assert redux.verify._tilings_match_classes(w)
     assert calls == [w]
 
 

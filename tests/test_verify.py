@@ -37,9 +37,13 @@ def test_unknown_theorem():
 
 
 def test_empty_sweep_is_not_a_pass():
-    """No w in S3 contains a pattern of S4, so monotone has nothing to check."""
+    """No w in S3 contains a pattern of S4, so monotone has nothing to check;
+    no w in S2 contains a pattern of S3, so vexthm embeds nothing, although
+    its non-vexillary witnesses do not depend on n."""
     with pytest.raises(ValueError, match="monotone checks no case at n=3"):
         run("monotone", 3)
+    with pytest.raises(ValueError, match="vexthm checks no embedding at n=2"):
+        run("vexthm", 2)
 
 
 def test_summary_formatting():
