@@ -48,10 +48,10 @@ from .commutation import (
     graphs_isomorphic,
     is_path,
     is_tree,
-    lex_normal_form,
     reverse,
     rotate_prefix,
     rotate_suffix,
+    trace_key,
 )
 from .vexalg import (
     VexError,

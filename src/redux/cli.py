@@ -63,11 +63,16 @@ class SystemExit2(Exception):
     """Usage error carrying a message; mapped to exit code 2."""
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int that is at least ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _emit(args, text: str | Iterable[str]) -> None:
@@ -214,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format; render emits SVG or DOT by target unless json",
     )
-    parser.add_argument("--max-length", type=int, default=Budget.max_length)
-    parser.add_argument("--max-words", type=int, default=Budget.max_words)
+    parser.add_argument("--max-length", type=_int_at_least(0), default=Budget.max_length)
+    parser.add_argument("--max-words", type=_int_at_least(0), default=Budget.max_words)
     parser.add_argument("-o", "--output", default=None, help="write to file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -232,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="brute-force a theorem sweep")
     p_verify.add_argument("theorem")
-    p_verify.add_argument("--n", type=_positive_int, default=5)
+    p_verify.add_argument("--n", type=_int_at_least(1), default=5)
     p_verify.set_defaults(func=cmd_verify)
 
     p_render = sub.add_parser("render", help="emit SVG/DOT/JSON artifacts")

@@ -2,14 +2,15 @@
 
 A commutation class is a trace: its words are the linear extensions of one
 heap, the poset on letter positions generated by "p before q when p < q and
-|word[p] - word[q]| <= 1".  Each class is named by its lexicographically
-least word, its normal form, and the classes are enumerated as normal forms
-directly, without building R(w) (Cartier-Foata; Anisimov-Knuth).
+|word[p] - word[q]| <= 1".  The classes are enumerated as their
+lexicographically least words, their normal forms, directly, without
+building R(w) (Cartier-Foata; Anisimov-Knuth).  A word finds its class by
+its :func:`trace_key`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +21,6 @@ from .redwords import (
     apply_short_move,
     braid_moves,
     check_budget,
-    format_word,
 )
 
 GRAPH_ISO_VERTEX_CAP = 64
@@ -42,32 +42,10 @@ def _heap(word: Word) -> list[int]:
     return below
 
 
-def lex_normal_form(word: Word) -> Word:
-    """The lexicographically least word in the commutation class of ``word``.
-
-    Repeatedly moves to the output the smallest remaining letter that
-    commutes with every remaining letter before it.
-
-    >>> lex_normal_form((3, 1, 2, 3, 1))
-    (1, 3, 2, 1, 3)
-    """
-    word = tuple(word)
-    below = _heap(word)
-    taken = 0
-    out = []
-    for _ in word:
-        p = min(
-            (q for q in range(len(word)) if not taken >> q & 1 and not below[q] & ~taken),
-            key=word.__getitem__,
-        )
-        taken |= 1 << p
-        out.append(word[p])
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CommutationClass:
-    """A commutation class, keyed by its lexicographically least word."""
+    """A commutation class, represented by its lexicographically least word
+    and looked up by its :func:`trace_key`."""
 
     representative: Word
 
@@ -144,6 +122,27 @@ class FlipGraph:
         return components, bipartite
 
 
+def index_moves(name: str, w: Perm, keys: Iterable, moves: Iterable) -> list:
+    """The index pairs (i, j), one per move of element i, where element j's
+    key is the key the move leads to.  ``keys`` gives each element's key
+    and ``moves``, in the same order, the keys each element's moves lead to.
+
+    Raises RuntimeError naming the structure, ``name`` applied to w (such
+    as "G(321)"), when a move leads to no element: the elements are then
+    incomplete.
+    """
+    index = {key: i for i, key in enumerate(keys)}
+    pairs = []
+    for i, targets in enumerate(moves):
+        for key in targets:
+            j = index.get(key)
+            if j is None:
+                where = f"{name}({format_perm(w)})"
+                raise RuntimeError(f"{where} lacks a move target of element {i}")
+            pairs.append((i, j))
+    return pairs
+
+
 def _normal_forms(w: Perm) -> list[Word]:
     """Every lexicographically least word of a commutation class of w, sorted.
 
@@ -197,15 +196,6 @@ def classes(w: Perm) -> list[CommutationClass]:
     return [CommutationClass(form) for form in _normal_forms(w)]
 
 
-def class_of(word: Word, cls: list[CommutationClass]) -> int:
-    """Index in ``cls`` (sorted by representative) of the class of ``word``."""
-    form = lex_normal_form(word)
-    i = bisect_left(cls, form, key=lambda c: c.representative)
-    if i == len(cls) or cls[i].representative != form:
-        raise ValueError(f"word {format_word(word)} is in no class")
-    return i
-
-
 def _long_moves(rep: Word) -> list[Word]:
     """For each long braid move open to some word of rep's class, a word of
     the class that the move leads to.
@@ -233,15 +223,17 @@ def _long_moves(rep: Word) -> list[Word]:
     return out
 
 
-def _trace_key(word: Word) -> tuple[int, ...]:
+def trace_key(word: Word) -> tuple[int, ...]:
     """A key equal for two words exactly when they are in one commutation
     class: the projections of the word onto each dependent pair {i, i+1},
     i = 0..max letter, each read as bits (1 for i+1) after a leading 1.
 
     Letters commute exactly when they are not adjacent, so two words are
     in one class iff all these projections agree (the projection lemma for
-    traces; Cori-Perrin 1985).  O(l), against O(l^2) for
-    :func:`lex_normal_form`.
+    traces; Cori-Perrin 1985).  O(l), against O(l^2) for a normal form.
+
+    >>> trace_key((1, 3, 2)) == trace_key((3, 1, 2)) != trace_key((1, 2, 3))
+    True
     """
     key = [1] * (max(word, default=0) + 1)
     for a in word:
@@ -253,21 +245,16 @@ def _trace_key(word: Word) -> tuple[int, ...]:
 def graph(w: Perm) -> FlipGraph:
     """The graph G(w): vertices C(w), edges between classes one long braid
     move apart, found on each representative's heap.  The class a move
-    leads to is looked up by its :func:`_trace_key`.
+    leads to is looked up by its :func:`trace_key`.
 
     Raises RuntimeError if G(w) is not connected or not bipartite; the paper
     guarantees both, so a violation means the construction is broken.
     """
     cls = classes(w)
-    index = {_trace_key(c.representative): i for i, c in enumerate(cls)}
-    edges = set()
-    for i, c in enumerate(cls):
-        for word in _long_moves(c.representative):
-            j = index.get(_trace_key(word))
-            if j is None:
-                raise ValueError(f"word {format_word(word)} is in no class")
-            edges.add((min(i, j), max(i, j)))
-    g = FlipGraph(vertices=tuple(cls), edges=frozenset(edges))
+    keys = (trace_key(c.representative) for c in cls)
+    moves = (map(trace_key, _long_moves(c.representative)) for c in cls)
+    edges = frozenset((min(i, j), max(i, j)) for i, j in index_moves("G", w, keys, moves))
+    g = FlipGraph(vertices=tuple(cls), edges=edges)
     if not is_connected(g):
         raise RuntimeError(f"G({format_perm(w)}) is not connected")
     if not is_bipartite(g):

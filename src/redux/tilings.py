@@ -20,7 +20,9 @@ from functools import cache, cached_property, lru_cache, reduce
 from itertools import combinations, product, repeat
 from operator import or_
 
-from .commutation import FlipGraph, class_of, classes, is_path, is_tree, spans_cycle_space
+from .commutation import (
+    FlipGraph, classes, index_moves, is_path, is_tree, spans_cycle_space, trace_key
+)
 from .patterns import Occurrence, avoids, is_freely_braided, occurrences
 from .permcore import (
     Perm,
@@ -345,9 +347,11 @@ def eln(t: Tiling):
     """The commutation class corresponding to a rhombic tiling."""
     if not t.is_rhombic():
         raise ValueError("eln requires a rhombic tiling")
-    word = peel_word(t)
-    cls = classes(t.w)
-    return cls[class_of(word, cls)]
+    key = trace_key(peel_word(t))
+    for c in classes(t.w):
+        if trace_key(c.representative) == key:
+            return c
+    raise RuntimeError(f"C({format_perm(t.w)}) lacks the class of a tiling")
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +409,12 @@ def flip_graph_from_tilings(w: Perm) -> FlipGraph:
 def _flip_graph(tilings) -> FlipGraph:
     """The flip graph on all the rhombic tilings of one w, in the given order."""
     tilings = tuple(tilings)
-    index = {t.tiles: i for i, t in enumerate(tilings)}
-    edges = set()
-    for i, t in enumerate(tilings):
-        for _, inside, other in _hexagons(t):
-            j = index[(t.tiles - inside) | other]
-            edges.add((min(i, j), max(i, j)))
-    return FlipGraph(vertices=tilings, edges=frozenset(edges))
+    flips = (
+        ((t.tiles - inside) | other for _, inside, other in _hexagons(t)) for t in tilings
+    )
+    pairs = index_moves("T", tilings[0].w, (t.tiles for t in tilings), flips)
+    edges = frozenset((min(i, j), max(i, j)) for i, j in pairs)
+    return FlipGraph(vertices=tilings, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -612,18 +615,9 @@ class TilingPoset:
         one is missing, because Z(w) is then incomplete.
         """
         n = len(self.w)
-        index = {z.tiles: i for i, z in enumerate(self.elements)}
-        covers = set()
-        for j, z in enumerate(self.elements):
-            for tiles in _down_covers(z.tiles, n):
-                i = index.get(tiles)
-                if i is None:
-                    raise RuntimeError(
-                        f"Z({format_perm(self.w)}) lacks a tiling covered by "
-                        f"element {j}"
-                    )
-                covers.add((i, j))
-        return frozenset(covers)
+        keys = (z.tiles for z in self.elements)
+        lower = (_down_covers(z.tiles, n) for z in self.elements)
+        return frozenset((i, j) for j, i in index_moves("Z", self.w, keys, lower))
 
     @cached_property
     def _lower_covers(self) -> tuple:
@@ -776,16 +770,14 @@ def _onto(coords: list, digits: tuple, k: int) -> bool:
     )
 
 
-def _face_covers(coords: list) -> set:
-    """The covers (i, j) of the cube's face lattice on coordinates onto
-    {0, 1, 2}^k: j is i with one 0 or 1 coordinate turned into 2."""
-    index = {c: i for i, c in enumerate(coords)}
-    return {
-        (i, index[c[:m] + (2,) + c[m + 1 :]])
-        for i, c in enumerate(coords)
-        for m, digit in enumerate(c)
-        if digit != 2
-    }
+def _face_covers(w: Perm, coords: list) -> frozenset:
+    """The covers (i, j) of the cube's face lattice on the coordinates of
+    Z(w), onto {0, 1, 2}^k: j is i with one 0 or 1 coordinate turned into 2."""
+    raised = (
+        (c[:m] + (2,) + c[m + 1 :] for m, digit in enumerate(c) if digit != 2)
+        for c in coords
+    )
+    return frozenset(index_moves("Z", w, coords, raised))
 
 
 def freely_braided_structure(w: Perm) -> FreelyBraidedReport:
@@ -829,6 +821,6 @@ def freely_braided_structure(w: Perm) -> FreelyBraidedReport:
         and graph.edges == single_moves,
         poset_size=len(p.elements),
         poset_is_cube_face_lattice_minus_bottom=_onto(coords, (0, 1, 2), k)
-        and p.hasse == _face_covers(coords),
+        and p.hasse == _face_covers(w, coords),
         hexagons_ok=hexagons_ok,
     )

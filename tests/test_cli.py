@@ -119,11 +119,19 @@ def test_argparse_usage_exit_2(capsys):
         ["enum", "nothing", "321"],
         ["verify", "1lbm", "--n", "0"],
         ["--format", "dot", "render", "tiling:0", "321"],
+        ["--max-length", "-1", "enum", "classes", "321"],
+        ["--max-words", "-1", "enum", "words", "321"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
-    capsys.readouterr()
+    assert "--max-words: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_python_m_redux(capsys, python):
+    proc = python("-m", "redux", "info", "321")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(capsys, "info", "321")[1]
 
 
 def test_budget_exit_3(capsys):
@@ -146,6 +154,11 @@ def test_internal_error_exit_4(capsys, monkeypatch):
 def test_budget_flags(capsys):
     code, _, _ = run_cli(capsys, "--max-length", "2", "enum", "words", "321")
     assert code == 3
+    code, _, err = run_cli(capsys, "--max-length", "0", "enum", "words", "321")
+    assert code == 3
+    assert "exceeds the limit 0" in err
+    code, _, _ = run_cli(capsys, "--max-words", "0", "info", "321")
+    assert code == 0
     code, out, _ = run_cli(capsys, "--max-length", "3", "enum", "words", "321")
     assert code == 0
     assert out.splitlines()[-1] == "count 2"

@@ -12,8 +12,6 @@ import redux.commutation
 import redux.tilings
 from redux.commutation import (
     FlipGraph,
-    _trace_key,
-    class_of,
     classes,
     cycle_space_generated_by_4_8_cycles,
     gf2_rank,
@@ -23,11 +21,11 @@ from redux.commutation import (
     is_connected,
     is_path,
     is_tree,
-    lex_normal_form,
     reverse,
     rotate_prefix,
     rotate_suffix,
     simple_cycles_of_length,
+    trace_key,
 )
 from redux.permcore import longest_element
 from redux.redwords import (
@@ -56,71 +54,72 @@ def test_classes_golden_4231():
     assert [c.size for c in cls] == [1, 4, 1]
 
 
+def _home(w):
+    """Each word of R(w) -> the representative of its class, read off the
+    braid-move closures ``CommutationClass.words``."""
+    return {word: c.representative for c in classes(w) for word in c.words}
+
+
 def test_classes_partition_R():
     for w in permutations(range(1, 6)):
         cls = classes(w)
         words = enumerate_R(w)
         assert sorted(j for c in cls for j in c.words) == list(words), w
+        by_key = {trace_key(c.representative): c for c in cls}
         for word in words:
-            assert word in cls[class_of(word, cls)].words
+            assert word in by_key[trace_key(word)].words
         for c in cls:
             assert c.representative == min(c.words)
             assert c.size == len(c.words)
 
 
-def test_class_of_rejects_foreign_words():
-    cls = classes((3, 2, 1))
-    for word in ((1,), (2, 1), (1, 2, 1, 2), (1, 1, 2)):
-        with pytest.raises(ValueError, match="is in no class"):
-            class_of(word, cls)
-
-
 def test_graph_edges_match_long_moves_on_R():
     for w in permutations(range(1, 6)):
         cls = classes(w)
+        index = {word: i for i, c in enumerate(cls) for word in c.words}
         edges = set()
         for word in enumerate_R(w):
-            i = class_of(word, cls)
+            i = index[word]
             for pos in braid_moves(word)[1]:
-                j = class_of(apply_long_move(word, pos), cls)
+                j = index[apply_long_move(word, pos)]
                 edges.add((min(i, j), max(i, j)))
         assert graph(w).edges == edges, w
 
 
 def test_trace_key_matches_normal_form_on_R():
-    """Over R(w), equal trace keys and equal normal forms split the words
-    into the same classes."""
+    """Over R(w), equal trace keys and equal normal forms (class
+    representatives) split the words into the same classes."""
     for w in permutations(range(1, 6)):
-        pairs = {(_trace_key(word), lex_normal_form(word)) for word in enumerate_R(w)}
+        pairs = {(trace_key(word), form) for word, form in _home(w).items()}
         assert len({key for key, _ in pairs}) == len(pairs), w
         assert len({form for _, form in pairs}) == len(pairs), w
 
 
 @given(words5, st.data())
 def test_trace_key_matches_normal_form(word, data):
-    other = data.draw(st.sampled_from(enumerate_R(evaluate(word, 5)[0])))
-    same_key = _trace_key(word) == _trace_key(other)
-    assert same_key == (lex_normal_form(word) == lex_normal_form(other))
+    w = evaluate(word, 5)[0]
+    other = data.draw(st.sampled_from(enumerate_R(w)))
+    home = _home(w)
+    assert (trace_key(word) == trace_key(other)) == (home[word] == home[other])
 
 
 def test_graph_rejects_a_move_into_no_class(monkeypatch):
     monkeypatch.setattr(redux.commutation, "_long_moves", lambda rep: [(1, 1, 2)])
-    with pytest.raises(ValueError, match="is in no class"):
+    with pytest.raises(RuntimeError, match=r"G\(321\) lacks a move target of element 0"):
         graph((3, 2, 1))
 
 
-@given(words5)
-def test_lex_normal_form(word):
-    form = lex_normal_form(word)
-    assert lex_normal_form(form) == form
-    (home,) = [c for c in classes(evaluate(word, 5)[0]) if word in c.words]
-    assert form in home.words
-    # No factor b.u.a with a < b, where a commutes with b and all of u.
-    for p, b in enumerate(form):
-        for q in range(p + 1, len(form)):
-            a = form[q]
-            commutes = all(abs(a - x) >= 2 for x in form[p:q])
-            assert not (a < b and commutes), (form, p, q)
+def test_representatives_are_normal_forms():
+    """No representative of a class over S5 has a factor b.u.a with a < b,
+    where a commutes with b and with every letter of u."""
+    for w in permutations(range(1, 6)):
+        for c in classes(w):
+            form = c.representative
+            for p, b in enumerate(form):
+                for q in range(p + 1, len(form)):
+                    a = form[q]
+                    commutes = all(abs(a - x) >= 2 for x in form[p:q])
+                    assert not (a < b and commutes), (form, p, q)
 
 
 def test_class_counts_longest_elements():

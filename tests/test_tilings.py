@@ -175,6 +175,14 @@ def test_eln_is_a_bijection_S4():
         assert len(reps) == len(tilings) == len(classes(w))
 
 
+def test_eln_rejects_a_tiling_of_no_class(monkeypatch):
+    t = enumerate_rhombic((3, 2, 1))[0]
+    home = eln(t)
+    monkeypatch.setattr(redux.tilings, "classes", lambda w: [c for c in classes(w) if c != home])
+    with pytest.raises(RuntimeError, match=r"C\(321\) lacks the class of a tiling"):
+        eln(t)
+
+
 def test_figure_tiling():
     t = tiling_from_word(FIGURE_WORD, 5)
     assert t.w == (5, 3, 2, 4, 1)
@@ -405,8 +413,15 @@ def test_poset_queries_match_dense_order_S5():
 def test_hasse_rejects_incomplete_elements():
     w = (3, 2, 1)
     hexagon_only = tuple(z for z in enumerate_zonotopal(w) if not z.is_rhombic())
-    with pytest.raises(RuntimeError, match=r"Z\(321\) lacks a tiling"):
+    with pytest.raises(RuntimeError, match=r"Z\(321\) lacks a move target of element 0"):
         TilingPoset(w, hexagon_only).hasse
+
+
+def test_flip_graph_rejects_a_missing_tiling(monkeypatch):
+    real = redux.tilings.enumerate_rhombic
+    monkeypatch.setattr(redux.tilings, "enumerate_rhombic", lambda w: real(w)[1:])
+    with pytest.raises(RuntimeError, match=r"T\(321\) lacks a move target of element 0"):
+        flip_graph_from_tilings((3, 2, 1))
 
 
 def test_coatom_counts():

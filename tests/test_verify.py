@@ -1,15 +1,10 @@
 """The theorem sweep harness (small sizes; the full gate runs in
 test_acceptance)."""
 
-import os
-import subprocess
-import sys
 from itertools import permutations
-from pathlib import Path
 
 import pytest
 
-import redux
 from redux import verify
 from redux.redwords import braid_moves, enumerate_R
 from redux.verify import THEOREMS, VerifyResult, _max_long_moves, run
@@ -123,14 +118,26 @@ print(run("vexthm", 4).summary())
     ],
     ids=["not-a-word-of-w", "no-shifted-factor"],
 )
-def test_vexthm_fails_a_broken_embedding_under_optimize(breakage, verdict):
-    src = str(Path(redux.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", BROKEN_EMBEDDING.format(breakage)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        check=True,
-    )
+def test_vexthm_fails_a_broken_embedding_under_optimize(python, breakage, verdict):
+    proc = python("-O", "-c", BROKEN_EMBEDDING.format(breakage))
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["1", verdict]
+
+
+ALL_SWEEPS = """
+import sys
+from redux.verify import run
+
+print(sys.flags.optimize)
+for theorem in {!r}:
+    print(run(theorem, 5).summary())
+"""
+
+
+def test_small_sweeps_pass_under_optimize(python):
+    """``python -O`` strips ``assert``; every sweep must still check as many
+    cases and pass."""
+    expected = [f"{theorem}: PASS ({checked} checked)" for theorem, checked in CHECKED_AT_5.items()]
+    proc = python("-O", "-c", ALL_SWEEPS.format(list(CHECKED_AT_5)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1", *expected]
