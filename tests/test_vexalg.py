@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redux.patterns import is_vexillary, occurrences
+from redux.patterns import first_occurrence, is_vexillary, occurrences
 from redux.permcore import left_mult_adjacent, length, right_mult_adjacent
 from redux.redwords import enumerate_R, evaluate, find_shift_factor
 from redux import vexalg
@@ -160,3 +160,30 @@ def test_vex_outputs_pinned():
                         h.update(repr((w, occ.values, fields, word)).encode())
                         cases += 1
     assert (cases, h.hexdigest()) == (VEX_CASES, VEX_DIGEST)
+
+
+# sha256 over (w, p, word) for every embedding the vexthm sweep checks at
+# n=6: the first occurrence of each vexillary pattern p of size 3 or 4 in
+# every w of S_k .. S_6, embedded with the lexicographically least reduced
+# word of p.
+EMBED_CASES = 9247
+EMBED_DIGEST = "e98668d79cf9ee92c6e369a9e1a3865bec742b98e0b2d0f600e29aeff9535ed2"
+
+
+def test_vexthm_embeddings_pinned():
+    h = hashlib.sha256()
+    cases = 0
+    for k in (3, 4):
+        for p in map(tuple, permutations(range(1, k + 1))):
+            if not is_vexillary(p):
+                continue
+            pattern_word = lex_least_reduced_word(p)
+            for n in range(k, 7):
+                for w in map(tuple, permutations(range(1, n + 1))):
+                    occ = first_occurrence(w, p)
+                    if occ is None:
+                        continue
+                    word = embed_reduced_word(w, occ, pattern_word)
+                    h.update(repr((w, p, word)).encode())
+                    cases += 1
+    assert (cases, h.hexdigest()) == (EMBED_CASES, EMBED_DIGEST)
