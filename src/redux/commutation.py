@@ -143,21 +143,31 @@ def index_moves(name: str, w: Perm, keys: Iterable, moves: Iterable) -> list:
     return pairs
 
 
+def _letter_masks(n: int) -> list[tuple[int, int, int]]:
+    """The normal-form rule for the letters x of S_n, as (x, keep, add).
+
+    A word is in normal form iff it has no factor b.u.a with a < b and a
+    commuting with b and with every letter of u.  So appending x forbids
+    next every a that commutes with x and was forbidden already or is < x:
+    the letters forbidden after x are ``forbidden & keep | add``.
+    """
+    all_letters = (1 << n) - 2
+    masks = []
+    for x in range(1, n):
+        commuting = all_letters & ~(0b111 << (x - 1))
+        masks.append((x, commuting, commuting & (1 << x) - 2))
+    return masks
+
+
 def _normal_forms(w: Perm) -> list[Word]:
     """Every lexicographically least word of a commutation class of w, sorted.
 
     Words are built left to right over the left descents of what remains of
-    w.  A word is in normal form iff it has no factor b.u.a with a < b and a
-    commuting with b and with every letter of u, so the state is (what
-    remains, bitmask of the letters forbidden next).  Appending x forbids
-    next every a that commutes with x and was forbidden already or is < x.
+    w, so the state is (what remains, bitmask of the letters forbidden next;
+    :func:`_letter_masks`).
     """
-    n = len(w)
     total = length(w)
-    letters = range(1, n)
-    all_letters = sum(1 << x for x in letters)
-    commuting = {x: all_letters & ~(0b111 << (x - 1)) for x in letters}
-    smaller = {x: (1 << x) - 2 for x in letters}
+    masks = _letter_masks(len(w))
     forms: list[Word] = []
     prefix: list[int] = []
     dead: set[tuple[Perm, int]] = set()
@@ -170,11 +180,11 @@ def _normal_forms(w: Perm) -> list[Word]:
         if (v, forbidden) in dead:
             return False
         found = False
-        for x in letters:
+        for x, keep, add in masks:
             if v[x - 1] > v[x] and not forbidden >> x & 1:
                 prefix.append(x)
                 u = v[: x - 1] + (v[x], v[x - 1]) + v[x + 1 :]
-                found |= extend(u, commuting[x] & (forbidden | smaller[x]))
+                found |= extend(u, forbidden & keep | add)
                 prefix.pop()
         if not found:
             dead.add((v, forbidden))
@@ -183,6 +193,39 @@ def _normal_forms(w: Perm) -> list[Word]:
     extend(inverse(w), 0)
     del extend  # extend refers to itself; unbinding it frees ``dead`` at once
     return forms
+
+
+def class_count(w: Perm, memo: dict) -> int:
+    """|C(w)|, the number of normal forms :func:`_normal_forms` lists,
+    counted by a DP over its state (the inverse of what remains, the
+    forbidden mask) without building a word.
+
+    ``memo`` maps each state done so far to its count of completions.  A
+    state does not depend on w, so one memo serves every w of one S_n.  The
+    budget applies as in :func:`classes`.
+
+    >>> memo = {}
+    >>> class_count((4, 3, 2, 1), memo), class_count((4, 2, 3, 1), memo)
+    (8, 3)
+    """
+    w = check_budget(w)
+    return _count_forms(inverse(w), 0, _letter_masks(len(w)), memo)
+
+
+def _count_forms(v: Perm, forbidden: int, masks: list, memo: dict) -> int:
+    """The number of normal forms that complete the state (v, forbidden)."""
+    state = (v, forbidden)
+    count = memo.get(state)
+    if count is None:
+        count, done = 0, True  # done: no descent is left, the form is complete
+        for x, keep, add in masks:
+            if v[x - 1] > v[x]:
+                done = False
+                if not forbidden >> x & 1:
+                    u = v[: x - 1] + (v[x], v[x - 1]) + v[x + 1 :]
+                    count += _count_forms(u, forbidden & keep | add, masks, memo)
+        memo[state] = count = 1 if done else count
+    return count
 
 
 def classes(w: Perm) -> list[CommutationClass]:

@@ -111,6 +111,20 @@ def contains(w: Perm, p: Perm) -> bool:
     return next(_search(w, p), None) is not None
 
 
+def contained_patterns(w: Perm, k: int) -> set[Perm]:
+    """Every pattern of size k that ``w`` contains, from one pass over its
+    subsequences of length k.
+
+    >>> sorted(contained_patterns((1, 3, 2), 2))
+    [(1, 2), (2, 1)]
+    """
+    found = set()
+    for sub in combinations(check_perm(w), k):
+        ranked = sorted(sub)
+        found.add(tuple(ranked.index(v) + 1 for v in sub))
+    return found
+
+
 def avoids(w: Perm, p: Perm) -> bool:
     return not contains(w, p)
 

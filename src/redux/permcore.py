@@ -126,8 +126,12 @@ def length(w: Perm) -> int:
     >>> length((4, 2, 1, 3))
     4
     """
-    n = len(w)
-    return sum(w[i] > w[j] for i in range(n) for j in range(i + 1, n))
+    count = 0
+    for i, a in enumerate(w):
+        for b in w[i + 1 :]:
+            if a > b:
+                count += 1
+    return count
 
 
 def descents(w: Perm) -> list[int]:

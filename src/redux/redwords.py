@@ -11,7 +11,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .permcore import Perm, check_perm, descents, identity, length, right_mult_adjacent
+from .permcore import Perm, check_perm, descents, length, right_mult_adjacent
 
 Word = tuple[int, ...]
 
@@ -83,13 +83,14 @@ def evaluate(letters, n: int) -> tuple[Perm, bool]:
     word = tuple(letters)
     if any(not 1 <= a <= n - 1 for a in word):
         raise ValueError(f"letters must lie in 1..{n - 1}: {word!r}")
-    u = identity(n)
+    u = list(range(1, n + 1))
     reduced = True
     for a in word:
-        if u[a - 1] > u[a]:
+        left, right = u[a - 1], u[a]
+        if left > right:
             reduced = False
-        u = right_mult_adjacent(u, a)
-    return u, reduced
+        u[a - 1], u[a] = right, left
+    return tuple(u), reduced
 
 
 def check_reduced(word, n: int) -> Perm:

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .commutation import classes, graph, graphs_isomorphic, is_path
+from .commutation import class_count, classes, graph, graphs_isomorphic, is_path
 from .patterns import (
     avoids,
-    contains,
+    contained_patterns,
     first_occurrence,
     in_U_n,
     is_freely_braided,
@@ -124,14 +124,15 @@ def _vexthm(n: int) -> tuple[int, str | None]:
     return checked + more, failure
 
 
-def _max_long_moves(w: Perm) -> int:
+def _max_long_moves(w: Perm, memo: dict) -> int:
     """The most long braid moves open to one reduced word of ``w``.
 
     Words are built right to left from the right descents of what remains;
     placing x before y z opens a long move when x == z (in a reduced word y
-    is then x +- 1).
+    is then x +- 1).  ``memo`` is :func:`_best_long_moves`'s; its states do
+    not depend on w, so one memo serves a whole sweep.
     """
-    return _best_long_moves(check_perm(w), 0, 0, {})
+    return _best_long_moves(check_perm(w), 0, 0, memo)
 
 
 def _best_long_moves(u: Perm, y: int, z: int, memo: dict) -> int:
@@ -148,10 +149,11 @@ def _best_long_moves(u: Perm, y: int, z: int, memo: dict) -> int:
     return memo[u, y, z]
 
 
-def _one_long_move(w: Perm) -> bool:
-    """U_n membership = no word with two long braid moves; path graph corollary."""
+def _one_long_move(w: Perm, memo: dict) -> bool:
+    """U_n membership = no word with two long braid moves; path graph
+    corollary.  ``memo`` is passed on to :func:`_max_long_moves`."""
     shares = in_U_n(w)
-    if shares != (_max_long_moves(w) <= 1):
+    if shares != (_max_long_moves(w, memo) <= 1):
         return False
     if not shares:
         return True
@@ -160,15 +162,23 @@ def _one_long_move(w: Perm) -> bool:
     return g.vertex_count == k + 1 and is_path(g)
 
 
+def _1lbm(n: int) -> tuple[int, str | None]:
+    """One long braid move, with one memo for the whole sweep."""
+    memo: dict = {}
+    return _sweep(all_perms(n), lambda w: _one_long_move(w, memo))
+
+
 def _monotone(n: int) -> tuple[int, str | None]:
     """|C(w)| >= |C(p)| whenever w contains p, for all p in S4."""
     counts = {p: len(classes(p)) for p in all_perms(4)}
+    memo: dict = {}  # class_count's states, shared by every w of S_n
     pairs = (
         (w, cw, p)
         for w in all_perms(n)
-        for cw in [len(classes(w))]
+        for cw in [class_count(w, memo)]
+        for found in [contained_patterns(w, 4)]
         for p in counts
-        if contains(w, p)
+        if p in found
     )
     return _sweep(pairs, lambda case: case[1] >= counts[case[2]], show=_show_pair)
 
@@ -204,7 +214,7 @@ def _words_count_tableaux(w: Perm) -> bool:
 # theorem id -> its sweep: n -> (cases checked, counterexample or None)
 THEOREMS = {
     "vexthm": _vexthm,
-    "1lbm": lambda n: _sweep(all_perms(n), _one_long_move),
+    "1lbm": _1lbm,
     "monotone": _monotone,
     "elthm": lambda n: _sweep(all_perms(n), _tilings_match_classes),
     "2kgon": lambda n: _sweep(all_perms(n), decreasing_tile_check),

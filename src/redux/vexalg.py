@@ -11,17 +11,10 @@ a containing permutation for which no such reduced word exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .patterns import Occurrence, is_vexillary, obstruction, occurrences
-from .permcore import (
-    Perm,
-    check_perm,
-    identity,
-    left_mult_adjacent,
-    length,
-    position,
-    right_mult_adjacent,
-)
+from .permcore import Perm, check_perm, inverse, length
 from .redwords import Word, evaluate, find_shift_factor, shift
 
 _STEP_CAP = 100_000
@@ -52,62 +45,77 @@ class VexResult:
 
 
 class _VexState:
-    """Mutable working state; every multiplication must remove an inversion."""
+    """Mutable working state; every multiplication must remove an inversion.
+
+    ``w`` is the current permutation as a list and ``inv[v]`` the 1-based
+    position of the value v in it; every multiplication updates both.
+    """
 
     def __init__(self, w: Perm, pattern: Perm, values):
-        self.w = w
+        self.w = list(w)
+        self.inv = [0] * (len(w) + 1)
+        for i, v in enumerate(w, start=1):
+            self.inv[v] = i
         self.p = pattern
         self.pat = sorted(values)  # pat[m-1] is the value in role m
         self.left: list[int] = []  # left multipliers, in order of application
         self.right: list[int] = []  # right multipliers, in order of application
 
     def pos(self, value: int) -> int:
-        return position(self.w, value)
+        return self.inv[value]
 
     def pattern_positions(self) -> list[int]:
-        return sorted(self.pos(v) for v in self.pat)
+        return sorted(self.inv[v] for v in self.pat)
+
+    def extent(self) -> tuple[int, int]:
+        """The first and the last position of a pattern entry."""
+        positions = [self.inv[v] for v in self.pat]
+        return min(positions), max(positions)
 
     def inside(self) -> list[int]:
         """Non-pattern values strictly between the pattern's extreme positions,
         ordered by position."""
-        positions = self.pattern_positions()
-        return [
-            v
-            for t in range(positions[0] + 1, positions[-1])
-            if (v := self.w[t - 1]) not in self.pat
-        ]
+        first, last = self.extent()
+        return [v for v in self.w[first : last - 1] if v not in self.pat]
 
     def rmult(self, i: int) -> None:
-        _require(self.w[i - 1] > self.w[i], "right multiplier adds an inversion")
-        self.w = right_mult_adjacent(self.w, i)
+        w = self.w
+        a, b = w[i - 1], w[i]
+        _require(a > b, "right multiplier adds an inversion")
+        w[i - 1], w[i] = b, a
+        self.inv[a], self.inv[b] = i + 1, i
         self.right.append(i)
 
     def lmult(self, v: int) -> None:
-        _require(self.pos(v + 1) < self.pos(v), "left multiplier adds an inversion")
-        self.w = left_mult_adjacent(self.w, v)
+        inv = self.inv
+        s, t = inv[v], inv[v + 1]
+        _require(t < s, "left multiplier adds an inversion")
+        self.w[s - 1], self.w[t - 1] = v + 1, v
+        inv[v], inv[v + 1] = t, s
         self.left.append(v)
 
     def check_occurrence(self) -> None:
         _require(self.pat == sorted(self.pat), "pattern roles must stay increasing")
-        by_position = sorted(self.pat, key=self.pos)
+        by_position = sorted(self.pat, key=self.inv.__getitem__)
         ranks = tuple(self.pat.index(v) + 1 for v in by_position)
         _require(ranks == self.p, "pattern occurrence lost during vex")
 
     def sort_values_left(self, lo: int, hi: int) -> None:
         """Left-multiply until the values lo..hi appear in increasing order."""
+        inv = self.inv
         changed = True
         while changed:
             changed = False
             for v in range(lo, hi):
-                if self.pos(v + 1) < self.pos(v):
+                if inv[v + 1] < inv[v]:
                     self.lmult(v)
                     changed = True
 
     def current_occurrence(self) -> Occurrence:
-        by_position = sorted(self.pat, key=self.pos)
+        by_position = sorted(self.pat, key=self.inv.__getitem__)
         return Occurrence(
             pattern=self.p,
-            positions=tuple(self.pos(v) for v in by_position),
+            positions=tuple(self.inv[v] for v in by_position),
             values=tuple(by_position),
         )
 
@@ -160,6 +168,13 @@ def _trade(st: _VexState, x: int, idx: int) -> int:
     return new_x
 
 
+@lru_cache(maxsize=64)
+def _is_vexillary_pattern(p: Perm) -> bool:
+    """:func:`is_vexillary`, memoised: a sweep passes the same few patterns
+    to ``vex`` again and again."""
+    return is_vexillary(p)
+
+
 def vex(w: Perm, occ: Occurrence) -> VexResult:
     """Shorten ``w`` until the occurrence of ``occ.pattern`` is consecutive.
 
@@ -172,7 +187,7 @@ def vex(w: Perm, occ: Occurrence) -> VexResult:
     """
     w = check_perm(w)
     p = occ.pattern
-    if not is_vexillary(p):
+    if not _is_vexillary_pattern(p):
         raise ValueError("vex requires a vexillary pattern")
     if tuple(w[i - 1] for i in occ.positions) != occ.values:
         raise ValueError("occurrence does not match the permutation")
@@ -193,17 +208,17 @@ def vex(w: Perm, occ: Occurrence) -> VexResult:
                 raise VexError(f"vex did not terminate within {_STEP_CAP} steps")
             if x > st.pat[-1]:  # Step 2
                 for y in sorted((y for y in inside if y >= x), reverse=True):
-                    while st.pos(y) < st.pattern_positions()[-1]:
+                    while st.pos(y) < st.extent()[1]:
                         st.rmult(st.pos(y))
             elif x < st.pat[0]:  # Step 3
                 for y in sorted(y for y in inside if y <= x):
-                    while st.pos(y) > st.pattern_positions()[0]:
+                    while st.pos(y) > st.extent()[0]:
                         st.rmult(st.pos(y) - 1)
             else:
                 # Step 4: <m> < x < <m+1>
                 m = next(m for m in range(1, k) if st.pat[m - 1] < x < st.pat[m])
                 if st.pos(st.pat[m - 1]) < st.pos(x) < st.pos(st.pat[m]):  # Step 5
-                    report = obstruction(st.w, st.current_occurrence(), x)
+                    report = obstruction(tuple(st.w), st.current_occurrence(), x)
                     _require(report.m == m, "obstruction names another role")
                     if not report.obstructed_right:
                         x = _slide(st, x, m, report.b, 1)
@@ -222,10 +237,11 @@ def vex(w: Perm, occ: Occurrence) -> VexResult:
     M = positions[0] - 1
     _require(positions == list(range(1 + M, k + M + 1)), "occurrence not consecutive")
     moves = len(st.left) + len(st.right)
-    _require(length(st.w) == length(w) - moves, "a multiplication did not shorten w")
+    w_tilde = tuple(st.w)
+    _require(length(w_tilde) == length(w) - moves, "a multiplication did not shorten w")
     return VexResult(
         prefix_letters=tuple(reversed(st.left)),
-        w_tilde=st.w,
+        w_tilde=w_tilde,
         suffix_letters=tuple(st.right),
         M=M,
         pattern_positions=tuple(positions),
@@ -235,12 +251,17 @@ def vex(w: Perm, occ: Occurrence) -> VexResult:
 def lex_least_reduced_word(w: Perm) -> Word:
     """The lexicographically least reduced word of ``w`` (greedy smallest
     left descent)."""
-    w = check_perm(w)
+    inv = list(inverse(check_perm(w)))  # inv[i-1]: the position of i
     letters = []
-    while w != identity(len(w)):
-        i = next(i for i in range(1, len(w)) if position(w, i + 1) < position(w, i))
-        letters.append(i)
-        w = left_mult_adjacent(w, i)
+    i = 1
+    while i < len(inv):
+        if inv[i] < inv[i - 1]:
+            letters.append(i)
+            inv[i - 1], inv[i] = inv[i], inv[i - 1]
+            # no left descent below i - 1 yet, so the next smallest is >= i - 1
+            i = max(i - 1, 1)
+        else:
+            i += 1
     return tuple(letters)
 
 

@@ -6,10 +6,10 @@ Criterion 5 sweeps all of S6 (about 2 seconds).
 
 from itertools import permutations
 
-from redux.commutation import classes, graph
+from redux.commutation import class_count, classes, graph
 from redux.patterns import occurrences
 from redux.permcore import longest_element, syt_count
-from redux.redwords import enumerate_R, format_word
+from redux.redwords import budget, enumerate_R, format_word
 from redux.render import graph_dot, polygon_svg, tiling_svg
 from redux.tilings import (
     enumerate_rhombic,
@@ -87,6 +87,9 @@ def test_criterion_08_pinned_counts():
     ok = ok and len(enumerate_R(longest_element(4))) == 16 == syt_count((3, 2, 1))
     ok = ok and len(enumerate_zonotopal((3, 2, 1))) == 3
     ok = ok and len(enumerate_zonotopal(W9)) == 27
+    with budget(max_length=28):
+        ok = ok and class_count(longest_element(7), {}) == 24698
+        ok = ok and class_count(longest_element(8), {}) == 1232944
     _report(8, ok)
 
 

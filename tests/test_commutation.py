@@ -12,6 +12,7 @@ import redux.commutation
 import redux.tilings
 from redux.commutation import (
     FlipGraph,
+    class_count,
     classes,
     cycle_space_generated_by_4_8_cycles,
     gf2_rank,
@@ -128,6 +129,22 @@ def test_class_counts_longest_elements():
     assert len(enumerate_R(longest_element(4))) == 16
     with budget(max_length=21):
         assert len(classes(longest_element(7))) == 24698
+
+
+def test_class_count_matches_classes():
+    """The DP counts what the enumeration lists, with a fresh memo for each w
+    and with one memo shared by all of S_n, as the monotone sweep uses it."""
+    for n in range(1, 7):
+        shared: dict = {}
+        for w in permutations(range(1, n + 1)):
+            expected = len(classes(w))
+            assert class_count(w, {}) == expected == class_count(w, shared), w
+
+
+def test_class_count_applies_the_budget():
+    with budget(max_length=5):
+        with pytest.raises(BudgetError, match="length\\(w\\) = 6 exceeds the limit 5"):
+            class_count(longest_element(4), {})
 
 
 def test_graph_structure():

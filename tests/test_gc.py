@@ -9,7 +9,7 @@ import gc
 
 import pytest
 
-from redux.commutation import classes, graph, graphs_isomorphic, simple_cycles_of_length
+from redux.commutation import class_count, classes, graph, graphs_isomorphic, simple_cycles_of_length
 from redux.patterns import Occurrence
 from redux.redwords import enumerate_R
 from redux.tilings import (
@@ -20,7 +20,7 @@ from redux.tilings import (
     poset,
     uniform_2k_tiling_exists,
 )
-from redux.verify import _max_long_moves
+from redux.verify import _1lbm, _max_long_moves
 from redux.vexalg import vex
 
 W = (5, 6, 4, 2, 3, 1)
@@ -32,10 +32,12 @@ CALLS = {
     "poset.hasse": lambda: poset(W).hasse,
     "uniform_2k_tiling_exists": lambda: uniform_2k_tiling_exists(6, 3),
     "classes": lambda: classes(W),
+    "class_count": lambda: class_count(W, {}),
     "simple_cycles_of_length": lambda: simple_cycles_of_length(
         flip_graph_from_tilings(W), 4
     ),
-    "_max_long_moves": lambda: _max_long_moves(W),
+    "_max_long_moves": lambda: _max_long_moves(W, {}),
+    "_1lbm": lambda: _1lbm(5),
     "_tile_label_sets": lambda: _tile_label_sets(W),
     "vex": lambda: vex((1, 3, 4, 5, 2), Occurrence((2, 3, 1), (2, 4, 5), (3, 5, 2))),
     "graphs_isomorphic": lambda: graphs_isomorphic(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from redux.patterns import (
     analyze_321,
     avoids,
+    contained_patterns,
     contains,
     in_U_n,
     in_U_n_j,
@@ -72,6 +73,15 @@ def test_search_matches_subset_scan_S6_S4():
                 found = [(o.positions, o.values) for o in occurrences(w, p)]
                 assert found == expected, (w, p)
                 assert contains(w, p) == bool(expected), (w, p)
+
+
+def test_contained_patterns_matches_contains():
+    for k in (3, 4):
+        patterns = list(all_perms(k))
+        for n in range(1, 8):
+            for w in all_perms(n):
+                expected = {p for p in patterns if contains(w, p)}
+                assert contained_patterns(w, k) == expected, (w, k)
 
 
 @given(perms, small_patterns)

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from redux import verify
-from redux.redwords import braid_moves, enumerate_R
+from redux.redwords import braid_moves, budget, enumerate_R
 from redux.verify import THEOREMS, VerifyResult, _max_long_moves, run
 
 
@@ -90,9 +90,17 @@ def test_sweep_stops_at_first_failure(
 
 
 def test_max_long_moves_matches_brute_force():
+    """One memo serves every w, as in the 1lbm sweep."""
+    memo: dict = {}
     for w in permutations(range(1, 6)):
         expected = max(len(braid_moves(word)[1]) for word in enumerate_R(w))
-        assert _max_long_moves(w) == expected, w
+        assert _max_long_moves(w, memo) == expected, w
+
+
+def test_monotone_n7():
+    with budget(max_length=21):
+        result = run("monotone", 7)
+    assert result == VerifyResult("monotone", True, 54904), result.summary()
 
 
 BROKEN_EMBEDDING = """
