@@ -168,12 +168,13 @@ def find_shift_factor(
 ) -> tuple[int, int, Word] | None:
     """First (start, M, pattern_word) with word[start : start+len] a shift.
 
-    Positions are 1-based; scanning is by start position, then by pattern
-    word in sorted order.  Returns None if no shifted factor occurs.
+    ``pattern_words`` must be sorted and free of duplicates, as
+    :func:`enumerate_R` returns them.  Positions are 1-based; scanning is by
+    start position, then by pattern word in the order given.  Returns None
+    if no shifted factor occurs.
     """
-    pats = sorted(set(map(tuple, pattern_words)))
     for start in range(1, len(word) + 2):
-        for pat in pats:
+        for pat in pattern_words:
             if not pat:
                 return start, 0, pat
             factor = word[start - 1 : start - 1 + len(pat)]

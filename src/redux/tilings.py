@@ -181,9 +181,9 @@ def _peels(u: Perm, lo: int, hi: int):
 
     A tile sits on the right boundary exactly where u has a descending run
     u(j) > ... > u(j+m-1); its labels are the run and its anchor is
-    {u(1), ..., u(j-1)}.  Yields (j, m, tile code, rest), topmost first: by
-    j, then by m; rest is the boundary the peel leaves, u with the run
-    sorted ascending.
+    {u(1), ..., u(j-1)}.  Yields (j, tile code, rest), topmost first: by j,
+    then by m; rest is the boundary the peel leaves, u with the run sorted
+    ascending.  The code has j + m - 1 bits set, so it carries m.
     """
     n = len(u)
     anchor = 0
@@ -194,7 +194,7 @@ def _peels(u: Perm, lo: int, hi: int):
             run |= 1 << (u[j + m - 2] - 1)
             if m >= lo:
                 rest = u[: j - 1] + u[j - 1 : j - 1 + m][::-1] + u[j - 1 + m :]
-                yield j, m, run | anchor << n, rest
+                yield j, run | anchor << n, rest
             m += 1
         anchor |= 1 << (u[j - 1] - 1)
 
@@ -243,7 +243,7 @@ def _canonical_peels(u: Perm, max_order: int, memo: dict) -> tuple:
     if u not in memo:
         out = [
             (tile, tail)
-            for j, _, tile, rest in _peels(u, 2, max_order)
+            for j, tile, rest in _peels(u, 2, max_order)
             for tail in _canonical_peels(rest, max_order, memo)
             if tail is None or tail[0].bit_count() >= j
         ]
@@ -284,7 +284,7 @@ def _peel_order(t: Tiling) -> list[int]:
         return _chain_tiles(t.chain)
     u, order = t.w, []
     while len(order) < len(t.tiles):  # a peeled tile's run stays sorted
-        for _, _, tile, rest in _peels(u, 2, len(u)):
+        for _, tile, rest in _peels(u, 2, len(u)):
             if tile in t.tiles:
                 break
         else:
@@ -338,7 +338,7 @@ def tiling_from_word(word: Word, n: int) -> Tiling:
     u = w
     tiles = set()
     for letter in reversed(word):
-        _, _, tile, u = next(p for p in _peels(u, 2, 2) if p[0] == letter)
+        _, tile, u = next(p for p in _peels(u, 2, 2) if p[0] == letter)
         tiles.add(tile)
     return Tiling(w, frozenset(tiles))
 
@@ -424,7 +424,7 @@ def _flip_graph(tilings) -> FlipGraph:
 def _sort_window(u: Perm, r: int, s: int, tiles: list) -> Perm:
     """Sort positions r..s ascending by peeling rhombi (topmost descent first)."""
     while peel := next((p for p in _peels(u, 2, 2) if r <= p[0] < s), None):
-        _, _, tile, u = peel
+        _, tile, u = peel
         tiles.append(tile)
     return u
 
@@ -473,38 +473,35 @@ def _decreasing_subsequence_sets(w: Perm) -> set:
     return {m for masks in ending for m in masks if m & (m - 1)}
 
 
-def _tile_label_sets(w: Perm) -> set:
-    """The label masks of the tiles across Z(w), found without building Z(w).
+def _tile_label_sets(u: Perm, memo: dict) -> int:
+    """The label masks of the tiles across Z(u), as an int with bit ``mask``
+    set for each one, found without building Z(u).
 
-    Z(w) is built from the peel sequences of w, and every boundary that
-    peels reach can be peeled on down to the identity, so the tiles that
-    can be peeled off some reachable boundary are exactly the tiles of the
-    tilings in Z(w).
+    Every boundary that peels reach can be peeled on down to the identity,
+    so the tiles across Z(u) are the tiles peelable off u together with
+    those across Z(rest) for each peel.  ``memo`` maps each boundary done so
+    far to its answer, which does not depend on where the walk started.
     """
-    w = check_perm(w)
-    full = (1 << len(w)) - 1
-    out: set = set()
-    seen = {w}
-    stack = [w]
-    while stack:
-        u = stack.pop()
-        for _, _, tile, rest in _peels(u, 2, len(w)):
-            out.add(tile & full)
-            if rest not in seen:
-                seen.add(rest)
-                stack.append(rest)
-    return out
+    if u not in memo:
+        full = (1 << len(u)) - 1
+        labels = 0
+        for _, tile, rest in _peels(u, 2, len(u)):
+            labels |= 1 << (tile & full) | _tile_label_sets(rest, memo)
+        memo[u] = labels
+    return memo[u]
 
 
-def decreasing_tile_check(w: Perm) -> bool:
+def decreasing_tile_check(w: Perm, memo: dict) -> bool:
     """Tiles appearing across Z(w) are exactly the decreasing subsequences.
 
     Both directions: every tile's label set {i_1 < ... < i_k} occurs as the
     decreasing subsequence i_k ... i_1 in w, and every decreasing subsequence
     of length >= 2 is the label set of a tile in some zonotopal tiling.
+    ``memo`` is :func:`_tile_label_sets`'s; one memo serves a whole sweep.
     """
     w = check_perm(w)
-    return _tile_label_sets(w) == _decreasing_subsequence_sets(w)
+    decreasing = sum(1 << mask for mask in _decreasing_subsequence_sets(w))
+    return _tile_label_sets(w, memo) == decreasing
 
 
 def uniform_2k_tiling_exists(n: int, k: int) -> bool:
@@ -523,7 +520,7 @@ def _uniform_2k_tiling_of(u: Perm, k: int, memo: dict) -> bool:
     boundary done so far to its answer."""
     if u not in memo:
         memo[u] = u == identity(len(u)) or any(
-            _uniform_2k_tiling_of(rest, k, memo) for _, _, _, rest in _peels(u, k, k)
+            _uniform_2k_tiling_of(rest, k, memo) for _, _, rest in _peels(u, k, k)
         )
     return memo[u]
 

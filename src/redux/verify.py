@@ -14,6 +14,7 @@ with a concrete counterexample attached, so a failure is always reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
 
 from .commutation import class_count, classes, graph, graphs_isomorphic, is_path
@@ -162,12 +163,6 @@ def _one_long_move(w: Perm, memo: dict) -> bool:
     return g.vertex_count == k + 1 and is_path(g)
 
 
-def _1lbm(n: int) -> tuple[int, str | None]:
-    """One long braid move, with one memo for the whole sweep."""
-    memo: dict = {}
-    return _sweep(all_perms(n), lambda w: _one_long_move(w, memo))
-
-
 def _monotone(n: int) -> tuple[int, str | None]:
     """|C(w)| >= |C(p)| whenever w contains p, for all p in S4."""
     counts = {p: len(classes(p)) for p in all_perms(4)}
@@ -211,13 +206,14 @@ def _words_count_tableaux(w: Perm) -> bool:
     return count_R(w) == syt_count(shape)
 
 
-# theorem id -> its sweep: n -> (cases checked, counterexample or None)
+# theorem id -> its sweep: n -> (cases checked, counterexample or None); a
+# memo bound by ``partial`` inside a sweep's lambda serves that one sweep
 THEOREMS = {
     "vexthm": _vexthm,
-    "1lbm": _1lbm,
+    "1lbm": lambda n: _sweep(all_perms(n), partial(_one_long_move, memo={})),
     "monotone": _monotone,
     "elthm": lambda n: _sweep(all_perms(n), _tilings_match_classes),
-    "2kgon": lambda n: _sweep(all_perms(n), decreasing_tile_check),
+    "2kgon": lambda n: _sweep(all_perms(n), partial(decreasing_tile_check, memo={})),
     "2ktiles": lambda n: _sweep(
         ((m, k) for m in range(3, n + 1) for k in range(2, m + 1)),
         _uniform_2k_tiling_iff,

@@ -20,7 +20,7 @@ from redux.tilings import (
     poset,
     uniform_2k_tiling_exists,
 )
-from redux.verify import _1lbm, _max_long_moves
+from redux.verify import _max_long_moves, run
 from redux.vexalg import vex
 
 W = (5, 6, 4, 2, 3, 1)
@@ -37,8 +37,8 @@ CALLS = {
         flip_graph_from_tilings(W), 4
     ),
     "_max_long_moves": lambda: _max_long_moves(W, {}),
-    "_1lbm": lambda: _1lbm(5),
-    "_tile_label_sets": lambda: _tile_label_sets(W),
+    "1lbm": lambda: run("1lbm", 5),
+    "_tile_label_sets": lambda: _tile_label_sets(W, {}),
     "vex": lambda: vex((1, 3, 4, 5, 2), Occurrence((2, 3, 1), (2, 4, 5), (3, 5, 2))),
     "graphs_isomorphic": lambda: graphs_isomorphic(
         flip_graph_from_tilings((4, 6, 5, 2, 3, 1)), graph((4, 6, 5, 2, 3, 1))

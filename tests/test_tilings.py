@@ -334,8 +334,9 @@ def test_decreasing_subsequence_sets_match_subset_search_S6():
 
 
 def test_decreasing_tile_check_S4():
+    memo: dict = {}
     for w in perms4:
-        assert decreasing_tile_check(w), w
+        assert decreasing_tile_check(w, memo), w
 
 
 @pytest.mark.parametrize(
@@ -347,8 +348,19 @@ def test_tile_label_sets_are_the_tiles_across_Z(ws):
         across_Z = {
             decode(c, n)[0] for z in enumerate_zonotopal(w) for c in z.tiles
         }
-        label_sets = redux.tilings._tile_label_sets(w)
+        bits = redux.tilings._tile_label_sets(w, {})
+        label_sets = [m for m in range(bits.bit_length()) if bits >> m & 1]
         assert {decode(m, n)[0] for m in label_sets} == across_Z, w
+
+
+def test_tile_label_sets_share_one_memo_across_S6():
+    """A boundary's label masks do not depend on where the walk started, so
+    one memo, as the 2kgon sweep shares it, gives every w a fresh memo's
+    answer."""
+    shared: dict = {}
+    for w in permutations(range(1, 7)):
+        labels = redux.tilings._tile_label_sets(w, shared)
+        assert labels == redux.tilings._tile_label_sets(w, {}), w
 
 
 def test_uniform_2k_table():

@@ -83,7 +83,9 @@ def test_sweep_stops_at_first_failure(
     monkeypatch, theorem, n, predicate, bad, checked, summary
 ):
     real = getattr(verify, predicate)
-    monkeypatch.setattr(verify, predicate, lambda case: case != bad and real(case))
+    monkeypatch.setattr(
+        verify, predicate, lambda case, **kwargs: case != bad and real(case, **kwargs)
+    )
     result = run(theorem, n)
     assert result.summary() == summary
     assert (result.ok, result.checked) == (False, checked)
@@ -101,6 +103,11 @@ def test_monotone_n7():
     with budget(max_length=21):
         result = run("monotone", 7)
     assert result == VerifyResult("monotone", True, 54904), result.summary()
+
+
+def test_2kgon_n7():
+    result = run("2kgon", 7)
+    assert result == VerifyResult("2kgon", True, 5040), result.summary()
 
 
 BROKEN_EMBEDDING = """
