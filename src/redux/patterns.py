@@ -111,17 +111,21 @@ def contains(w: Perm, p: Perm) -> bool:
     return next(_search(w, p), None) is not None
 
 
-def contained_patterns(w: Perm, k: int) -> set[Perm]:
-    """Every pattern of size k that ``w`` contains, from one pass over its
-    subsequences of length k.
+def first_occurrences(w: Perm, k: int) -> dict[Perm, tuple[int, ...]]:
+    """Every pattern of size k that ``w`` contains, mapped to the 1-based
+    positions of its lexicographically first occurrence, from one pass over
+    the position tuples of length k in lexicographic order.
 
-    >>> sorted(contained_patterns((1, 3, 2), 2))
-    [(1, 2), (2, 1)]
+    >>> first_occurrences((1, 3, 2), 2)
+    {(1, 2): (1, 2), (2, 1): (2, 3)}
     """
-    found = set()
-    for sub in combinations(check_perm(w), k):
+    w = check_perm(w)
+    found: dict = {}
+    for pos, sub in zip(combinations(range(1, len(w) + 1), k), combinations(w, k)):
         ranked = sorted(sub)
-        found.add(tuple(ranked.index(v) + 1 for v in sub))
+        pattern = tuple(ranked.index(v) + 1 for v in sub)
+        if pattern not in found:
+            found[pattern] = pos
     return found
 
 

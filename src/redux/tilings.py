@@ -15,6 +15,8 @@ the tests read, and its result is the one order of tiles.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache, reduce
 from itertools import combinations, product, repeat
@@ -199,24 +201,53 @@ def _peels(u: Perm, lo: int, hi: int):
         anchor |= 1 << (u[j - 1] - 1)
 
 
+# {max_order: {boundary: chains}} of the open shared_chains() scope, or None
+_CHAINS: ContextVar[dict | None] = ContextVar("redux_chains", default=None)
+
+
+@contextmanager
+def shared_chains():
+    """Run the block with one chain memo per max_order, shared by every
+    enumeration in it; no scope is open once the block exits.
+
+    The chains of X(u) depend only on the boundary u, not on the w that the
+    enumeration started from, so a sweep peels each boundary once.  Outside
+    any scope each enumeration starts a fresh memo.
+    """
+    token = _CHAINS.set({})
+    try:
+        yield
+    finally:
+        _CHAINS.reset(token)
+
+
+@cache
+def _rank(code: int, n: int) -> int:
+    """An int whose order on the tiles of X(w), w in S_n, is the order of
+    :func:`decode`: the labels, then the anchor, each padded with zeros to
+    n digits, read as one number in base n + 1."""
+    rank = 0
+    for part in decode(code, n):
+        for digit in part + (0,) * (n - len(part)):
+            rank = rank * (n + 1) + digit
+    return rank
+
+
 def _enumerate(w: Perm, max_order: int) -> tuple[Tiling, ...]:
     """All tilings of X(w) by 2m-gons with m <= max_order, sorted by key,
     each holding its chain.
 
-    Each tile code is ranked once by :func:`decode`; a chain's sorted ranks
-    then order the tilings exactly as ``Tiling.key`` does.  The chains are
-    sorted before any tile set is built, so the sort keys and the tile sets
-    are never held at once.
+    A chain's sorted tile ranks (:func:`_rank`) order the tilings exactly
+    as ``Tiling.key`` does.  The chains are sorted before any tile set is
+    built, so the sort keys and the tile sets are never held at once.  The
+    chain memo is the open scope's (:func:`shared_chains`), else a fresh one.
     """
     n = len(w)
-    chains = _canonical_peels(w, max_order, {})
-    codes: set = set()
-    for chain in chains:
-        codes.update(_chain_tiles(chain))
-    ranked = sorted(codes, key=lambda code: decode(code, n))
-    rank = {code: r for r, code in enumerate(ranked)}
+    scope = _CHAINS.get()
+    memo = {} if scope is None else scope.setdefault(max_order, {})
     chains = sorted(
-        chains, key=lambda chain: sorted(map(rank.__getitem__, _chain_tiles(chain)))
+        _canonical_peels(w, max_order, memo),
+        key=lambda chain: sorted(_rank(code, n) for code in _chain_tiles(chain)),
     )
     return tuple(Tiling(w, frozenset(_chain_tiles(chain)), chain) for chain in chains)
 
@@ -237,8 +268,8 @@ def _canonical_peels(u: Perm, max_order: int, memo: dict) -> tuple:
     - no other tile on u's boundary lies above the tile at j: it would share
       a position with it.
     Every tiling is found once, and no tile set is built below the top.
-    ``memo`` maps each boundary done so far to its chains; chains share
-    their tails.
+    ``memo`` maps each boundary done so far, at this max_order, to its
+    chains; chains share their tails.
     """
     if u not in memo:
         out = [
@@ -463,14 +494,26 @@ def mono(w: Perm, occ: Occurrence, t: Tiling) -> Tiling:
 # Decreasing patterns and uniform tilings
 
 
-def _decreasing_subsequence_sets(w: Perm) -> set:
-    """The label masks of the decreasing subsequences of w of length >= 2."""
-    ending: list[set] = []  # ending[i]: those ending at position i, any length
+def _decreasing_subsequence_sets(w: Perm) -> int:
+    """The label masks of the decreasing subsequences of w of length >= 2,
+    as an int with bit ``mask`` set for each one.
+
+    ending[i] holds, the same way, the masks of those ending at position i,
+    of any length.  Each mask in ending[j] with w[j] > w[i] has only labels
+    above w[i], so adding w[i] adds its bit, and ending[j] shifted left by
+    that bit holds the extended masks; those are the masks of length >= 2.
+    """
+    ending: list[int] = []
+    found = 0
     for i, value in enumerate(w):
         bit = 1 << (value - 1)
-        longer = {m | bit for j in range(i) if w[j] > value for m in ending[j]}
-        ending.append(longer | {bit})
-    return {m for masks in ending for m in masks if m & (m - 1)}
+        longer = 0
+        for j in range(i):
+            if w[j] > value:
+                longer |= ending[j] << bit
+        ending.append(longer | 1 << bit)
+        found |= longer
+    return found
 
 
 def _tile_label_sets(u: Perm, memo: dict) -> int:
@@ -500,8 +543,7 @@ def decreasing_tile_check(w: Perm, memo: dict) -> bool:
     ``memo`` is :func:`_tile_label_sets`'s; one memo serves a whole sweep.
     """
     w = check_perm(w)
-    decreasing = sum(1 << mask for mask in _decreasing_subsequence_sets(w))
-    return _tile_label_sets(w, memo) == decreasing
+    return _tile_label_sets(w, memo) == _decreasing_subsequence_sets(w)
 
 
 def uniform_2k_tiling_exists(n: int, k: int) -> bool:

@@ -19,9 +19,9 @@ from itertools import permutations
 
 from .commutation import class_count, classes, graph, graphs_isomorphic, is_path
 from .patterns import (
+    Occurrence,
     avoids,
-    contained_patterns,
-    first_occurrence,
+    first_occurrences,
     in_U_n,
     is_freely_braided,
     is_vexillary,
@@ -45,6 +45,7 @@ from .tilings import (
     level2_cycle_correspondence,
     poset,
     has_unique_max,
+    shared_chains,
     uniform_2k_tiling_exists,
 )
 from .vexalg import VexError, embed_reduced_word, lex_least_reduced_word, nonvex_witness
@@ -104,14 +105,18 @@ def _witness_has_no_factor(p: Perm) -> bool:
 def _vexthm(n: int) -> tuple[int, str | None]:
     """Vexillary patterns always embed a shifted reduced word; the witness of
     a non-vexillary pattern never does."""
-    embeddings = (
-        (w, occ, pattern_word, p)
+    vexillary = {
+        k: {p: lex_least_reduced_word(p) for p in filter(is_vexillary, all_perms(k))}
         for k in (3, 4)
-        for p in filter(is_vexillary, all_perms(k))
-        for pattern_word in [lex_least_reduced_word(p)]
+    }
+    embeddings = (
+        (w, Occurrence(p, pos, tuple(w[i - 1] for i in pos)), pattern_word, p)
+        for k, patterns in vexillary.items()
         for m in range(k, n + 1)
         for w in all_perms(m)
-        if (occ := first_occurrence(w, p))
+        for first in [first_occurrences(w, k)]
+        for p, pattern_word in patterns.items()
+        if (pos := first.get(p))
     )
     checked, failure = _sweep(embeddings, _embeds, show=_show_pair)
     if checked == 0:
@@ -171,7 +176,7 @@ def _monotone(n: int) -> tuple[int, str | None]:
         (w, cw, p)
         for w in all_perms(n)
         for cw in [class_count(w, memo)]
-        for found in [contained_patterns(w, 4)]
+        for found in [first_occurrences(w, 4)]
         for p in counts
         if p in found
     )
@@ -237,9 +242,12 @@ class EmptySweepError(ValueError):
 
 
 def run(theorem: str, n: int) -> VerifyResult:
+    """Sweep ``theorem`` over S_n inside one :func:`shared_chains` scope, so
+    its tilings enumerations share their chains and none outlives it."""
     if theorem not in THEOREMS:
         raise KeyError(f"unknown theorem id {theorem!r}; known: {sorted(THEOREMS)}")
-    checked, counterexample = THEOREMS[theorem](n)
+    with shared_chains():
+        checked, counterexample = THEOREMS[theorem](n)
     if checked == 0:
         raise EmptySweepError(f"{theorem} checks no case at n={n}")
     return VerifyResult(theorem, counterexample is None, checked, counterexample)

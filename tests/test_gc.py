@@ -38,6 +38,7 @@ CALLS = {
     ),
     "_max_long_moves": lambda: _max_long_moves(W, {}),
     "1lbm": lambda: run("1lbm", 5),
+    "maxelt": lambda: run("maxelt", 4),
     "_tile_label_sets": lambda: _tile_label_sets(W, {}),
     "vex": lambda: vex((1, 3, 4, 5, 2), Occurrence((2, 3, 1), (2, 4, 5), (3, 5, 2))),
     "graphs_isomorphic": lambda: graphs_isomorphic(

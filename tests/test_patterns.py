@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from redux.patterns import (
     analyze_321,
     avoids,
-    contained_patterns,
     contains,
+    first_occurrence,
+    first_occurrences,
     in_U_n,
     in_U_n_j,
     is_freely_braided,
@@ -75,13 +76,15 @@ def test_search_matches_subset_scan_S6_S4():
                 assert contains(w, p) == bool(expected), (w, p)
 
 
-def test_contained_patterns_matches_contains():
+def test_first_occurrences_match_contains_and_first_occurrence():
     for k in (3, 4):
         patterns = list(all_perms(k))
         for n in range(1, 8):
             for w in all_perms(n):
-                expected = {p for p in patterns if contains(w, p)}
-                assert contained_patterns(w, k) == expected, (w, k)
+                found = first_occurrences(w, k)
+                assert set(found) == {p for p in patterns if contains(w, p)}, (w, k)
+                for p, positions in found.items():
+                    assert positions == first_occurrence(w, p).positions, (w, p)
 
 
 @given(perms, small_patterns)

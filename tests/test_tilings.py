@@ -42,6 +42,7 @@ from redux.tilings import (
     mono,
     peel_word,
     poset,
+    shared_chains,
     sub_hexagons,
     tiling_from_word,
     uniform_2k_tiling_exists,
@@ -160,6 +161,32 @@ def test_chain_words_match_the_rescan(ws):
             word = peel_word(t)
             assert word == peel_word(bare), t.key()
             assert evaluate(word, len(w)) == (w, True), t.key()
+
+
+@pytest.mark.parametrize(
+    "ws, enumerators",
+    [
+        (perms5_all, (enumerate_rhombic, enumerate_zonotopal)),
+        ([tuple(p) for p in permutations(range(1, 7))], (enumerate_rhombic,)),
+    ],
+    ids=["S5", "S6-rhombic"],
+)
+def test_shared_chains_match_fresh_memos(ws, enumerators):
+    """A boundary's chains do not depend on the w the walk started from, so
+    under one scope, as a sweep opens it, every enumeration gives a fresh
+    memo's tilings in the same order, with the same peel words."""
+
+    def tilings_and_words(enumerate_, w):
+        return [(t, peel_word(t)) for t in enumerate_(w)]
+
+    fresh = {(f, w): tilings_and_words(f, w) for f in enumerators for w in ws}
+    with shared_chains():
+        for f in enumerators:
+            for w in ws:
+                assert tilings_and_words(f, w) == fresh[f, w], (f.__name__, w)
+        orders = {2 if f is enumerate_rhombic else len(ws[0]) for f in enumerators}
+        assert set(redux.tilings._CHAINS.get()) == orders
+    assert redux.tilings._CHAINS.get() is None
 
 
 def test_peel_word_rejects_a_chain_lacking_a_tile():
@@ -328,9 +355,8 @@ def _decreasing_subsequences_by_subsets(w):
 def test_decreasing_subsequence_sets_match_subset_search_S6():
     for n in range(1, 7):
         for w in permutations(range(1, n + 1)):
-            assert redux.tilings._decreasing_subsequence_sets(
-                w
-            ) == _decreasing_subsequences_by_subsets(w), w
+            expected = sum(1 << mask for mask in _decreasing_subsequences_by_subsets(w))
+            assert redux.tilings._decreasing_subsequence_sets(w) == expected, w
 
 
 def test_decreasing_tile_check_S4():

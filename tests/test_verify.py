@@ -1,12 +1,14 @@
 """The theorem sweep harness (small sizes; the full gate runs in
 test_acceptance)."""
 
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
+import redux.tilings
 from redux import verify
-from redux.redwords import braid_moves, budget, enumerate_R
+from redux.redwords import BudgetError, braid_moves, budget, enumerate_R
 from redux.verify import THEOREMS, VerifyResult, _max_long_moves, run
 
 
@@ -89,6 +91,31 @@ def test_sweep_stops_at_first_failure(
     result = run(theorem, n)
     assert result.summary() == summary
     assert (result.ok, result.checked) == (False, checked)
+
+
+def test_no_chain_scope_outlives_a_sweep():
+    """``run`` closes the sweep's chain scope whether the sweep passes or
+    raises; elthm at n=6 stops at the isomorphism cap."""
+    assert run("maxelt", 5).ok
+    assert redux.tilings._CHAINS.get() is None
+    with pytest.raises(BudgetError):
+        run("elthm", 6)
+    assert redux.tilings._CHAINS.get() is None
+
+
+def test_a_sweep_peels_each_boundary_once(monkeypatch):
+    """One chain memo per max_order serves the whole sweep, so no boundary
+    is peeled twice for the same max_order."""
+    calls = Counter()
+    real = redux.tilings._peels
+
+    def counted(u, lo, hi):
+        calls[u, lo, hi] += 1
+        return real(u, lo, hi)
+
+    monkeypatch.setattr(redux.tilings, "_peels", counted)
+    assert run("maxelt", 5).ok
+    assert calls and max(calls.values()) == 1, calls.most_common(3)
 
 
 def test_max_long_moves_matches_brute_force():
