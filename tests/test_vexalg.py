@@ -65,6 +65,25 @@ def test_vex_step_cap_names_its_limit(monkeypatch):
         vex(w, _occ(w, (2, 3, 1), (3, 6, 2)))
 
 
+def test_check_occurrence_rejects_a_broken_state():
+    """Each of vex's two occurrence checks fires, with its own message, on a
+    state broken by hand."""
+    w, p, values = (3, 1, 4, 6, 5, 2), (2, 3, 1), (3, 6, 2)
+    vexalg._VexState(w, p, values).check_occurrence()
+
+    lost = vexalg._VexState(w, p, values)
+    a, b = lost.inv[3], lost.inv[6]  # two pattern entries trade places
+    lost.w[a - 1], lost.w[b - 1] = 6, 3
+    lost.inv[3], lost.inv[6] = b, a
+    with pytest.raises(VexError, match="^pattern occurrence lost during vex$"):
+        lost.check_occurrence()
+
+    unsorted = vexalg._VexState(w, p, values)
+    unsorted.pat[0], unsorted.pat[1] = unsorted.pat[1], unsorted.pat[0]
+    with pytest.raises(VexError, match="^pattern roles must stay increasing$"):
+        unsorted.check_occurrence()
+
+
 def test_nonvex_witness_golden():
     assert nonvex_witness((2, 1, 4, 3)) == (2, 1, 3, 5, 4)
     with pytest.raises(ValueError):
