@@ -121,16 +121,17 @@ def inversions(w: Perm) -> CellSet:
 
 
 def length(w: Perm) -> int:
-    """The Coxeter length, equal to the number of inversions.
+    """The Coxeter length, equal to the number of inversions, in O(n): each
+    entry counts the larger entries already seen, read off a bitset of the
+    values to its left.
 
     >>> length((4, 2, 1, 3))
     4
     """
-    count = 0
-    for i, a in enumerate(w):
-        for b in w[i + 1 :]:
-            if a > b:
-                count += 1
+    count = seen = 0
+    for a in w:
+        count += (seen >> a).bit_count()
+        seen |= 1 << a
     return count
 
 

@@ -81,7 +81,7 @@ def evaluate(letters, n: int) -> tuple[Perm, bool]:
     ((1, 2, 3), False)
     """
     word = tuple(letters)
-    if any(not 1 <= a <= n - 1 for a in word):
+    if word and (min(word) < 1 or max(word) > n - 1):
         raise ValueError(f"letters must lie in 1..{n - 1}: {word!r}")
     u = list(range(1, n + 1))
     reduced = True
@@ -160,7 +160,7 @@ def shift(word: Word, M: int, new_n: int) -> Word:
         raise ValueError("shift must be nonnegative")
     if word and max(word) + M > new_n - 1:
         raise ValueError(f"shift by {M} leaves letters outside 1..{new_n - 1}")
-    return tuple(a + M for a in word)
+    return tuple(map(M.__add__, word))
 
 
 def find_shift_factor(
@@ -173,16 +173,18 @@ def find_shift_factor(
     start position, then by pattern word in the order given.  Returns None
     if no shifted factor occurs.
     """
-    for start in range(1, len(word) + 2):
-        for pat in pattern_words:
-            if not pat:
-                return start, 0, pat
-            factor = word[start - 1 : start - 1 + len(pat)]
-            if len(factor) < len(pat):
+    word = tuple(word)
+    sized = [(pat, len(pat)) for pat in pattern_words]
+    for start in range(len(word) + 1):  # 0-based here
+        room = len(word) - start
+        for pat, size in sized:
+            if not size:
+                return start + 1, 0, pat
+            if size > room:
                 continue
-            M = factor[0] - pat[0]
-            if M >= 0 and all(f - p == M for f, p in zip(factor, pat)):
-                return start, M, pat
+            M = word[start] - pat[0]
+            if M >= 0 and word[start : start + size] == tuple(map(M.__add__, pat)):
+                return start + 1, M, pat
     return None
 
 

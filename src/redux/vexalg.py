@@ -10,6 +10,7 @@ a containing permutation for which no such reduced word exists.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,34 +50,36 @@ class _VexState:
 
     ``w`` is the current permutation as a list and ``inv[v]`` the 1-based
     position of the value v in it; every multiplication updates both.
+    ``pat`` and ``inv`` change in place only, so a caller may hold them in
+    locals.
     """
+
+    __slots__ = ("w", "inv", "p", "order", "pat", "left", "right")
 
     def __init__(self, w: Perm, pattern: Perm, values):
         self.w = list(w)
-        self.inv = [0] * (len(w) + 1)
+        self.inv = inv = [0] * (len(w) + 1)
         for i, v in enumerate(w, start=1):
-            self.inv[v] = i
+            inv[v] = i
         self.p = pattern
+        self.order = [r - 1 for r in pattern]  # pat index of the role at each position
         self.pat = sorted(values)  # pat[m-1] is the value in role m
         self.left: list[int] = []  # left multipliers, in order of application
         self.right: list[int] = []  # right multipliers, in order of application
 
-    def pos(self, value: int) -> int:
-        return self.inv[value]
-
     def pattern_positions(self) -> list[int]:
-        return sorted(self.inv[v] for v in self.pat)
-
-    def extent(self) -> tuple[int, int]:
-        """The first and the last position of a pattern entry."""
-        positions = [self.inv[v] for v in self.pat]
-        return min(positions), max(positions)
+        """The positions of the pattern entries in the order of p; they
+        increase while the occurrence holds."""
+        inv, pat = self.inv, self.pat
+        return [inv[pat[r]] for r in self.order]
 
     def inside(self) -> list[int]:
         """Non-pattern values strictly between the pattern's extreme positions,
-        ordered by position."""
-        first, last = self.extent()
-        return [v for v in self.w[first : last - 1] if v not in self.pat]
+        ordered by position.  The occurrence holds whenever this is asked, so
+        those are the positions of the first and the last role in p."""
+        pat, inv, order = self.pat, self.inv, self.order
+        first, last = inv[pat[order[0]]], inv[pat[order[-1]]]
+        return [v for v in self.w[first : last - 1] if v not in pat]
 
     def rmult(self, i: int) -> None:
         w = self.w
@@ -95,10 +98,16 @@ class _VexState:
         self.left.append(v)
 
     def check_occurrence(self) -> None:
-        _require(self.pat == sorted(self.pat), "pattern roles must stay increasing")
-        by_position = sorted(self.pat, key=self.inv.__getitem__)
-        ranks = tuple(self.pat.index(v) + 1 for v in by_position)
-        _require(ranks == self.p, "pattern occurrence lost during vex")
+        """The roles are non-decreasing, and the positions of the roles taken
+        in the order of p strictly increase.  Positions are distinct, so a
+        repeated role fails the strict test."""
+        pat, inv = self.pat, self.inv
+        _require(pat == sorted(pat), "pattern roles must stay increasing")
+        last = 0
+        for r in self.order:
+            at = inv[pat[r]]
+            _require(at > last, "pattern occurrence lost during vex")
+            last = at
 
     def sort_values_left(self, lo: int, hi: int) -> None:
         """Left-multiply until the values lo..hi appear in increasing order."""
@@ -134,16 +143,17 @@ def _slide(st: _VexState, x: int, m: int, reach: int, d: int) -> int:
     near = m if d == 1 else m - 1  # 0-based index in st.pat of the bound x faces
     end = near + d * reach
     lo, hi = sorted((near, end))
-    while d * (st.pos(st.pat[end]) - st.pos(x)) > 0:
-        px = st.pos(x)
+    inv, pat = st.inv, st.pat
+    while d * (inv[pat[end]] - inv[x]) > 0:
+        px = inv[x]
         z = st.w[px + d - 1]  # neighbour on the side of travel
         if d * (x - z) > 0:
             st.rmult(min(px, px + d))
-        elif z in st.pat:
-            idx = st.pat.index(z)
+        elif z in pat:
+            idx = pat.index(z)
             _require(lo <= idx <= hi, "blocking entry must be a chain bound")
-            _require(d * (x - st.pat[idx - d]) > 0, "interchange unsorts bounds")
-            st.pat[idx] = x
+            _require(d * (x - pat[idx - d]) > 0, "interchange unsorts bounds")
+            pat[idx] = x
             st.check_occurrence()
             x = z
         else:
@@ -157,7 +167,7 @@ def _trade(st: _VexState, x: int, idx: int) -> int:
     increasing; the values then at the bound's and at x's positions become
     the new bound and the new x.  Returns the new x."""
     old_bound = st.pat[idx]
-    s, t = st.pos(old_bound), st.pos(x)
+    s, t = st.inv[old_bound], st.inv[x]
     _require((t - s) * (x - old_bound) < 0, "x and its bound must form an inversion")
     lo, hi = sorted((x, old_bound))
     st.sort_values_left(lo, hi)
@@ -189,35 +199,40 @@ def vex(w: Perm, occ: Occurrence) -> VexResult:
     p = occ.pattern
     if not _is_vexillary_pattern(p):
         raise ValueError("vex requires a vexillary pattern")
-    if tuple(w[i - 1] for i in occ.positions) != occ.values:
+    if tuple([w[i - 1] for i in occ.positions]) != occ.values:
         raise ValueError("occurrence does not match the permutation")
     st = _VexState(w, p, occ.values)
     st.check_occurrence()
     k = len(p)
+    inv, pat, order = st.inv, st.pat, st.order
 
     steps = 0
     while inside := st.inside():
         # Step 1.  Tie-break: clear the entries below the pattern's value
         # range first, then those above it, then the largest interior entry.
-        below = [v for v in inside if v < st.pat[0]]
-        above = [v for v in inside if v > st.pat[-1]]
+        below = [v for v in inside if v < pat[0]]
+        above = [v for v in inside if v > pat[-1]]
         x = max(below) if below else min(above) if above else max(inside)
         while x in inside:
             steps += 1
             if steps > _STEP_CAP:
                 raise VexError(f"vex did not terminate within {_STEP_CAP} steps")
-            if x > st.pat[-1]:  # Step 2
-                for y in sorted((y for y in inside if y >= x), reverse=True):
-                    while st.pos(y) < st.extent()[1]:
-                        st.rmult(st.pos(y))
-            elif x < st.pat[0]:  # Step 3
-                for y in sorted(y for y in inside if y <= x):
-                    while st.pos(y) > st.extent()[0]:
-                        st.rmult(st.pos(y) - 1)
+            # Steps 2 and 3 move only non-pattern entries, so the pattern
+            # entries keep their order and the same one stays at either end.
+            if x > pat[-1]:  # Step 2
+                end = pat[order[-1]]
+                for y in sorted([y for y in inside if y >= x], reverse=True):
+                    while inv[y] < inv[end]:
+                        st.rmult(inv[y])
+            elif x < pat[0]:  # Step 3
+                end = pat[order[0]]
+                for y in sorted([y for y in inside if y <= x]):
+                    while inv[y] > inv[end]:
+                        st.rmult(inv[y] - 1)
             else:
-                # Step 4: <m> < x < <m+1>
-                m = next(m for m in range(1, k) if st.pat[m - 1] < x < st.pat[m])
-                if st.pos(st.pat[m - 1]) < st.pos(x) < st.pos(st.pat[m]):  # Step 5
+                # Step 4: <m> < x < <m+1>; the roles are increasing
+                m = bisect(pat, x)
+                if inv[pat[m - 1]] < inv[x] < inv[pat[m]]:  # Step 5
                     report = obstruction(tuple(st.w), st.current_occurrence(), x)
                     _require(report.m == m, "obstruction names another role")
                     if not report.obstructed_right:
@@ -226,7 +241,7 @@ def vex(w: Perm, occ: Occurrence) -> VexResult:
                         x = _slide(st, x, m, report.a, -1)
                     else:
                         raise VexError("inside entry obstructed on both sides")
-                elif st.pos(st.pat[m]) < st.pos(x):  # Step 6
+                elif inv[pat[m]] < inv[x]:  # Step 6
                     x = _trade(st, x, m)
                 else:  # Step 7
                     x = _trade(st, x, m - 1)
@@ -248,20 +263,35 @@ def vex(w: Perm, occ: Occurrence) -> VexResult:
     )
 
 
+@lru_cache(maxsize=64)
+def _is_reduced_word_of(word: Word, p: Perm) -> bool:
+    """Whether ``word`` is a reduced word of ``p``, memoised on (word, p)
+    for at most 64 pairs: a sweep embeds the same few pattern words again
+    and again."""
+    value, reduced = evaluate(word, len(p))
+    return value == p and reduced
+
+
 def lex_least_reduced_word(w: Perm) -> Word:
-    """The lexicographically least reduced word of ``w`` (greedy smallest
-    left descent)."""
-    inv = list(inverse(check_perm(w)))  # inv[i-1]: the position of i
-    letters = []
-    i = 1
-    while i < len(inv):
-        if inv[i] < inv[i - 1]:
-            letters.append(i)
-            inv[i - 1], inv[i] = inv[i], inv[i - 1]
-            # no left descent below i - 1 yet, so the next smallest is >= i - 1
-            i = max(i - 1, 1)
-        else:
-            i += 1
+    """The lexicographically least reduced word of ``w``: for j = 1 .. n-1
+    in turn, the run j, j-1, .., j-c+1, where c counts the values below
+    j + 1 that lie right of it in w, read off a bitset of their positions.
+
+    Read as right multiplications from the identity, run j carries j + 1
+    leftward past c smaller values, so the word is reduced and evaluates to
+    w.  Its first letter is the smallest left descent of w (the values up to
+    it are in increasing order in w), and dropping that letter leaves the
+    same construction for s_j w, so the word is the one the greedy smallest
+    left descent builds, which is the lexicographically least.
+
+    >>> lex_least_reduced_word((4, 3, 2, 1))
+    (1, 2, 1, 3, 2, 1)
+    """
+    letters: list[int] = []
+    below = 0  # bitset of the positions of the values below j + 1
+    for j, at in enumerate(inverse(check_perm(w))):
+        letters += range(j, j - (below >> at).bit_count(), -1)
+        below |= 1 << at
     return tuple(letters)
 
 
@@ -277,8 +307,7 @@ def embed_reduced_word(w: Perm, occ: Occurrence, pattern_word: Word) -> Word:
     """
     n = len(w)
     k = len(occ.pattern)
-    check, reduced = evaluate(pattern_word, k)
-    if check != occ.pattern or not reduced:
+    if not _is_reduced_word_of(tuple(pattern_word), occ.pattern):
         raise ValueError("pattern_word is not a reduced word of the pattern")
     res = vex(w, occ)
     window = sorted(res.w_tilde[res.M : res.M + k])

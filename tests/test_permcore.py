@@ -1,5 +1,7 @@
 """Core permutation machinery: parsing, inversions, code/shape, tableaux."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -68,6 +70,16 @@ def test_length_is_inversion_count(w):
         if w[i] > w[j]
     }
     assert set(inv) == expected
+
+
+def test_length_is_inversion_count_S1_to_S7():
+    """All 5,913 permutations of S1 .. S7, against the inversion set."""
+    checked = 0
+    for n in range(1, 8):
+        for w in permutations(range(1, n + 1)):
+            assert length(w) == len(inversions(w)), w
+            checked += 1
+    assert checked == 5913
 
 
 @given(perms)

@@ -42,8 +42,11 @@ def test_evaluate():
     assert evaluate((1, 2, 1), 3) == ((3, 2, 1), True)
     assert evaluate((2, 1, 2), 3) == ((3, 2, 1), True)
     assert evaluate((1, 1), 3) == ((1, 2, 3), False)
+    assert evaluate((), 3) == ((1, 2, 3), True)
     with pytest.raises(ValueError):
         evaluate((3,), 3)
+    with pytest.raises(ValueError):
+        evaluate((1, 0), 3)
     with pytest.raises(ValueError):
         check_reduced((1, 1), 3)
 
@@ -85,6 +88,10 @@ def test_find_shift_factor():
     assert find_shift_factor((3, 1), [()]) == (1, 0, ())
     # earliest start wins over a later, lower shift
     assert find_shift_factor((3, 4, 1, 2), [(1, 2)]) == (1, 2, (1, 2))
+    # at one start, the pattern words are tried in the order given
+    assert find_shift_factor((1, 2), [(2,), ()]) == (1, 0, ())
+    assert find_shift_factor((), [(1,)]) is None
+    assert find_shift_factor([2, 3], [(1, 2)]) == (1, 1, (1, 2))
 
 
 def test_braid_moves():
