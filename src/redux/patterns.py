@@ -131,9 +131,9 @@ def first_occurrences(w: Perm, k: int) -> dict[Perm, tuple[int, ...]]:
 def _standardize(values: tuple[int, ...]) -> Perm:
     """The pattern of the distinct ``values``: each replaced by its rank.
 
-    Memoised on the value tuple alone; the k-tuples of distinct values in
-    1..n number n!/(n-k)!, so a sweep of S_n over k = 4 keeps at most 360
-    entries at n = 6 and 3,024 at n = 9.
+    Memoised on the value tuple alone.  The k-tuples of distinct values in
+    1..n number n!/(n-k)!, so calls on permutations of size up to n keep at
+    most that many entries per k: 360 for k = 4 at n = 6, 3,024 at n = 9.
     """
     ranked = sorted(values)
     return tuple(ranked.index(v) + 1 for v in values)
