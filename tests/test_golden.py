@@ -119,3 +119,34 @@ def test_cli_output_digests(capsys, w):
         assert main(argv + [w]) == 0, name
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[w][name], name
+
+
+# The first member of each orbit the query benchmark samples from: S6,
+# lengths 12-14.  The goldens above cover only small w; these carry the
+# classes, tilings, P(w) and G(w) of the benchmark's own inputs.
+QUERY_PERMS = (
+    "456321", "465231", "365421", "635241", "564231",
+    "563421", "465321", "635421", "564321", "645321",
+)
+QUERY_COMMANDS = (
+    ["enum", "classes"],
+    ["enum", "tilings"],
+    ["enum", "zonotopal"],
+    ["enum", "poset"],
+    ["render", "graph"],
+)
+# sha256 over the text output of every command above on every w above, in
+# that order, each preceded by its argv.
+QUERY_DIGEST = (
+    "5c02f892a2861057b0e2ef0e66ac9591e1cc573811578fe540898a05fa7d91ed"
+)
+
+
+def test_query_outputs_pinned_S6(capsys):
+    h = hashlib.sha256()
+    for w in QUERY_PERMS:
+        for argv in QUERY_COMMANDS:
+            assert main(argv + [w]) == 0, (argv, w)
+            h.update(repr(argv + [w]).encode())
+            h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == QUERY_DIGEST
