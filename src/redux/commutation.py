@@ -52,18 +52,30 @@ class CommutationClass:
     @cached_property
     def size(self) -> int:
         """The number of words in the class: linear extensions of its heap,
-        counted by a DP over order ideals held as bitmasks."""
-        below = _heap(self.representative)
-        ideals = {0: 1}
+        counted by a DP over order ideals held as bitmasks.  A letter's
+        positions form a chain in the heap, so an ideal grows only by the
+        next untaken position of some letter: its frontier, which it holds
+        with its count as [count, frontier]."""
+        word = self.representative
+        below = _heap(word)
+        first: dict[int, int] = {}  # each letter's first position, as a bit
+        after = [0] * len(word)  # after[p]: word[p]'s next position, as a bit
+        for p in reversed(range(len(word))):
+            after[p], first[word[p]] = first.get(word[p], 0), 1 << p
+        ideals = {0: [1, sum(first.values())]}
         for _ in below:
-            grown: dict[int, int] = {}
-            for ideal, count in ideals.items():
-                for p, mask in enumerate(below):
-                    if not ideal >> p & 1 and not mask & ~ideal:
-                        key = ideal | 1 << p
-                        grown[key] = grown.get(key, 0) + count
+            grown: dict[int, list[int]] = {}
+            for ideal, (count, frontier) in ideals.items():
+                rest = frontier
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    p = bit.bit_length() - 1
+                    if not below[p] & ~ideal:
+                        next_frontier = frontier ^ bit | after[p]
+                        grown.setdefault(ideal | bit, [0, next_frontier])[0] += count
             ideals = grown
-        return sum(ideals.values())
+        return sum(count for count, _ in ideals.values())
 
     @cached_property
     def words(self) -> frozenset[Word]:

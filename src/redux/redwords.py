@@ -65,8 +65,8 @@ def format_word(word: Word) -> str:
     if not word:
         return "e"
     if max(word) <= 9:
-        return "".join(str(a) for a in word)
-    return ",".join(str(a) for a in word)
+        return "".join(map(str, word))
+    return ",".join(map(str, word))
 
 
 def evaluate(letters, n: int) -> tuple[Perm, bool]:

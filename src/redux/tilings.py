@@ -63,10 +63,6 @@ def decode(code: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(_labels(code & ((1 << n) - 1))), tuple(_labels(code >> n))
 
 
-def _order(code: int, n: int) -> int:
-    return (code & ((1 << n) - 1)).bit_count()
-
-
 def _pair_bit(a: int, b: int) -> int:
     """The bit of the unit cell of labels a < b."""
     return 1 << ((b - 1) * (b - 2) // 2 + a - 1)
@@ -157,11 +153,12 @@ class Tiling:
         return frozenset(out)
 
     def is_rhombic(self) -> bool:
-        return all(_order(code, len(self.w)) == 2 for code in self.tiles)
+        return max(self.shape_profile(), default=2) == 2
 
     def shape_profile(self) -> tuple[int, ...]:
         """Sorted tile orders, e.g. (2, 2, 3) = two rhombi and a hexagon."""
-        return tuple(sorted(_order(code, len(self.w)) for code in self.tiles))
+        full = (1 << len(self.w)) - 1
+        return tuple(sorted((code & full).bit_count() for code in self.tiles))
 
     def key(self):
         """Deterministic sort key (tilings of the same w only)."""
@@ -222,33 +219,38 @@ def shared_chains():
 
 
 @cache
-def _rank(code: int, n: int) -> int:
-    """An int whose order on the tiles of X(w), w in S_n, is the order of
-    :func:`decode`: the labels, then the anchor, each padded with zeros to
-    n digits, read as one number in base n + 1."""
-    rank = 0
-    for part in decode(code, n):
-        for digit in part + (0,) * (n - len(part)):
-            rank = rank * (n + 1) + digit
-    return rank
+def _tile_bits(n: int) -> dict[int, int]:
+    """Each tile code of X(w), w in S_n, mapped to one bit: of the N codes
+    in :func:`decode` order, the first gets bit N and the last bit 1."""
+    masks = sorted(range(1 << n), key=_labels)
+    codes = [a | b << n for a in masks if a & (a - 1) for b in masks if not a & b]
+    return {code: 1 << (len(codes) - i) for i, code in enumerate(codes)}
 
 
 def _enumerate(w: Perm, max_order: int) -> tuple[Tiling, ...]:
     """All tilings of X(w) by 2m-gons with m <= max_order, sorted by key,
     each holding its chain.
 
-    A chain's sorted tile ranks (:func:`_rank`) order the tilings exactly
-    as ``Tiling.key`` does.  The chains are sorted before any tile set is
-    built, so the sort keys and the tile sets are never held at once.  The
-    chain memo is the open scope's (:func:`shared_chains`), else a fresh one.
+    Chains are sorted descending on the sum of their tiles' bits
+    (:func:`_tile_bits`), which is ``Tiling.key``'s order: each tiling
+    covers X(w) exactly, so no two have nested tile sets, and the first
+    tile in decode order that only one of them holds puts that one first
+    both ways.  The chains are sorted before any tile set is built, so the
+    sort keys and the tile sets are never held at once.  The chain memo is
+    the open scope's (:func:`shared_chains`), else a fresh one.
     """
-    n = len(w)
     scope = _CHAINS.get()
     memo = {} if scope is None else scope.setdefault(max_order, {})
-    chains = sorted(
-        _canonical_peels(w, max_order, memo),
-        key=lambda chain: sorted(_rank(code, n) for code in _chain_tiles(chain)),
-    )
+    bits = _tile_bits(len(w))
+
+    def key(chain) -> int:
+        total = 0
+        while chain is not None:
+            tile, chain = chain
+            total |= bits[tile]
+        return total
+
+    chains = sorted(_canonical_peels(w, max_order, memo), key=key, reverse=True)
     return tuple(Tiling(w, frozenset(_chain_tiles(chain)), chain) for chain in chains)
 
 
@@ -616,8 +618,9 @@ def _down_covers(tiles: frozenset, n: int):
     """Tile sets of the tilings covered by the tiling with these tiles, of
     X(w) with w in S_n: each replaces one tile of order k >= 3 by one of its
     refinements."""
+    full = (1 << n) - 1
     for tile in tiles:
-        if _order(tile, n) >= 3:
+        if (tile & full).bit_count() >= 3:
             rest = tiles - {tile}
             for inner in _refinements(tile, n):
                 yield rest | inner

@@ -74,6 +74,31 @@ def test_classes_partition_R():
             assert c.size == len(c.words)
 
 
+def _size_by_all_positions(rep):
+    """Reference class size: the linear extensions of the heap, counted by
+    a DP over order ideals that tries every position at every step."""
+    below = redux.commutation._heap(rep)
+    ideals = {0: 1}
+    for _ in below:
+        grown = {}
+        for ideal, count in ideals.items():
+            for p, mask in enumerate(below):
+                if not ideal >> p & 1 and not mask & ~ideal:
+                    key = ideal | 1 << p
+                    grown[key] = grown.get(key, 0) + count
+        ideals = grown
+    return sum(ideals.values())
+
+
+def test_class_size_matches_reference_S6():
+    total = 0
+    for w in permutations(range(1, 7)):
+        for c in classes(w):
+            assert c.size == _size_by_all_positions(c.representative), c
+            total += 1
+    assert total == 9661
+
+
 def test_graph_edges_match_long_moves_on_R():
     for w in permutations(range(1, 6)):
         cls = classes(w)

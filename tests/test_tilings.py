@@ -296,6 +296,18 @@ def test_tiling_order_pinned_S5():
     assert h.hexdigest() == TILING_ORDER_DIGEST
 
 
+def test_enumeration_is_sorted_by_key_S6():
+    """_enumerate sorts on one int per chain, which orders the tilings of
+    one w as Tiling.key does only because no two have nested tile sets."""
+    counts = [0, 0]
+    for w in permutations(range(1, 7)):
+        for i, enumerate_tilings in enumerate((enumerate_zonotopal, enumerate_rhombic)):
+            tilings = enumerate_tilings(w)
+            assert list(tilings) == sorted(tilings, key=Tiling.key), w
+            counts[i] += len(tilings)
+    assert counts == [34992, 9661]
+
+
 # sha256 over boundary_edges(w) and the edge_set of every tiling in
 # enumerate_zonotopal(w), each edge as (sorted point, label) and each set
 # sorted, for every w of S_5 and for W9.  edge_set is the reference order of
