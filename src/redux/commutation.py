@@ -51,11 +51,9 @@ class CommutationClass:
 
     @cached_property
     def size(self) -> int:
-        """The number of words in the class: linear extensions of its heap,
-        counted by a DP over order ideals held as bitmasks.  A letter's
-        positions form a chain in the heap, so an ideal grows only by the
-        next untaken position of some letter: its frontier, which it holds
-        with its count as [count, frontier]."""
+        """The number of words in the class (linear extensions of its heap), by
+        a DP over order ideals as bitmasks.  A letter's positions form a chain,
+        so an ideal grows only by its frontier, each letter's next position."""
         word = self.representative
         below = _heap(word)
         first: dict[int, int] = {}  # each letter's first position, as a bit
@@ -72,8 +70,7 @@ class CommutationClass:
                     rest ^= bit
                     p = bit.bit_length() - 1
                     if not below[p] & ~ideal:
-                        next_frontier = frontier ^ bit | after[p]
-                        grown.setdefault(ideal | bit, [0, next_frontier])[0] += count
+                        grown.setdefault(ideal | bit, [0, frontier ^ bit | after[p]])[0] += count
             ideals = grown
         return sum(count for count, _ in ideals.values())
 

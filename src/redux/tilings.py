@@ -198,14 +198,14 @@ def _peels(u: Perm, lo: int, hi: int):
         anchor |= 1 << (u[j - 1] - 1)
 
 
-# {max_order: {boundary: chains}} of the open shared_chains() scope, or None
+# {max_order: ({boundary: chains}, {n: tile bits})} of the open scope, or None
 _CHAINS: ContextVar[dict | None] = ContextVar("redux_chains", default=None)
 
 
 @contextmanager
 def shared_chains():
-    """Run the block with one chain memo per max_order, shared by every
-    enumeration in it; no scope is open once the block exits.
+    """Run the block with one chain memo and tile table per max_order, shared
+    by every enumeration in it; no scope is open once the block exits.
 
     The chains of X(u) depend only on the boundary u, not on the w that the
     enumeration started from, so a sweep peels each boundary once.  Outside
@@ -218,30 +218,34 @@ def shared_chains():
         _CHAINS.reset(token)
 
 
-@cache
-def _tile_bits(n: int) -> dict[int, int]:
-    """Each tile code of X(w), w in S_n, mapped to one bit: of the N codes
-    in :func:`decode` order, the first gets bit N and the last bit 1."""
-    masks = sorted(range(1 << n), key=_labels)
-    codes = [a | b << n for a in masks if a & (a - 1) for b in masks if not a & b]
-    return {code: 1 << (len(codes) - i) for i, code in enumerate(codes)}
+def _tile_bits(n: int, tiles=None) -> dict[int, int]:
+    """Tile codes of S_n, these or else all, mapped in decode order to bits N..1."""
+    full, masks = (1 << n) - 1, range(1 << n)
+    if tiles is None:
+        tiles = (a | b << n for a in masks if a & (a - 1) for b in masks if not a & b)
+    order = sorted(tiles, key=lambda code: (_labels(code & full), _labels(code >> n)))
+    return {code: 1 << (len(order) - i) for i, code in enumerate(order)}
 
 
 def _enumerate(w: Perm, max_order: int) -> tuple[Tiling, ...]:
     """All tilings of X(w) by 2m-gons with m <= max_order, sorted by key,
     each holding its chain.
 
-    Chains are sorted descending on the sum of their tiles' bits
-    (:func:`_tile_bits`), which is ``Tiling.key``'s order: each tiling
-    covers X(w) exactly, so no two have nested tile sets, and the first
-    tile in decode order that only one of them holds puts that one first
-    both ways.  The chains are sorted before any tile set is built, so the
-    sort keys and the tile sets are never held at once.  The chain memo is
-    the open scope's (:func:`shared_chains`), else a fresh one.
+    Chains are sorted, before any tile set is built, descending on the sum
+    of their tiles' bits (:func:`_tile_bits`).  This is ``Tiling.key``'s
+    order: each tiling covers X(w) exactly, so no two have nested tile
+    sets, and the first tile in decode order that only one holds puts that
+    one first both ways.  Outside a :func:`shared_chains` scope the memo is
+    fresh and its first tiles are X(w)'s; a sweep's scope shares its memo
+    and one table of every code of S_n.
     """
-    scope = _CHAINS.get()
-    memo = {} if scope is None else scope.setdefault(max_order, {})
-    bits = _tile_bits(len(w))
+    scope, n = _CHAINS.get(), len(w)
+    memo, tables = ({}, {}) if scope is None else scope.setdefault(max_order, ({}, {}))
+    chains = _canonical_peels(w, max_order, memo)
+    if scope is None:
+        bits = _tile_bits(n, {chain[0] for cs in memo.values() for chain in cs if chain})
+    else:
+        bits = tables.get(n) or tables.setdefault(n, _tile_bits(n))
 
     def key(chain) -> int:
         total = 0
@@ -250,7 +254,7 @@ def _enumerate(w: Perm, max_order: int) -> tuple[Tiling, ...]:
             total |= bits[tile]
         return total
 
-    chains = sorted(_canonical_peels(w, max_order, memo), key=key, reverse=True)
+    chains = sorted(chains, key=key, reverse=True)
     return tuple(Tiling(w, frozenset(_chain_tiles(chain)), chain) for chain in chains)
 
 
@@ -618,9 +622,8 @@ def _down_covers(tiles: frozenset, n: int):
     """Tile sets of the tilings covered by the tiling with these tiles, of
     X(w) with w in S_n: each replaces one tile of order k >= 3 by one of its
     refinements."""
-    full = (1 << n) - 1
     for tile in tiles:
-        if (tile & full).bit_count() >= 3:
+        if (tile & (1 << n) - 1).bit_count() >= 3:
             rest = tiles - {tile}
             for inner in _refinements(tile, n):
                 yield rest | inner

@@ -308,6 +308,30 @@ def test_enumeration_is_sorted_by_key_S6():
     assert counts == [34992, 9661]
 
 
+@pytest.mark.parametrize("w", [
+    (2, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12),
+    (1, 2, 3, 4, 5, 6, 7, 8, 12, 11, 10, 9),
+    (2, 4, 1, 3, 6, 5, 8, 7, 12, 9, 11, 10),
+])
+def test_enumeration_of_short_w_in_S12(w, monkeypatch):
+    """Outside a sweep the sort's bit table holds only the tiles of X(w),
+    not every tile code of S_12, so a short w in a large S_n enumerates at
+    once, and in Tiling.key order."""
+    tables = []
+    real = redux.tilings._tile_bits
+
+    def recorded(n, tiles=None):
+        tables.append(real(n, tiles))
+        return tables[-1]
+
+    monkeypatch.setattr(redux.tilings, "_tile_bits", recorded)
+    for enumerate_tilings in (enumerate_zonotopal, enumerate_rhombic):
+        tilings = enumerate_tilings(w)
+        assert list(tilings) == sorted(tilings, key=Tiling.key)
+        assert set(tables.pop()) == set().union(*(t.tiles for t in tilings))
+    assert not tables
+
+
 # sha256 over boundary_edges(w) and the edge_set of every tiling in
 # enumerate_zonotopal(w), each edge as (sorted point, label) and each set
 # sorted, for every w of S_5 and for W9.  edge_set is the reference order of
