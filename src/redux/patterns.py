@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from .permcore import Perm, check_perm, inversions, position
+from .permcore import Perm, check_perm, inversions
 
 
 @dataclass(frozen=True)
@@ -203,48 +203,43 @@ def obstruction(w: Perm, occ: Occurrence, x: int) -> ObstructionReport:
 
     Requires role m with <m> < x < <m+1> to exist and the values
     {<m>, x, <m+1>} to appear in increasing order in ``w``; obstruction is
-    undefined otherwise and a ValueError is raised.
+    undefined otherwise and a ValueError is raised.  Positions are read from
+    one array of the position of each value, built once per call.
     """
     roles = occ.roles()
     k = len(roles)
     if x in roles:
         raise ValueError(f"{x} is a pattern entry, not inside the pattern")
-    lo, hi = min(occ.positions), max(occ.positions)
-    px = position(w, x)
-    if not lo < px < hi:
+    at = [0] * (len(w) + 1)  # at[v]: the 1-based position of the value v
+    for i, v in enumerate(w, start=1):
+        at[v] = i
+    if not 1 <= x < len(at):
+        raise ValueError(f"{x} is not inside the pattern")
+    px = at[x]
+    if not min(occ.positions) < px < max(occ.positions):
         raise ValueError(f"{x} is not inside the pattern")
     m = next((m for m in range(1, k) if roles[m - 1] < x < roles[m]), None)
     if m is None:
         raise ValueError(f"no role m with <m> < {x} < <m+1>")
-    if not position(w, roles[m - 1]) < px < position(w, roles[m]):
+    role_at = [at[v] for v in roles]  # role_at[j]: the position of role j + 1
+    if not role_at[m - 1] < px < role_at[m]:
         raise ValueError("values <m>, x, <m+1> do not appear in increasing order")
-    a, b = _extents(w, roles, m, px)
-    left_end, right_end = roles[m - 1 - a], roles[m + b]
-    obstructed_left = any(
-        roles[j] < left_end and position(w, left_end) < position(w, roles[j]) < px
-        for j in range(k)
-    )
-    obstructed_right = any(
-        roles[j] > right_end and px < position(w, roles[j]) < position(w, right_end)
-        for j in range(k)
-    )
-    return ObstructionReport(x, m, a, b, obstructed_left, obstructed_right)
-
-
-def _extents(w: Perm, roles: tuple[int, ...], m: int, px: int) -> tuple[int, int]:
-    """Maximal a, b with <m-a>, ..., <m>, x, <m+1>, ..., <m+1+b> increasing in w."""
-    k = len(roles)
+    # Maximal a, b with <m-a>, ..., <m>, x, <m+1>, ..., <m+1+b> increasing in w.
     a = 0
-    while m - 1 - (a + 1) >= 0 and position(w, roles[m - 1 - (a + 1)]) < position(
-        w, roles[m - 1 - a]
-    ):
+    while m - 2 - a >= 0 and role_at[m - 2 - a] < role_at[m - 1 - a]:
         a += 1
     b = 0
-    while m + (b + 1) <= k - 1 and position(w, roles[m + b]) < position(
-        w, roles[m + (b + 1)]
-    ):
+    while m + b + 1 < k and role_at[m + b] < role_at[m + b + 1]:
         b += 1
-    return a, b
+    left_end, right_end = roles[m - 1 - a], roles[m + b]
+    left_at, right_at = role_at[m - 1 - a], role_at[m + b]
+    obstructed_left = any(
+        roles[j] < left_end and left_at < role_at[j] < px for j in range(k)
+    )
+    obstructed_right = any(
+        roles[j] > right_end and px < role_at[j] < right_at for j in range(k)
+    )
+    return ObstructionReport(x, m, a, b, obstructed_left, obstructed_right)
 
 
 def analyze_321(w: Perm) -> tuple[int, bool, int | None]:

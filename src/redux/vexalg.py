@@ -45,11 +45,25 @@ class VexResult:
     pattern_positions: tuple[int, ...]
 
 
+@lru_cache(maxsize=1)
+def _checked(w: Perm) -> tuple[int, tuple[int, ...]]:
+    """``length(w)`` and the position of each value in ``w`` (index 0
+    unused), once ``check_perm`` accepts ``w``.  Memoised for the last w
+    only: a sweep embeds every pattern it finds in one w before moving on,
+    so each w is validated once, not once per embedding."""
+    w = check_perm(w)
+    inv = [0] * (len(w) + 1)
+    for i, v in enumerate(w, start=1):
+        inv[v] = i
+    return length(w), tuple(inv)
+
+
 class _VexState:
     """Mutable working state; every multiplication must remove an inversion.
 
     ``w`` is the current permutation as a list and ``inv[v]`` the 1-based
-    position of the value v in it; every multiplication updates both.
+    position of the value v in it, copied at the start from
+    :func:`_checked`; every multiplication updates both.
     ``pat`` and ``inv`` change in place only, so a caller may hold them in
     locals.
     """
@@ -58,20 +72,12 @@ class _VexState:
 
     def __init__(self, w: Perm, pattern: Perm, values):
         self.w = list(w)
-        self.inv = inv = [0] * (len(w) + 1)
-        for i, v in enumerate(w, start=1):
-            inv[v] = i
+        self.inv = list(_checked(tuple(w))[1])
         self.p = pattern
         self.order = [r - 1 for r in pattern]  # pat index of the role at each position
         self.pat = sorted(values)  # pat[m-1] is the value in role m
         self.left: list[int] = []  # left multipliers, in order of application
         self.right: list[int] = []  # right multipliers, in order of application
-
-    def pattern_positions(self) -> list[int]:
-        """The positions of the pattern entries in the order of p; they
-        increase while the occurrence holds."""
-        inv, pat = self.inv, self.pat
-        return [inv[pat[r]] for r in self.order]
 
     def inside(self) -> list[int]:
         """Non-pattern values strictly between the pattern's extreme positions,
@@ -84,7 +90,8 @@ class _VexState:
     def rmult(self, i: int) -> None:
         w = self.w
         a, b = w[i - 1], w[i]
-        _require(a > b, "right multiplier adds an inversion")
+        if a < b:
+            raise VexError("right multiplier adds an inversion")
         w[i - 1], w[i] = b, a
         self.inv[a], self.inv[b] = i + 1, i
         self.right.append(i)
@@ -92,7 +99,8 @@ class _VexState:
     def lmult(self, v: int) -> None:
         inv = self.inv
         s, t = inv[v], inv[v + 1]
-        _require(t < s, "left multiplier adds an inversion")
+        if t > s:
+            raise VexError("left multiplier adds an inversion")
         self.w[s - 1], self.w[t - 1] = v + 1, v
         inv[v], inv[v + 1] = t, s
         self.left.append(v)
@@ -102,11 +110,13 @@ class _VexState:
         in the order of p strictly increase.  Positions are distinct, so a
         repeated role fails the strict test."""
         pat, inv = self.pat, self.inv
-        _require(pat == sorted(pat), "pattern roles must stay increasing")
+        if pat != sorted(pat):
+            raise VexError("pattern roles must stay increasing")
         last = 0
         for r in self.order:
             at = inv[pat[r]]
-            _require(at > last, "pattern occurrence lost during vex")
+            if at <= last:
+                raise VexError("pattern occurrence lost during vex")
             last = at
 
     def sort_values_left(self, lo: int, hi: int) -> None:
@@ -195,24 +205,47 @@ def vex(w: Perm, occ: Occurrence) -> VexResult:
     deterministic, but any output satisfying the two defining invariants is a
     correct answer.
     """
-    w = check_perm(w)
+    st, M = _vex(w, occ)
+    return VexResult(
+        prefix_letters=tuple(reversed(st.left)),
+        w_tilde=tuple(st.w),
+        suffix_letters=tuple(st.right),
+        M=M,
+        pattern_positions=tuple(range(M + 1, M + len(st.p) + 1)),
+    )
+
+
+def _vex(w: Perm, occ: Occurrence) -> tuple[_VexState, int]:
+    """:func:`vex`'s construction: the final state, its pattern entries in
+    positions M+1 .. M+k, and M, once every check has passed."""
+    w = tuple(w)
+    length_w = _checked(w)[0]
     p = occ.pattern
     if not _is_vexillary_pattern(p):
         raise ValueError("vex requires a vexillary pattern")
-    if tuple([w[i - 1] for i in occ.positions]) != occ.values:
+    k, at = len(p), occ.positions
+    if len(at) != k or list(at) != sorted(set(at)) or not 1 <= at[0] <= at[-1] <= len(w):
+        raise ValueError("occurrence positions must be k increasing positions of w")
+    if tuple([w[i - 1] for i in at]) != occ.values:
         raise ValueError("occurrence does not match the permutation")
     st = _VexState(w, p, occ.values)
-    st.check_occurrence()
-    k = len(p)
+    try:
+        st.check_occurrence()
+    except VexError:
+        raise ValueError("occurrence values do not form the pattern") from None
     inv, pat, order = st.inv, st.pat, st.order
 
     steps = 0
-    while inside := st.inside():
+    inside = st.inside()
+    while inside:
         # Step 1.  Tie-break: clear the entries below the pattern's value
         # range first, then those above it, then the largest interior entry.
         below = [v for v in inside if v < pat[0]]
-        above = [v for v in inside if v > pat[-1]]
-        x = max(below) if below else min(above) if above else max(inside)
+        if below:
+            x = max(below)
+        else:
+            above = [v for v in inside if v > pat[-1]]
+            x = min(above) if above else max(inside)
         while x in inside:
             steps += 1
             if steps > _STEP_CAP:
@@ -247,20 +280,12 @@ def vex(w: Perm, occ: Occurrence) -> VexResult:
                     x = _trade(st, x, m - 1)
             inside = st.inside()
 
-    st.check_occurrence()
-    positions = st.pattern_positions()
-    M = positions[0] - 1
-    _require(positions == list(range(1 + M, k + M + 1)), "occurrence not consecutive")
+    st.check_occurrence()  # the positions in the order of p strictly increase,
+    M = inv[pat[order[0]]] - 1  # so they are M+1 .. M+k when they span k
+    _require(inv[pat[order[-1]]] - M == k, "occurrence not consecutive")
     moves = len(st.left) + len(st.right)
-    w_tilde = tuple(st.w)
-    _require(length(w_tilde) == length(w) - moves, "a multiplication did not shorten w")
-    return VexResult(
-        prefix_letters=tuple(reversed(st.left)),
-        w_tilde=w_tilde,
-        suffix_letters=tuple(st.right),
-        M=M,
-        pattern_positions=tuple(positions),
-    )
+    _require(length(st.w) == length_w - moves, "a multiplication did not shorten w")
+    return st, M
 
 
 @lru_cache(maxsize=64)
@@ -290,7 +315,8 @@ def lex_least_reduced_word(w: Perm) -> Word:
     letters: list[int] = []
     below = 0  # bitset of the positions of the values below j + 1
     for j, at in enumerate(inverse(check_perm(w))):
-        letters += range(j, j - (below >> at).bit_count(), -1)
+        if c := (below >> at).bit_count():
+            letters += range(j, j - c, -1)
         below |= 1 << at
     return tuple(letters)
 
@@ -305,20 +331,15 @@ def embed_reduced_word(w: Perm, occ: Occurrence, pattern_word: Word) -> Word:
     >>> embed_reduced_word(w, occ, (1, 2))
     (5, 2, 3, 4, 5, 1)
     """
+    w = tuple(w)
     n = len(w)
     k = len(occ.pattern)
     if not _is_reduced_word_of(tuple(pattern_word), occ.pattern):
         raise ValueError("pattern_word is not a reduced word of the pattern")
-    res = vex(w, occ)
-    window = sorted(res.w_tilde[res.M : res.M + k])
-    w_prime = res.w_tilde[: res.M] + tuple(window) + res.w_tilde[res.M + k :]
-    h = lex_least_reduced_word(w_prime)
-    word = (
-        res.prefix_letters[::-1]
-        + h
-        + shift(pattern_word, res.M, n)
-        + res.suffix_letters[::-1]
-    )
+    st, M = _vex(w, occ)
+    st.w[M : M + k] = sorted(st.w[M : M + k])  # w_tilde turns into w_prime
+    h = lex_least_reduced_word(tuple(st.w))
+    word = tuple(st.left) + h + shift(pattern_word, M, n) + tuple(reversed(st.right))
     value, reduced = evaluate(word, n)
     _require(value == w and reduced, "assembled word must be a reduced word of w")
     _require(

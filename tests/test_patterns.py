@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from redux.patterns import (
+    ObstructionReport,
     analyze_321,
     avoids,
     contains,
@@ -21,6 +22,7 @@ from redux.patterns import (
     obstruction,
     occurrences,
 )
+from redux.permcore import position
 
 perms = st.integers(1, 6).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1)))
@@ -122,6 +124,77 @@ def test_obstruction_both_sides():
     report = obstruction(w, occ, 3)
     assert report.m == 2
     assert report.obstructed_left and report.obstructed_right
+
+
+def _obstruction_by_scans(w, occ, x):
+    """The definition of :func:`obstruction` read literally, each position
+    found by a scan of w; the oracle for the position-array version."""
+    roles = occ.roles()
+    k = len(roles)
+    if x in roles:
+        raise ValueError(f"{x} is a pattern entry, not inside the pattern")
+    lo, hi = min(occ.positions), max(occ.positions)
+    px = position(w, x)
+    if not lo < px < hi:
+        raise ValueError(f"{x} is not inside the pattern")
+    m = next((m for m in range(1, k) if roles[m - 1] < x < roles[m]), None)
+    if m is None:
+        raise ValueError(f"no role m with <m> < {x} < <m+1>")
+    if not position(w, roles[m - 1]) < px < position(w, roles[m]):
+        raise ValueError("values <m>, x, <m+1> do not appear in increasing order")
+    a = 0
+    while m - 1 - (a + 1) >= 0 and position(w, roles[m - 1 - (a + 1)]) < position(
+        w, roles[m - 1 - a]
+    ):
+        a += 1
+    b = 0
+    while m + (b + 1) <= k - 1 and position(w, roles[m + b]) < position(
+        w, roles[m + (b + 1)]
+    ):
+        b += 1
+    left_end, right_end = roles[m - 1 - a], roles[m + b]
+    obstructed_left = any(
+        roles[j] < left_end and position(w, left_end) < position(w, roles[j]) < px
+        for j in range(k)
+    )
+    obstructed_right = any(
+        roles[j] > right_end and px < position(w, roles[j]) < position(w, right_end)
+        for j in range(k)
+    )
+    return ObstructionReport(x, m, a, b, obstructed_left, obstructed_right)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def test_obstruction_matches_the_position_scans_S5():
+    """Every x of every occurrence of a vexillary pattern of size 3 or 4 in
+    S5: the same report where the preconditions hold, the same ValueError
+    message where they fail, and each of the four messages is met."""
+    messages = [
+        "{} is a pattern entry, not inside the pattern",
+        "{} is not inside the pattern",
+        "no role m with <m> < {} < <m+1>",
+        "values <m>, x, <m+1> do not appear in increasing order",
+    ]
+    reports, met = 0, set()
+    for k in (3, 4):
+        for p in filter(is_vexillary, all_perms(k)):
+            for w in all_perms(5):
+                for occ in occurrences(w, p):
+                    for x in range(1, 6):
+                        expected = _outcome(_obstruction_by_scans, w, occ, x)
+                        assert _outcome(obstruction, w, occ, x) == expected, (w, occ, x)
+                        if isinstance(expected, str):
+                            met.add([m.format(x) for m in messages].index(expected))
+                        else:
+                            reports += 1
+    assert reports == 257
+    assert met == {0, 1, 2, 3}
 
 
 def test_obstruction_rejects_bad_input():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redux.patterns import first_occurrence, is_vexillary, occurrences
+from redux.patterns import Occurrence, first_occurrence, is_vexillary, occurrences
 from redux.permcore import left_mult_adjacent, length, right_mult_adjacent
-from redux.redwords import enumerate_R, evaluate, find_shift_factor
-from redux import vexalg
+from redux.redwords import enumerate_R, evaluate, find_shift_factor, shift
+from redux import verify, vexalg
 from redux.vexalg import (
     VexError,
     embed_reduced_word,
@@ -56,6 +56,18 @@ def test_vex_rejects_bad_input():
         vex(w, _occ(w, (2, 1, 4, 3), (2, 1, 4, 3)))  # pattern not vexillary
     with pytest.raises(ValueError):
         embed_reduced_word((3, 2, 1), _occ((3, 2, 1), (2, 1), (3, 2)), (1, 2))
+    bad = [
+        Occurrence((2, 1), (1, 2), (1, 2)),  # the values do not form the pattern
+        Occurrence((1, 2, 3), (1, 2), (1, 2)),  # too few positions
+        Occurrence((1, 2), (2, 1), (2, 1)),  # decreasing positions
+        Occurrence((1, 2), (1, 1), (1, 1)),  # a repeated position
+        Occurrence((1, 2), (0, 1), (3, 1)),  # a position outside w
+    ]
+    for occ in bad:
+        with pytest.raises(ValueError):
+            vex((1, 2, 3), occ)
+        with pytest.raises(ValueError):
+            embed_reduced_word((1, 2, 3), occ, lex_least_reduced_word(occ.pattern))
 
 
 def test_vex_step_cap_names_its_limit(monkeypatch):
@@ -107,6 +119,64 @@ def test_lex_least_reduced_word():
     for n in range(1, 6):
         for w in map(tuple, permutations(range(1, n + 1))):
             assert lex_least_reduced_word(w) == min(enumerate_R(w)), w
+
+
+def test_embedding_is_assembled_from_the_vex_result():
+    """``embed_reduced_word`` reads vex's working state directly; its word is
+    the one assembled from the public ``vex`` result, also when w is a
+    list."""
+    n = 5
+    for k in (3, 4):
+        for p in filter(is_vexillary, permutations(range(1, k + 1))):
+            pattern_word = lex_least_reduced_word(p)
+            for w in permutations(range(1, n + 1)):
+                for occ in occurrences(w, p):
+                    res = vex(w, occ)
+                    u = list(res.w_tilde)
+                    u[res.M : res.M + k] = sorted(u[res.M : res.M + k])
+                    expected = (
+                        res.prefix_letters[::-1]
+                        + lex_least_reduced_word(tuple(u))
+                        + shift(pattern_word, res.M, n)
+                        + res.suffix_letters[::-1]
+                    )
+                    assert embed_reduced_word(w, occ, pattern_word) == expected
+                    assert embed_reduced_word(list(w), occ, pattern_word) == expected
+                    assert vex(list(w), occ) == res
+
+
+def test_vexthm_validates_each_w_once(monkeypatch):
+    """The vexthm sweep embeds every pattern it finds in w in a row; w is
+    checked and its length taken once per such visit, not once per
+    embedding.  A call is counted when its argument is the swept w object
+    itself: the permutations vex builds on the way are new objects."""
+    visits: dict = {}
+    current = {}
+
+    def embed(w, occ, pattern_word):
+        current["w"], current["visit"] = w, (len(occ.pattern), w)
+        visits.setdefault(current["visit"], {"check_perm": 0, "length": 0})
+        return embed_reduced_word(w, occ, pattern_word)
+
+    def counting(name):
+        real = getattr(vexalg, name)
+
+        def call(arg):
+            if arg is current.get("w"):
+                visits[current["visit"]][name] += 1
+            return real(arg)
+
+        return call
+
+    monkeypatch.setattr(verify, "embed_reduced_word", embed)
+    for name in ("check_perm", "length"):
+        monkeypatch.setattr(vexalg, name, counting(name))
+    assert verify.run("vexthm", 5).ok
+    # k = 3: all 150 w of S3..S5; k = 4: the 143 w of S4, S5 but 2143
+    assert len(visits) == 293
+    first, *rest = visits.values()  # the first w may still be cached from before
+    assert max(first.values()) <= 1
+    assert all(c == {"check_perm": 1, "length": 1} for c in rest)
 
 
 @settings(max_examples=60)
