@@ -223,8 +223,8 @@ def _vex(w: Perm, occ: Occurrence) -> tuple[_VexState, int]:
     p = occ.pattern
     if not _is_vexillary_pattern(p):
         raise ValueError("vex requires a vexillary pattern")
-    k, at = len(p), occ.positions
-    if len(at) != k or list(at) != sorted(set(at)) or not 1 <= at[0] <= at[-1] <= len(w):
+    n, k, at = len(w), len(p), occ.positions
+    if len(at) != k or list(at) != sorted(set(at)) or not 0 < at[0] <= at[-1] <= n:
         raise ValueError("occurrence positions must be k increasing positions of w")
     if tuple([w[i - 1] for i in at]) != occ.values:
         raise ValueError("occurrence does not match the permutation")
