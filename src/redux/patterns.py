@@ -213,9 +213,7 @@ def obstruction(w: Perm, occ: Occurrence, x: int) -> ObstructionReport:
     at = [0] * (len(w) + 1)  # at[v]: the 1-based position of the value v
     for i, v in enumerate(w, start=1):
         at[v] = i
-    if not 1 <= x < len(at):
-        raise ValueError(f"{x} is not inside the pattern")
-    px = at[x]
+    px = at[x] if 0 < x < len(at) else 0  # 0: x is not a value of w
     if not min(occ.positions) < px < max(occ.positions):
         raise ValueError(f"{x} is not inside the pattern")
     m = next((m for m in range(1, k) if roles[m - 1] < x < roles[m]), None)

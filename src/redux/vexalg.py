@@ -280,8 +280,10 @@ def _vex(w: Perm, occ: Occurrence) -> tuple[_VexState, int]:
                     x = _trade(st, x, m - 1)
             inside = st.inside()
 
-    st.check_occurrence()  # the positions in the order of p strictly increase,
-    M = inv[pat[order[0]]] - 1  # so they are M+1 .. M+k when they span k
+    # Once the positions along p strictly increase, they are M+1 .. M+k
+    # exactly when they span k.
+    st.check_occurrence()
+    M = inv[pat[order[0]]] - 1
     _require(inv[pat[order[-1]]] - M == k, "occurrence not consecutive")
     moves = len(st.left) + len(st.right)
     _require(length(st.w) == length_w - moves, "a multiplication did not shorten w")

@@ -202,6 +202,9 @@ def test_obstruction_rejects_bad_input():
     occ = [o for o in occurrences(w, (3, 2, 4, 1)) if o.values == (3, 2, 5, 1)][0]
     with pytest.raises(ValueError):
         obstruction(w, occ, 5)  # a pattern entry, not inside
+    for x in (0, 6):  # not a value of w
+        with pytest.raises(ValueError, match=f"^{x} is not inside the pattern$"):
+            obstruction(w, occ, x)
 
 
 def test_analyze_321():
