@@ -248,30 +248,47 @@ def classes(w: Perm) -> list[CommutationClass]:
     return [CommutationClass(form) for form in _normal_forms(w)]
 
 
-def _long_moves(rep: Word) -> list[Word]:
-    """For each long braid move open to some word of rep's class, a word of
-    the class that the move leads to.
+def _move_keys(rep: Word, key: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The :func:`trace_key` of the class each long braid move open to some
+    word of rep's class leads to, given rep's own ``key``.
 
-    Such moves are the convex chains a < b < c of the heap labelled j, j+-1,
-    j.  Listing the rest of the down-set of c, then a b c, then everything
-    else, gives a word of the class with the chain consecutive; the move
-    turns j k j there into k j k.
+    Such moves are the convex chains a < b < c of the heap labelled j, k, j
+    with k = j+-1: two consecutive occurrences of j with exactly one letter
+    j+-1 between them.  (A step up the heap from a, or into c, passes
+    through a letter j+-1, so nothing else lies between them.)  The move
+    turns j k j into k j k, which edits three projections of the key: in
+    {j, k}, j k j becomes k j k; in j's other pair the two adjacent j's
+    become one; in k's other pair b's k becomes k k.
+
+    One pass from the right counts the symbols each projection has after
+    each position, which are the bit offsets of that position's symbols in
+    the key: (in pair x-1, in pair x) for a letter x.
     """
-    below = _heap(rep)
-    last: dict[int, int] = {}
+    after = [0] * len(key)  # symbols of each projection met so far
+    nearest: list = [None] * (len(key) + 1)  # offsets of each letter's last occurrence met
+    count = [0] * (len(key) + 1)  # for each letter j, the letters j+-1 met since then
+    latest: list = [None] * (len(key) + 1)  # and the last of them, with its offsets
     out = []
-    for c, j in enumerate(rep):
-        a = last.get(j)
-        last[j] = c
-        if a is None:
-            continue
-        between = [b for b in range(a + 1, c) if below[b] >> a & 1 and below[c] >> b & 1]
-        if len(between) != 1:
-            continue
-        k = rep[between[0]]
-        head = [rep[p] for p in range(c) if below[c] >> p & 1 and p not in (a, between[0])]
-        tail = [rep[p] for p in range(len(rep)) if p != c and not below[c] >> p & 1]
-        out.append(tuple(head + [k, j, k] + tail))
+    for x in reversed(rep):
+        here = (after[x - 1], after[x])
+        after[x - 1] += 1
+        after[x] += 1
+        c = nearest[x]  # x is j at a; c holds the offsets of its next occurrence
+        if c is not None and count[x] == 1:
+            k, b = latest[x]
+            up = k > x  # then {j, k} is key[j], where j is the 0 and reads at [1]
+            edited = list(key)
+            edited[x - 1 + up] ^= 0b111 << c[up]  # j k j -> k j k
+            bits, s = edited[x - up], c[not up]  # j j -> j
+            edited[x - up] = bits >> s + 1 << s | bits & (1 << s) - 1
+            bits, s = edited[k - 1 + up], b[up]  # k -> k k
+            edited[k - 1 + up] = bits >> s << s + 1 | bits & (2 << s) - 1
+            out.append(tuple(edited))
+        nearest[x] = here
+        count[x] = 0
+        count[x - 1] += 1
+        count[x + 1] += 1
+        latest[x - 1] = latest[x + 1] = (x, here)
     return out
 
 
@@ -296,15 +313,16 @@ def trace_key(word: Word) -> tuple[int, ...]:
 
 def graph(w: Perm) -> FlipGraph:
     """The graph G(w): vertices C(w), edges between classes one long braid
-    move apart, found on each representative's heap.  The class a move
-    leads to is looked up by its :func:`trace_key`.
+    move apart.  Each representative's :func:`trace_key` is computed once;
+    it indexes the class, and :func:`_move_keys` edits it into the key of
+    each class a long move leads to, so no target word is built.
 
     Raises RuntimeError if G(w) is not connected or not bipartite; the paper
     guarantees both, so a violation means the construction is broken.
     """
     cls = classes(w)
-    keys = (trace_key(c.representative) for c in cls)
-    moves = (map(trace_key, _long_moves(c.representative)) for c in cls)
+    keys = [trace_key(c.representative) for c in cls]
+    moves = map(_move_keys, (c.representative for c in cls), keys)
     edges = frozenset((min(i, j), max(i, j)) for i, j in index_moves("G", w, keys, moves))
     g = FlipGraph(vertices=tuple(cls), edges=edges)
     if not is_connected(g):

@@ -129,8 +129,49 @@ def test_trace_key_matches_normal_form(word, data):
     assert (trace_key(word) == trace_key(other)) == (home[word] == home[other])
 
 
+def _long_moves(rep):
+    """Reference moves: for each long braid move open to some word of rep's
+    class, a word of the class that the move leads to.
+
+    Such moves are the convex chains a < b < c of the heap labelled j, j+-1,
+    j.  Listing the rest of the down-set of c, then a b c, then everything
+    else, gives a word of the class with the chain consecutive; the move
+    turns j k j there into k j k.
+    """
+    below = redux.commutation._heap(rep)
+    last = {}
+    out = []
+    for c, j in enumerate(rep):
+        a = last.get(j)
+        last[j] = c
+        if a is None:
+            continue
+        between = [b for b in range(a + 1, c) if below[b] >> a & 1 and below[c] >> b & 1]
+        if len(between) != 1:
+            continue
+        k = rep[between[0]]
+        head = [rep[p] for p in range(c) if below[c] >> p & 1 and p not in (a, between[0])]
+        tail = [rep[p] for p in range(len(rep)) if p != c and not below[c] >> p & 1]
+        out.append(tuple(head + [k, j, k] + tail))
+    return out
+
+
+def test_move_keys_match_long_moves_S6():
+    """Editing rep's trace key gives, as a multiset, the keys of the words
+    the heap's long moves lead to, on every class of S1-S6."""
+    total = 0
+    for n in range(1, 7):
+        for w in permutations(range(1, n + 1)):
+            for c in classes(w):
+                rep = c.representative
+                got = sorted(redux.commutation._move_keys(rep, trace_key(rep)))
+                assert got == sorted(map(trace_key, _long_moves(rep))), rep
+                total += 1
+    assert total == 10190  # 9661 of them in S6
+
+
 def test_graph_rejects_a_move_into_no_class(monkeypatch):
-    monkeypatch.setattr(redux.commutation, "_long_moves", lambda rep: [(1, 1, 2)])
+    monkeypatch.setattr(redux.commutation, "_move_keys", lambda rep, key: [(1, 2)])
     with pytest.raises(RuntimeError, match=r"G\(321\) lacks a move target of element 0"):
         graph((3, 2, 1))
 
@@ -154,6 +195,14 @@ def test_class_counts_longest_elements():
     assert len(enumerate_R(longest_element(4))) == 16
     with budget(max_length=21):
         assert len(classes(longest_element(7))) == 24698
+
+
+def test_graph_longest_element_S7():
+    """G(w0) of S7 has as many vertices and edges as its flip graph on
+    rhombic tilings."""
+    with budget(max_length=21):
+        g = graph(longest_element(7))
+    assert (g.vertex_count, len(g.edges)) == (24698, 80360)
 
 
 def test_class_count_matches_classes():

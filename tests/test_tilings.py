@@ -230,6 +230,22 @@ def test_flip_graph_matches_class_graph():
         assert graphs_isomorphic(flip_graph_from_tilings(w), graph(w))
 
 
+def _shape(g):
+    """Vertex count, edge count and sorted degree sequence of a graph."""
+    return g.vertex_count, len(g.edges), sorted(map(len, g.adjacency))
+
+
+def test_flip_graph_shape_matches_class_graph_S6():
+    """The two routes to G(w) agree in shape on all of S6, where 26 w have
+    more classes than the isomorphism search accepts."""
+    past_cap = 0
+    for w in permutations(range(1, 7)):
+        g = graph(w)
+        assert _shape(flip_graph_from_tilings(w)) == _shape(g), w
+        past_cap += g.vertex_count > redux.commutation.GRAPH_ISO_VERTEX_CAP
+    assert past_cap == 26
+
+
 def test_hexagon_refinements_are_its_two_rhombic_tilings():
     n = 6
     for (a, b, c), S in [((1, 2, 3), ()), ((2, 4, 6), (1, 5)), ((1, 3, 5), (4,))]:
