@@ -276,7 +276,7 @@ def _move_keys(rep: Word, key: tuple[int, ...]) -> list[tuple[int, ...]]:
         c = nearest[x]  # x is j at a; c holds the offsets of its next occurrence
         if c is not None and count[x] == 1:
             k, b = latest[x]
-            up = k > x  # then {j, k} is key[j], where j is the 0 and reads at [1]
+            up = k > x  # k = j+1: {j, k} is key[j], where j is the 0, read at c[1]
             edited = list(key)
             edited[x - 1 + up] ^= 0b111 << c[up]  # j k j -> k j k
             bits, s = edited[x - up], c[not up]  # j j -> j

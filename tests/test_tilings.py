@@ -237,12 +237,12 @@ def _shape(g):
 
 def test_flip_graph_shape_matches_class_graph_S6():
     """The two routes to G(w) agree in shape on all of S6, where 26 w have
-    more classes than the isomorphism search accepts."""
+    more than the 64 classes the isomorphism search accepts."""
     past_cap = 0
     for w in permutations(range(1, 7)):
         g = graph(w)
         assert _shape(flip_graph_from_tilings(w)) == _shape(g), w
-        past_cap += g.vertex_count > redux.commutation.GRAPH_ISO_VERTEX_CAP
+        past_cap += g.vertex_count > 64
     assert past_cap == 26
 
 
