@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from .permcore import Perm, check_perm, inversions
+from .permcore import Perm, check_perm, inverse, inversions
 
 
 @dataclass(frozen=True)
@@ -203,23 +203,26 @@ def obstruction(w: Perm, occ: Occurrence, x: int) -> ObstructionReport:
 
     Requires role m with <m> < x < <m+1> to exist and the values
     {<m>, x, <m+1>} to appear in increasing order in ``w``; obstruction is
-    undefined otherwise and a ValueError is raised.  Positions are read from
-    one array of the position of each value, built once per call.
+    undefined otherwise and a ValueError is raised.
     """
-    roles = occ.roles()
+    return _obstruction((0, *inverse(w)), occ.roles(), x)
+
+
+def _obstruction(at, roles, x: int) -> ObstructionReport:
+    """:func:`obstruction` read off ``at[v]``, the 1-based position of each
+    value v (index 0 unused), and ``roles``, the occurrence's values in
+    increasing order: the one computation behind ``obstruction`` and the
+    Step 5 of ``vexalg.vex``, which passes its working state as it is."""
     k = len(roles)
     if x in roles:
         raise ValueError(f"{x} is a pattern entry, not inside the pattern")
-    at = [0] * (len(w) + 1)  # at[v]: the 1-based position of the value v
-    for i, v in enumerate(w, start=1):
-        at[v] = i
     px = at[x] if 0 < x < len(at) else 0  # 0: x is not a value of w
-    if not min(occ.positions) < px < max(occ.positions):
+    role_at = [at[v] for v in roles]  # role_at[j]: the position of role j + 1
+    if not min(role_at) < px < max(role_at):
         raise ValueError(f"{x} is not inside the pattern")
     m = next((m for m in range(1, k) if roles[m - 1] < x < roles[m]), None)
     if m is None:
         raise ValueError(f"no role m with <m> < {x} < <m+1>")
-    role_at = [at[v] for v in roles]  # role_at[j]: the position of role j + 1
     if not role_at[m - 1] < px < role_at[m]:
         raise ValueError("values <m>, x, <m+1> do not appear in increasing order")
     # Maximal a, b with <m-a>, ..., <m>, x, <m+1>, ..., <m+1+b> increasing in w.

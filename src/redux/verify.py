@@ -20,11 +20,10 @@ from itertools import permutations
 from .commutation import class_count, classes, graph, graphs_isomorphic, is_path
 from .patterns import (
     Occurrence,
+    analyze_321,
     first_occurrences,
-    in_U_n,
     is_freely_braided,
     is_vexillary,
-    occurrences,
 )
 from .permcore import (
     Perm,
@@ -157,12 +156,11 @@ def _best_long_moves(u: Perm, y: int, z: int, memo: dict) -> int:
 def _one_long_move(w: Perm, memo: dict) -> bool:
     """U_n membership = no word with two long braid moves; path graph
     corollary.  ``memo`` is passed on to :func:`_max_long_moves`."""
-    shares = in_U_n(w)
+    k, shares, _ = analyze_321(w)
     if shares != (_max_long_moves(w, memo) <= 1):
         return False
     if not shares:
         return True
-    k = len(occurrences(w, (3, 2, 1)))
     g = graph(w)
     return g.vertex_count == k + 1 and is_path(g)
 

@@ -14,7 +14,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .patterns import Occurrence, is_vexillary, obstruction, occurrences
+from .patterns import Occurrence, _obstruction, contains, is_vexillary, occurrences
 from .permcore import Perm, check_perm, inverse, length
 from .redwords import Word, evaluate, find_shift_factor, shift
 
@@ -52,10 +52,7 @@ def _checked(w: Perm) -> tuple[int, tuple[int, ...]]:
     only: a sweep embeds every pattern it finds in one w before moving on,
     so each w is validated once, not once per embedding."""
     w = check_perm(w)
-    inv = [0] * (len(w) + 1)
-    for i, v in enumerate(w, start=1):
-        inv[v] = i
-    return length(w), tuple(inv)
+    return length(w), (0, *inverse(w))
 
 
 class _VexState:
@@ -129,14 +126,6 @@ class _VexState:
                 if inv[v + 1] < inv[v]:
                     self.lmult(v)
                     changed = True
-
-    def current_occurrence(self) -> Occurrence:
-        by_position = sorted(self.pat, key=self.inv.__getitem__)
-        return Occurrence(
-            pattern=self.p,
-            positions=tuple(self.inv[v] for v in by_position),
-            values=tuple(by_position),
-        )
 
 
 def _slide(st: _VexState, x: int, m: int, reach: int, d: int) -> int:
@@ -266,7 +255,7 @@ def _vex(w: Perm, occ: Occurrence) -> tuple[_VexState, int]:
                 # Step 4: <m> < x < <m+1>; the roles are increasing
                 m = bisect(pat, x)
                 if inv[pat[m - 1]] < inv[x] < inv[pat[m]]:  # Step 5
-                    report = obstruction(tuple(st.w), st.current_occurrence(), x)
+                    report = _obstruction(inv, pat, x)
                     _require(report.m == m, "obstruction names another role")
                     if not report.obstructed_right:
                         x = _slide(st, x, m, report.b, 1)
@@ -388,5 +377,5 @@ def nonvex_witness(p: Perm) -> Perm:
         val = p[pos - 1] if pos <= z else p[pos - 2]
         w.append(val if val <= r2 else val + 1)
     result = check_perm(w)
-    _require(bool(occurrences(result, p)), "witness must contain the pattern")
+    _require(contains(result, p), "witness must contain the pattern")
     return result

@@ -19,10 +19,11 @@ from redux.patterns import (
     is_freely_braided_by_intersections,
     is_vexillary,
     is_vexillary_by_rows,
+    _obstruction,
     obstruction,
     occurrences,
 )
-from redux.permcore import position
+from redux.permcore import inverse, position
 
 perms = st.integers(1, 6).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1)))
@@ -174,7 +175,9 @@ def _outcome(f, *args):
 def test_obstruction_matches_the_position_scans_S5():
     """Every x of every occurrence of a vexillary pattern of size 3 or 4 in
     S5: the same report where the preconditions hold, the same ValueError
-    message where they fail, and each of the four messages is met."""
+    message where they fail, and each of the four messages is met.  The
+    core ``_obstruction`` gives the same outcome on the list-shaped
+    position array and roles that ``vexalg`` Step 5 passes it."""
     messages = [
         "{} is a pattern entry, not inside the pattern",
         "{} is not inside the pattern",
@@ -185,10 +188,14 @@ def test_obstruction_matches_the_position_scans_S5():
     for k in (3, 4):
         for p in filter(is_vexillary, all_perms(k)):
             for w in all_perms(5):
+                at = [0, *inverse(w)]
                 for occ in occurrences(w, p):
+                    roles = sorted(occ.values)
                     for x in range(1, 6):
                         expected = _outcome(_obstruction_by_scans, w, occ, x)
                         assert _outcome(obstruction, w, occ, x) == expected, (w, occ, x)
+                        core = _outcome(_obstruction, at, roles, x)
+                        assert core == expected, (w, occ, x)
                         if isinstance(expected, str):
                             met.add([m.format(x) for m in messages].index(expected))
                         else:

@@ -179,6 +179,28 @@ def test_vexthm_validates_each_w_once(monkeypatch):
     assert all(c == {"check_perm": 1, "length": 1} for c in rest)
 
 
+def test_vex_builds_no_occurrence(monkeypatch):
+    """Step 5 reads the obstruction off vex's own state: the vexthm sweep
+    at n = 5 runs Step 5 141 times and constructs no Occurrence in vexalg."""
+    made, steps = [], []
+
+    class Counting(Occurrence):
+        def __init__(self, *args, **kwargs):
+            made.append(args or kwargs)
+            super().__init__(*args, **kwargs)
+
+    def counting_obstruction(at, roles, x):
+        steps.append(x)
+        return real(at, roles, x)
+
+    real = vexalg._obstruction
+    monkeypatch.setattr(vexalg, "Occurrence", Counting)
+    monkeypatch.setattr(vexalg, "_obstruction", counting_obstruction)
+    assert verify.run("vexthm", 5).ok
+    assert len(steps) == 141
+    assert made == []
+
+
 @settings(max_examples=60)
 @given(perms5, vex_patterns3, st.integers(0, 10**6))
 def test_vex_invariants(w, p, pick):
