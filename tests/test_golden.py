@@ -7,6 +7,7 @@ here.  To re-record after an intended output change, print
 """
 
 import hashlib
+from itertools import permutations
 
 import pytest
 
@@ -150,3 +151,18 @@ def test_query_outputs_pinned_S6(capsys):
             h.update(repr(argv + [w]).encode())
             h.update(capsys.readouterr().out.encode())
     assert h.hexdigest() == QUERY_DIGEST
+
+
+# sha256 over the text and then the JSON output of ``info`` for every w of
+# S5, in lexicographic order, each preceded by its argv.
+INFO_DIGEST = "ff548a857899343e5e6251b35c56fca1ad8824215a5aec4124e33c0ef9ff50d0"
+
+
+def test_info_outputs_pinned_S5(capsys):
+    h = hashlib.sha256()
+    for w in permutations("12345"):
+        for argv in (["info"], ["--format", "json", "info"]):
+            assert main(argv + ["".join(w)]) == 0, (argv, w)
+            h.update(repr(argv + ["".join(w)]).encode())
+            h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == INFO_DIGEST

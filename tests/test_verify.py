@@ -3,6 +3,7 @@ test_acceptance)."""
 
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -183,3 +184,11 @@ def test_small_sweeps_pass_under_optimize(python):
     proc = python("-O", "-c", ALL_SWEEPS.format(list(CHECKED_AT_5)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["1", *expected]
+
+
+def test_acceptance_gate_passes_under_optimize(python):
+    """The whole acceptance gate, run by pytest under ``python -O``."""
+    gate = Path(__file__).with_name("test_acceptance.py")
+    proc = python("-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", str(gate))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "10 passed" in proc.stdout.splitlines()[-1], proc.stdout
