@@ -9,7 +9,6 @@ from .permcore import (
     format_perm,
     identity,
     inversions,
-    left_mult_adjacent,
     length,
     longest_element,
     parse_perm,
@@ -20,23 +19,17 @@ from .patterns import (
     Occurrence,
     ObstructionReport,
     analyze_321,
-    in_U_n,
-    in_U_n_j,
     is_freely_braided,
     is_vexillary,
-    obstruction,
     occurrences,
 )
 from .redwords import (
     BudgetError,
     Word,
-    braid_moves,
     enumerate_R,
     evaluate,
     find_shift_factor,
     format_word,
-    is_isolated,
-    parse_word,
     shift,
 )
 from .commutation import (
@@ -53,18 +46,11 @@ from .commutation import (
     rotate_suffix,
     trace_key,
 )
-from .vexalg import (
-    VexError,
-    VexResult,
-    embed_reduced_word,
-    nonvex_witness,
-    vex,
-)
+from .vexalg import VexError, embed_reduced_word, nonvex_witness
 from .tilings import (
     Tiling,
     TilingPoset,
     decreasing_tile_check,
-    eln,
     enumerate_rhombic,
     enumerate_zonotopal,
     flip_graph_from_tilings,
@@ -73,7 +59,6 @@ from .tilings import (
     level2_cycle_correspondence,
     mono,
     poset,
-    tiling_from_word,
     uniform_2k_tiling_exists,
 )
 from .verify import VerifyResult, run as verify_theorem

@@ -17,12 +17,7 @@ from collections.abc import Iterable
 from itertools import chain
 
 from .commutation import classes, graph
-from .patterns import (
-    analyze_321,
-    in_U_n,
-    is_freely_braided,
-    is_vexillary,
-)
+from .patterns import analyze_321, is_freely_braided, is_vexillary
 from .permcore import (
     code_and_shape,
     diagram,
@@ -98,7 +93,7 @@ def _emit_json(args, payload: dict) -> int:
 def cmd_info(args) -> int:
     w = _parse(args.w)
     code, shape = code_and_shape(w)
-    count_321, _, _ = analyze_321(w)
+    count_321, in_U_n, _ = analyze_321(w)
     fields = {
         "permutation": format_perm(w),
         "length": length(w),
@@ -108,7 +103,7 @@ def cmd_info(args) -> int:
         "diagram": sorted(diagram(w)),
         "vexillary": is_vexillary(w),
         "freely_braided": is_freely_braided(w),
-        "in_U_n": in_U_n(w),
+        "in_U_n": in_U_n,
         "count_321": count_321,
     }
     if args.format == "json":

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .permcore import Perm, check_perm, format_perm, inverse, length
-from .redwords import (
-    BudgetError,
-    Word,
-    apply_short_move,
-    braid_moves,
-    check_budget,
-)
+from .redwords import BudgetError, Word, check_budget
 
 GRAPH_ISO_VERTEX_CAP = 64
 
@@ -73,21 +67,6 @@ class CommutationClass:
                         grown.setdefault(ideal | bit, [0, frontier ^ bit | after[p]])[0] += count
             ideals = grown
         return sum(count for count, _ in ideals.values())
-
-    @cached_property
-    def words(self) -> frozenset[Word]:
-        """Every word of the class: the closure of the representative under
-        short braid moves."""
-        seen = {self.representative}
-        stack = [self.representative]
-        while stack:
-            word = stack.pop()
-            for pos in braid_moves(word)[0]:
-                nbr = apply_short_move(word, pos)
-                if nbr not in seen:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        return frozenset(seen)
 
 
 @dataclass(frozen=True)

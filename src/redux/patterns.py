@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from .permcore import Perm, check_perm, inverse, inversions
+from .permcore import Perm, check_perm, inversions
 
 
 @dataclass(frozen=True)
@@ -87,18 +87,6 @@ def occurrences(w: Perm, p: Perm) -> list[Occurrence]:
     """
     w, p = check_perm(w), check_perm(p)
     return [_occurrence(w, p, pos) for pos in _search(w, p)]
-
-
-def first_occurrence(w: Perm, p: Perm) -> Occurrence | None:
-    """The lexicographically first occurrence of ``p`` in ``w``, or None;
-    the search stops there.
-
-    >>> first_occurrence((3, 1, 2), (2, 1)).values
-    (3, 1)
-    """
-    w, p = check_perm(w), check_perm(p)
-    pos = next(_search(w, p), None)
-    return None if pos is None else _occurrence(w, p, pos)
 
 
 def _occurrence(w: Perm, p: Perm, pos: tuple[int, ...]) -> Occurrence:
@@ -198,21 +186,16 @@ class ObstructionReport:
     obstructed_right: bool
 
 
-def obstruction(w: Perm, occ: Occurrence, x: int) -> ObstructionReport:
-    """Obstruction data for the inside entry ``x`` of the occurrence.
+def _obstruction(at, roles, x: int) -> ObstructionReport:
+    """Obstruction data for the inside entry ``x`` of a pattern occurrence,
+    read off ``at[v]``, the 1-based position of each value v (index 0
+    unused), and ``roles``, the occurrence's values in increasing order.
+    Step 5 of ``vexalg._vex`` passes its working state as it is.
 
     Requires role m with <m> < x < <m+1> to exist and the values
-    {<m>, x, <m+1>} to appear in increasing order in ``w``; obstruction is
-    undefined otherwise and a ValueError is raised.
+    {<m>, x, <m+1>} to appear in increasing order; obstruction is undefined
+    otherwise and a ValueError is raised.
     """
-    return _obstruction((0, *inverse(w)), occ.roles(), x)
-
-
-def _obstruction(at, roles, x: int) -> ObstructionReport:
-    """:func:`obstruction` read off ``at[v]``, the 1-based position of each
-    value v (index 0 unused), and ``roles``, the occurrence's values in
-    increasing order: the one computation behind ``obstruction`` and the
-    Step 5 of ``vexalg.vex``, which passes its working state as it is."""
     k = len(roles)
     if x in roles:
         raise ValueError(f"{x} is a pattern entry, not inside the pattern")
@@ -259,15 +242,3 @@ def analyze_321(w: Perm) -> tuple[int, bool, int | None]:
     )
     middle = occs[0].value_of_role(2) if k == 1 else None
     return k, shared, middle
-
-
-def in_U_n(w: Perm) -> bool:
-    """Membership in U_n: every 321-pattern shares its maximal and minimal value."""
-    _, shared, _ = analyze_321(w)
-    return shared
-
-
-def in_U_n_j(w: Perm, j: int) -> bool:
-    """Membership in U_n(j): a unique 321-pattern whose middle value is j+1."""
-    k, _, middle = analyze_321(w)
-    return k == 1 and middle == j + 1

@@ -76,11 +76,6 @@ def inverse(w: Perm) -> Perm:
     return tuple(inv)
 
 
-def position(w: Perm, value: int) -> int:
-    """1-based position of ``value`` in ``w``."""
-    return w.index(value) + 1
-
-
 def right_mult_adjacent(w: Perm, i: int) -> Perm:
     """w * s_i: swap the entries in positions i and i+1.
 
@@ -91,20 +86,6 @@ def right_mult_adjacent(w: Perm, i: int) -> Perm:
         raise ValueError(f"index {i} out of range for n={len(w)}")
     lst = list(w)
     lst[i - 1], lst[i] = lst[i], lst[i - 1]
-    return tuple(lst)
-
-
-def left_mult_adjacent(w: Perm, i: int) -> Perm:
-    """s_i * w: swap the positions of the values i and i+1.
-
-    >>> left_mult_adjacent((4, 2, 1, 3), 1)
-    (4, 1, 2, 3)
-    """
-    if not 1 <= i <= len(w) - 1:
-        raise ValueError(f"index {i} out of range for n={len(w)}")
-    lst = list(w)
-    a, b = lst.index(i), lst.index(i + 1)
-    lst[a], lst[b] = lst[b], lst[a]
     return tuple(lst)
 
 

@@ -1,4 +1,4 @@
-"""Reduced decompositions: evaluation, enumeration, shifts, braid moves, factors.
+"""Reduced decompositions: evaluation, enumeration, shifts, shifted factors.
 
 A reduced word is a tuple of letters in ``1..n-1``; the word ``(i_1, ..., i_l)``
 stands for the product ``s_{i_1} ... s_{i_l}``.
@@ -53,13 +53,6 @@ def budget(**limits):
         _BUDGET.reset(token)
 
 
-def parse_word(text: str) -> Word:
-    text = text.strip()
-    if "," in text or " " in text:
-        return tuple(int(p) for p in text.replace(",", " ").split())
-    return tuple(int(ch) for ch in text)
-
-
 def format_word(word: Word) -> str:
     """Concatenated digits when every letter is < 10, comma-separated otherwise."""
     if not word:
@@ -91,13 +84,6 @@ def evaluate(letters, n: int) -> tuple[Perm, bool]:
             reduced = False
         u[a - 1], u[a] = right, left
     return tuple(u), reduced
-
-
-def check_reduced(word, n: int) -> Perm:
-    w, reduced = evaluate(word, n)
-    if not reduced:
-        raise ValueError(f"word {format_word(tuple(word))} is not reduced")
-    return w
 
 
 @lru_cache(maxsize=None)
@@ -186,55 +172,3 @@ def find_shift_factor(
             if M >= 0 and word[start : start + size] == tuple(map(M.__add__, pat)):
                 return start + 1, M, pat
     return None
-
-
-def braid_moves(word: Word) -> tuple[list[int], list[int]]:
-    """(short, long) braid move positions, 1-based.
-
-    Short: positions a with |word[a] - word[a+1]| > 1.  Long: positions a
-    where word[a .. a+2] has the form j (j+-1) j.
-
-    >>> braid_moves((1, 2, 3, 2, 1, 2))
-    ([], [2, 4])
-    """
-    short = [a for a in range(1, len(word)) if abs(word[a - 1] - word[a]) > 1]
-    long = [
-        a
-        for a in range(1, len(word) - 1)
-        if word[a - 1] == word[a + 1] and abs(word[a - 1] - word[a]) == 1
-    ]
-    return short, long
-
-
-def apply_short_move(word: Word, pos: int) -> Word:
-    a, b = word[pos - 1], word[pos]
-    if abs(a - b) <= 1:
-        raise ValueError(f"no short braid move at position {pos} of {word}")
-    return word[: pos - 1] + (b, a) + word[pos + 1 :]
-
-
-def apply_long_move(word: Word, pos: int) -> Word:
-    a, b = word[pos - 1], word[pos]
-    if word[pos + 1 : pos + 2] != (a,) or abs(a - b) != 1:
-        raise ValueError(f"no long braid move at position {pos} of {word}")
-    return word[: pos - 1] + (b, a, b) + word[pos + 2 :]
-
-
-def is_isolated(word: Word, start: int, factor_len: int, M: int, k: int, n: int) -> bool:
-    """Whether the designated factor is isolated for the window {1+M, ..., k+M}.
-
-    The prefix before the factor must keep the positions 1+M..k+M increasing,
-    and the suffix after it must keep the values 1+M..k+M in increasing order.
-    """
-    factor = word[start - 1 : start - 1 + factor_len]
-    allowed = set(range(1 + M, k + M))
-    if not set(factor) <= allowed:
-        raise ValueError(f"factor letters {factor} not all in {sorted(allowed)}")
-    u, _ = evaluate(word[: start - 1], n)
-    v, _ = evaluate(word[start - 1 + factor_len :], n)
-    window = range(1 + M, k + M + 1)
-    positions_increasing = all(u[i - 1] < u[i] for i in window if i + 1 in window)
-    values_increasing = all(
-        v.index(i) < v.index(i + 1) for i in window if i + 1 in window
-    )
-    return positions_increasing and values_increasing

@@ -22,9 +22,7 @@ from functools import cache, cached_property, lru_cache, reduce
 from itertools import combinations, product, repeat
 from operator import or_
 
-from .commutation import (
-    FlipGraph, classes, index_moves, is_path, is_tree, spans_cycle_space, trace_key
-)
+from .commutation import FlipGraph, classes, index_moves, is_path, is_tree, spans_cycle_space
 from .patterns import Occurrence, avoids, is_freely_braided, occurrences
 from .permcore import (
     Perm,
@@ -33,7 +31,7 @@ from .permcore import (
     identity,
     longest_element,
 )
-from .redwords import Word, check_budget, check_reduced
+from .redwords import Word, check_budget
 
 Point = frozenset  # of labels in 1..n
 
@@ -119,17 +117,14 @@ def _outline_edges(outline: list) -> set:
     return {(a & b, *(a ^ b)) for a, b in zip(outline, outline[1:] + outline[:1])}
 
 
-def boundary_edges(w: Perm) -> frozenset:
-    return frozenset(_outline_edges(polygon_outline(w)))
-
-
 @dataclass(frozen=True)
 class Tiling:
     """A zonotopal tiling of X(w); rhombic when every tile has order 2.
 
     ``tiles`` is a frozenset of tile codes.  ``chain`` is the chain of the
     tiling's canonical peel when enumeration built it (see
-    :func:`_canonical_peels`), else None; :func:`_peel_order` reads it.
+    :func:`_canonical_peels`), else None; :func:`_peel_order` reads it, so
+    only a tiling that holds its chain has a peel word.
     """
 
     w: Perm
@@ -310,25 +305,17 @@ def enumerate_zonotopal(w: Perm) -> tuple[Tiling, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The Elnitsky bijection
+# Peel words
 
 
 def _peel_order(t: Tiling) -> list[int]:
     """The tiles of t in canonical peel order, topmost tile on the boundary
-    first.  A tiling that enumeration built holds this order as its chain;
-    any other tiling is peeled again by rescanning its boundary."""
-    if t.chain is not None:
-        return _chain_tiles(t.chain)
-    u, order = t.w, []
-    while len(order) < len(t.tiles):  # a peeled tile's run stays sorted
-        for _, tile, rest in _peels(u, 2, len(u)):
-            if tile in t.tiles:
-                break
-        else:
-            raise ValueError("no tile on the right boundary; not a tiling")
-        order.append(tile)
-        u = rest
-    return order
+    first, read off the chain that enumeration stored in t.  Raises
+    ValueError for a tiling with tiles but no chain: only enumeration
+    records the order."""
+    if t.chain is None and t.tiles:
+        raise ValueError("a tiling built without its chain holds no peel order")
+    return _chain_tiles(t.chain)
 
 
 @cache
@@ -364,33 +351,6 @@ def peel_word(t: Tiling) -> Word:
     return tuple(reversed(letters))
 
 
-def tiling_from_word(word: Word, n: int) -> Tiling:
-    """The rhombic tiling whose peel sequence reads ``word`` right-to-left.
-
-    >>> tiling_from_word((), 3).tiles
-    frozenset()
-    """
-    word = tuple(word)
-    w = check_reduced(word, n)
-    u = w
-    tiles = set()
-    for letter in reversed(word):
-        _, tile, u = next(p for p in _peels(u, 2, 2) if p[0] == letter)
-        tiles.add(tile)
-    return Tiling(w, frozenset(tiles))
-
-
-def eln(t: Tiling):
-    """The commutation class corresponding to a rhombic tiling."""
-    if not t.is_rhombic():
-        raise ValueError("eln requires a rhombic tiling")
-    key = trace_key(peel_word(t))
-    for c in classes(t.w):
-        if trace_key(c.representative) == key:
-            return c
-    raise RuntimeError(f"C({format_perm(t.w)}) lacks the class of a tiling")
-
-
 # ---------------------------------------------------------------------------
 # Flips and the flip graph
 
@@ -420,22 +380,6 @@ def _hexagons(t: Tiling):
                 yield r | c, first, second
             elif second <= t.tiles:
                 yield r | c, second, first
-
-
-def sub_hexagons(t: Tiling) -> list:
-    """All flippable sub-hexagons, as (labels (a, b, c), anchor, the three
-    rhombi inside t), every tile decoded and the rhombi sorted."""
-    n = len(t.w)
-    return [
-        (*decode(code, n), tuple(sorted(decode(c, n) for c in inside)))
-        for code, inside, _ in _hexagons(t)
-    ]
-
-
-def flip_neighbors(t: Tiling) -> list:
-    return [
-        Tiling(t.w, (t.tiles - inside) | other) for _, inside, other in _hexagons(t)
-    ]
 
 
 def flip_graph_from_tilings(w: Perm) -> FlipGraph:

@@ -1,6 +1,6 @@
 """The constructive side of the vexillary characterization.
 
-``vex`` shortens a permutation (multiplying by adjacent transpositions, each
+``_vex`` shortens a permutation (multiplying by adjacent transpositions, each
 removing one inversion) until the chosen pattern occurrence sits in
 consecutive positions.  ``embed_reduced_word`` assembles from that a reduced
 word of the original permutation containing a shifted reduced word of the
@@ -11,7 +11,6 @@ a containing permutation for which no such reduced word exists.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .patterns import Occurrence, _obstruction, contains, is_vexillary, occurrences
@@ -32,17 +31,6 @@ class VexError(RuntimeError):
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise VexError(message)
-
-
-@dataclass(frozen=True)
-class VexResult:
-    """Output of ``vex``: w_tilde = (s_{I_1}..s_{I_q}) w (s_{J_1}..s_{J_r})."""
-
-    prefix_letters: Word  # I_1 .. I_q
-    w_tilde: Perm
-    suffix_letters: Word  # J_1 .. J_r
-    M: int
-    pattern_positions: tuple[int, ...]
 
 
 @lru_cache(maxsize=1)
@@ -180,12 +168,14 @@ def _trade(st: _VexState, x: int, idx: int) -> int:
 @lru_cache(maxsize=64)
 def _is_vexillary_pattern(p: Perm) -> bool:
     """:func:`is_vexillary`, memoised: a sweep passes the same few patterns
-    to ``vex`` again and again."""
+    to ``_vex`` again and again."""
     return is_vexillary(p)
 
 
-def vex(w: Perm, occ: Occurrence) -> VexResult:
-    """Shorten ``w`` until the occurrence of ``occ.pattern`` is consecutive.
+def _vex(w: Perm, occ: Occurrence) -> tuple[_VexState, int]:
+    """Shorten ``w`` until the occurrence of ``occ.pattern`` is consecutive;
+    return the final state, its pattern entries in positions M+1 .. M+k,
+    and M, once every check has passed.
 
     The pattern must be vexillary.  Step 1 picks an inside entry x, and Steps
     2-7 act on x until it is no longer inside; vex stops when nothing is
@@ -194,19 +184,6 @@ def vex(w: Perm, occ: Occurrence) -> VexResult:
     deterministic, but any output satisfying the two defining invariants is a
     correct answer.
     """
-    st, M = _vex(w, occ)
-    return VexResult(
-        prefix_letters=tuple(reversed(st.left)),
-        w_tilde=tuple(st.w),
-        suffix_letters=tuple(st.right),
-        M=M,
-        pattern_positions=tuple(range(M + 1, M + len(st.p) + 1)),
-    )
-
-
-def _vex(w: Perm, occ: Occurrence) -> tuple[_VexState, int]:
-    """:func:`vex`'s construction: the final state, its pattern entries in
-    positions M+1 .. M+k, and M, once every check has passed."""
     w = tuple(w)
     length_w = _checked(w)[0]
     p = occ.pattern

@@ -1,0 +1,213 @@
+"""Reference versions of what redux computes, for the tests to compare with.
+
+The CLI, the sweeps and the benchmark reach none of this code, so it lives
+with the tests (``test_source.py`` keeps src/redux free of such code).  Each
+function is the direct form of something the library does another way: the
+braid-move closure of a class, the boundary rescan that peels a tiling, the
+public wrappers over ``vex`` and the obstruction core, and Elnitsky's map
+from a rhombic tiling to its class.
+"""
+
+from dataclasses import dataclass
+from functools import cache
+
+from redux.commutation import CommutationClass, classes, trace_key
+from redux.patterns import Occurrence, _obstruction, _occurrence, _search
+from redux.permcore import Perm, check_perm, format_perm, inverse
+from redux.redwords import Word, evaluate, format_word
+from redux.tilings import (
+    Tiling,
+    _hexagons,
+    _outline_edges,
+    _peels,
+    decode,
+    peel_word,
+    polygon_outline,
+)
+from redux.vexalg import _vex
+
+
+def left_mult_adjacent(w: Perm, i: int) -> Perm:
+    """s_i * w: swap the positions of the values i and i+1.
+
+    >>> left_mult_adjacent((4, 2, 1, 3), 1)
+    (4, 1, 2, 3)
+    """
+    if not 1 <= i <= len(w) - 1:
+        raise ValueError(f"index {i} out of range for n={len(w)}")
+    lst = list(w)
+    a, b = lst.index(i), lst.index(i + 1)
+    lst[a], lst[b] = lst[b], lst[a]
+    return tuple(lst)
+
+
+def first_occurrence(w: Perm, p: Perm) -> Occurrence | None:
+    """The lexicographically first occurrence of ``p`` in ``w``, or None;
+    the search stops there.
+
+    >>> first_occurrence((3, 1, 2), (2, 1)).values
+    (3, 1)
+    """
+    w, p = check_perm(w), check_perm(p)
+    pos = next(_search(w, p), None)
+    return None if pos is None else _occurrence(w, p, pos)
+
+
+def obstruction(w: Perm, occ: Occurrence, x: int):
+    """Obstruction data for the inside entry ``x`` of the occurrence: the
+    core ``_obstruction`` on w's position array and the sorted roles."""
+    return _obstruction((0, *inverse(w)), occ.roles(), x)
+
+
+# ---------------------------------------------------------------------------
+# Braid moves and the words of a class
+
+
+def braid_moves(word: Word) -> tuple[list[int], list[int]]:
+    """(short, long) braid move positions, 1-based.
+
+    Short: positions a with |word[a] - word[a+1]| > 1.  Long: positions a
+    where word[a .. a+2] has the form j (j+-1) j.
+
+    >>> braid_moves((1, 2, 3, 2, 1, 2))
+    ([], [2, 4])
+    """
+    short = [a for a in range(1, len(word)) if abs(word[a - 1] - word[a]) > 1]
+    long = [
+        a
+        for a in range(1, len(word) - 1)
+        if word[a - 1] == word[a + 1] and abs(word[a - 1] - word[a]) == 1
+    ]
+    return short, long
+
+
+def apply_short_move(word: Word, pos: int) -> Word:
+    a, b = word[pos - 1], word[pos]
+    if abs(a - b) <= 1:
+        raise ValueError(f"no short braid move at position {pos} of {word}")
+    return word[: pos - 1] + (b, a) + word[pos + 1 :]
+
+
+def apply_long_move(word: Word, pos: int) -> Word:
+    a, b = word[pos - 1], word[pos]
+    if word[pos + 1 : pos + 2] != (a,) or abs(a - b) != 1:
+        raise ValueError(f"no long braid move at position {pos} of {word}")
+    return word[: pos - 1] + (b, a, b) + word[pos + 2 :]
+
+
+@cache
+def class_words(c: CommutationClass) -> frozenset[Word]:
+    """Every word of the class: the closure of the representative under
+    short braid moves."""
+    seen = {c.representative}
+    stack = [c.representative]
+    while stack:
+        word = stack.pop()
+        for pos in braid_moves(word)[0]:
+            nbr = apply_short_move(word, pos)
+            if nbr not in seen:
+                seen.add(nbr)
+                stack.append(nbr)
+    return frozenset(seen)
+
+
+# ---------------------------------------------------------------------------
+# Tilings built from their tiles, and Elnitsky's map
+
+
+def boundary_edges(w: Perm) -> frozenset:
+    """The edges of the boundary of X(w), as ``Tiling.edge_set`` holds them."""
+    return frozenset(_outline_edges(polygon_outline(w)))
+
+
+def peel_order(w: Perm, tiles) -> list[int]:
+    """The tiles of a tiling of X(w) in canonical peel order, found by
+    rescanning the boundary: each step peels the topmost tile on it."""
+    u, order = w, []
+    while len(order) < len(tiles):  # a peeled tile's run stays sorted
+        for _, tile, rest in _peels(u, 2, len(u)):
+            if tile in tiles:
+                break
+        else:
+            raise ValueError("no tile on the right boundary; not a tiling")
+        order.append(tile)
+        u = rest
+    return order
+
+
+def tiling_from_word(word: Word, n: int) -> Tiling:
+    """The rhombic tiling whose peel sequence reads ``word`` right-to-left,
+    holding the chain of its canonical peel as enumeration builds it.
+
+    >>> tiling_from_word((), 3).tiles
+    frozenset()
+    """
+    word = tuple(word)
+    w, reduced = evaluate(word, n)
+    if not reduced:
+        raise ValueError(f"word {format_word(word)} is not reduced")
+    u = w
+    tiles = set()
+    for letter in reversed(word):
+        _, tile, u = next(p for p in _peels(u, 2, 2) if p[0] == letter)
+        tiles.add(tile)
+    chain = None
+    for tile in reversed(peel_order(w, tiles)):
+        chain = (tile, chain)
+    return Tiling(w, frozenset(tiles), chain)
+
+
+def eln(t: Tiling) -> CommutationClass:
+    """The commutation class corresponding to a rhombic tiling."""
+    if not t.is_rhombic():
+        raise ValueError("eln requires a rhombic tiling")
+    key = trace_key(peel_word(t))
+    for c in classes(t.w):
+        if trace_key(c.representative) == key:
+            return c
+    raise RuntimeError(f"C({format_perm(t.w)}) lacks the class of a tiling")
+
+
+def sub_hexagons(t: Tiling) -> list:
+    """All flippable sub-hexagons, as (labels (a, b, c), anchor, the three
+    rhombi inside t), every tile decoded and the rhombi sorted."""
+    n = len(t.w)
+    return [
+        (*decode(code, n), tuple(sorted(decode(c, n) for c in inside)))
+        for code, inside, _ in _hexagons(t)
+    ]
+
+
+def flip_neighbors(t: Tiling) -> list:
+    """The tilings one hexagon flip away from t."""
+    return [
+        Tiling(t.w, (t.tiles - inside) | other) for _, inside, other in _hexagons(t)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# vex as a result record
+
+
+@dataclass(frozen=True)
+class VexResult:
+    """Output of ``vex``: w_tilde = (s_{I_1}..s_{I_q}) w (s_{J_1}..s_{J_r})."""
+
+    prefix_letters: Word  # I_1 .. I_q
+    w_tilde: Perm
+    suffix_letters: Word  # J_1 .. J_r
+    M: int
+    pattern_positions: tuple[int, ...]
+
+
+def vex(w: Perm, occ: Occurrence) -> VexResult:
+    """Shorten ``w`` until the occurrence of ``occ.pattern`` is consecutive,
+    read off the final state of ``vexalg._vex``."""
+    st, M = _vex(w, occ)
+    return VexResult(
+        prefix_letters=tuple(reversed(st.left)),
+        w_tilde=tuple(st.w),
+        suffix_letters=tuple(st.right),
+        M=M,
+        pattern_positions=tuple(range(M + 1, M + len(st.p) + 1)),
+    )

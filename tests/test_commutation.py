@@ -29,16 +29,10 @@ from redux.commutation import (
     trace_key,
 )
 from redux.permcore import longest_element
-from redux.redwords import (
-    BudgetError,
-    apply_long_move,
-    braid_moves,
-    budget,
-    enumerate_R,
-    evaluate,
-    format_word,
-)
+from redux.redwords import BudgetError, budget, enumerate_R, evaluate, format_word
 from redux.render import graph_dot, graph_payload, to_json
+
+from oracles import apply_long_move, braid_moves, class_words
 
 perms5 = st.permutations((1, 2, 3, 4, 5)).map(tuple)
 words5 = perms5.flatmap(lambda w: st.sampled_from(enumerate_R(w)))
@@ -46,7 +40,9 @@ words5 = perms5.flatmap(lambda w: st.sampled_from(enumerate_R(w)))
 
 def test_classes_golden_4231():
     cls = classes((4, 2, 3, 1))
-    by_rep = {format_word(c.representative): {format_word(j) for j in c.words} for c in cls}
+    by_rep = {
+        format_word(c.representative): {format_word(j) for j in class_words(c)} for c in cls
+    }
     assert by_rep == {
         "12321": {"12321"},
         "13213": {"13231", "31231", "13213", "31213"},
@@ -57,21 +53,21 @@ def test_classes_golden_4231():
 
 def _home(w):
     """Each word of R(w) -> the representative of its class, read off the
-    braid-move closures ``CommutationClass.words``."""
-    return {word: c.representative for c in classes(w) for word in c.words}
+    braid-move closures ``class_words``."""
+    return {word: c.representative for c in classes(w) for word in class_words(c)}
 
 
 def test_classes_partition_R():
     for w in permutations(range(1, 6)):
         cls = classes(w)
         words = enumerate_R(w)
-        assert sorted(j for c in cls for j in c.words) == list(words), w
+        assert sorted(j for c in cls for j in class_words(c)) == list(words), w
         by_key = {trace_key(c.representative): c for c in cls}
         for word in words:
-            assert word in by_key[trace_key(word)].words
+            assert word in class_words(by_key[trace_key(word)])
         for c in cls:
-            assert c.representative == min(c.words)
-            assert c.size == len(c.words)
+            assert c.representative == min(class_words(c))
+            assert c.size == len(class_words(c))
 
 
 def _size_by_all_positions(rep):
@@ -102,7 +98,7 @@ def test_class_size_matches_reference_S6():
 def test_graph_edges_match_long_moves_on_R():
     for w in permutations(range(1, 6)):
         cls = classes(w)
-        index = {word: i for i, c in enumerate(cls) for word in c.words}
+        index = {word: i for i, c in enumerate(cls) for word in class_words(c)}
         edges = set()
         for word in enumerate_R(w):
             i = index[word]

@@ -12,6 +12,8 @@ import redux.tilings
 import redux.vexalg
 import redux.verify
 
+import oracles
+
 MODULES = [
     redux.permcore,
     redux.patterns,
@@ -20,6 +22,7 @@ MODULES = [
     redux.vexalg,
     redux.tilings,
     redux.verify,
+    oracles,
 ]
 
 

@@ -21,7 +21,7 @@ from redux.tilings import (
     uniform_2k_tiling_exists,
 )
 from redux.verify import _max_long_moves, run
-from redux.vexalg import vex
+from redux.vexalg import embed_reduced_word, lex_least_reduced_word
 
 W = (5, 6, 4, 2, 3, 1)
 
@@ -40,7 +40,11 @@ CALLS = {
     "1lbm": lambda: run("1lbm", 5),
     "maxelt": lambda: run("maxelt", 4),
     "_tile_label_sets": lambda: _tile_label_sets(W, {}),
-    "vex": lambda: vex((1, 3, 4, 5, 2), Occurrence((2, 3, 1), (2, 4, 5), (3, 5, 2))),
+    "embed_reduced_word": lambda: embed_reduced_word(
+        (1, 3, 4, 5, 2),
+        Occurrence((2, 3, 1), (2, 4, 5), (3, 5, 2)),
+        lex_least_reduced_word((2, 3, 1)),
+    ),
     "graphs_isomorphic": lambda: graphs_isomorphic(
         flip_graph_from_tilings((4, 6, 5, 2, 3, 1)), graph((4, 6, 5, 2, 3, 1))
     ),

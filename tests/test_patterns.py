@@ -11,19 +11,17 @@ from redux.patterns import (
     analyze_321,
     avoids,
     contains,
-    first_occurrence,
     first_occurrences,
-    in_U_n,
-    in_U_n_j,
     is_freely_braided,
     is_freely_braided_by_intersections,
     is_vexillary,
     is_vexillary_by_rows,
     _obstruction,
-    obstruction,
     occurrences,
 )
-from redux.permcore import inverse, position
+from redux.permcore import inverse
+
+from oracles import first_occurrence, obstruction
 
 perms = st.integers(1, 6).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1)))
@@ -127,6 +125,11 @@ def test_obstruction_both_sides():
     assert report.obstructed_left and report.obstructed_right
 
 
+def position(w, value):
+    """1-based position of ``value`` in ``w``, by a scan."""
+    return w.index(value) + 1
+
+
 def _obstruction_by_scans(w, occ, x):
     """The definition of :func:`obstruction` read literally, each position
     found by a scan of w; the oracle for the position-array version."""
@@ -222,14 +225,16 @@ def test_analyze_321():
 
 
 def test_in_U_n():
-    assert in_U_n((5, 2, 3, 4, 1))
-    assert not in_U_n((4, 3, 2, 1))
-    assert in_U_n_j((3, 2, 1), 1)
-    assert not in_U_n_j((3, 2, 1), 2)
-    assert not in_U_n_j((5, 2, 3, 4, 1), 1)  # three occurrences, not one
+    """U_n membership, every 321-pattern sharing its maximal and minimal
+    value, is the second field of ``analyze_321``; the third names the middle
+    value of a unique 321-pattern."""
+    assert analyze_321((5, 2, 3, 4, 1))[1]
+    assert not analyze_321((4, 3, 2, 1))[1]
+    assert analyze_321((3, 2, 1)) == (1, True, 2)
+    assert analyze_321((1, 4, 3, 2)) == (1, True, 3)
 
 
 @given(perms)
 def test_U_n_contains_all_321_avoiders(w):
     if avoids(w, (3, 2, 1)):
-        assert in_U_n(w)
+        assert analyze_321(w)[1]

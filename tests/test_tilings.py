@@ -26,15 +26,12 @@ from redux.render import (
 from redux.tilings import (
     Tiling,
     TilingPoset,
-    boundary_edges,
     chain_equivalences,
     decode,
     decreasing_tile_check,
-    eln,
     enumerate_rhombic,
     enumerate_zonotopal,
     flip_graph_from_tilings,
-    flip_neighbors,
     freely_braided_structure,
     has_unique_max,
     level2_cycle_correspondence,
@@ -43,9 +40,18 @@ from redux.tilings import (
     peel_word,
     poset,
     shared_chains,
+    uniform_2k_tiling_exists,
+)
+
+import oracles
+from oracles import (
+    boundary_edges,
+    class_words,
+    eln,
+    flip_neighbors,
+    peel_order,
     sub_hexagons,
     tiling_from_word,
-    uniform_2k_tiling_exists,
 )
 
 perms4 = [tuple(p) for p in permutations((1, 2, 3, 4))]
@@ -149,18 +155,30 @@ def test_peel_word_of_zonotopal_tilings_S5():
     "ws", [perms5_all, [(2, 4, 3, 1, 9, 6, 5, 8, 7)]], ids=["S5", "W9"]
 )
 def test_chain_words_match_the_rescan(ws):
-    """An enumerated tiling's word is read off its chain; the same tiles
-    without the chain are peeled again by rescanning the boundary, which
+    """An enumerated tiling's word is read off its chain; rescanning the
+    boundary of the same tiles for the topmost tile on it, step by step,
     finds the chain's order."""
     for w in ws:
         for t in enumerate_rhombic(w) + enumerate_zonotopal(w):
             assert (t.chain is None) == (not t.tiles)  # only e has no peel
-            bare = Tiling(w, t.tiles)
-            order = redux.tilings._peel_order(bare)
-            assert order == redux.tilings._chain_tiles(t.chain), t.key()
-            word = peel_word(t)
-            assert word == peel_word(bare), t.key()
-            assert evaluate(word, len(w)) == (w, True), t.key()
+            assert redux.tilings._peel_order(t) == peel_order(w, t.tiles), t.key()
+            assert evaluate(peel_word(t), len(w)) == (w, True), t.key()
+
+
+def test_a_tiling_without_its_chain_has_no_peel_order():
+    """Only enumeration records a tiling's peel order: a tiling built from
+    its tiles alone is refused, by peel_word and by mono, which lifts its
+    tiles in that order."""
+    p = (3, 2, 1)
+    t = enumerate_rhombic(p)[0]
+    bare = Tiling(p, t.tiles)
+    message = "^a tiling built without its chain holds no peel order$"
+    with pytest.raises(ValueError, match=message):
+        peel_word(bare)
+    w = (4, 3, 2, 1)
+    with pytest.raises(ValueError, match=message):
+        mono(w, occurrences(w, p)[0], bare)
+    assert peel_word(Tiling((1, 2, 3), frozenset())) == ()
 
 
 @pytest.mark.parametrize(
@@ -205,7 +223,7 @@ def test_eln_is_a_bijection_S4():
 def test_eln_rejects_a_tiling_of_no_class(monkeypatch):
     t = enumerate_rhombic((3, 2, 1))[0]
     home = eln(t)
-    monkeypatch.setattr(redux.tilings, "classes", lambda w: [c for c in classes(w) if c != home])
+    monkeypatch.setattr(oracles, "classes", lambda w: [c for c in classes(w) if c != home])
     with pytest.raises(RuntimeError, match=r"C\(321\) lacks the class of a tiling"):
         eln(t)
 
@@ -214,7 +232,7 @@ def test_figure_tiling():
     t = tiling_from_word(FIGURE_WORD, 5)
     assert t.w == (5, 3, 2, 4, 1)
     assert len(t.tiles) == 8 and t.is_rhombic()
-    assert FIGURE_WORD in eln(t).words
+    assert FIGURE_WORD in class_words(eln(t))
 
 
 def test_figure_tiling_has_coarsenings():

@@ -9,8 +9,10 @@ import pytest
 
 import redux.tilings
 from redux import verify
-from redux.redwords import BudgetError, braid_moves, budget, enumerate_R
+from redux.redwords import BudgetError, budget, enumerate_R
 from redux.verify import THEOREMS, VerifyResult, _max_long_moves, run
+
+from oracles import braid_moves
 
 
 def test_known_theorems():

@@ -7,17 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redux.patterns import Occurrence, first_occurrence, is_vexillary, occurrences
-from redux.permcore import left_mult_adjacent, length, right_mult_adjacent
+from redux.patterns import Occurrence, is_vexillary, occurrences
+from redux.permcore import length, right_mult_adjacent
 from redux.redwords import enumerate_R, evaluate, find_shift_factor, shift
 from redux import verify, vexalg
-from redux.vexalg import (
-    VexError,
-    embed_reduced_word,
-    lex_least_reduced_word,
-    nonvex_witness,
-    vex,
-)
+from redux.vexalg import VexError, embed_reduced_word, lex_least_reduced_word, nonvex_witness
+
+from oracles import first_occurrence, left_mult_adjacent, vex
 
 perms5 = st.permutations((1, 2, 3, 4, 5)).map(tuple)
 vex_patterns3 = st.sampled_from(
