@@ -18,9 +18,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache, reduce
-from itertools import combinations, product, repeat
-from operator import or_
+from functools import cache, cached_property, lru_cache
+from itertools import combinations, product
 
 from .commutation import FlipGraph, classes, index_moves, is_path, is_tree, spans_cycle_space
 from .patterns import Occurrence, avoids, is_freely_braided, occurrences
@@ -66,11 +65,20 @@ def _pair_bit(a: int, b: int) -> int:
     return 1 << ((b - 1) * (b - 2) // 2 + a - 1)
 
 
-@cache
+# {n: {tile code: value}}, one dict per n for each value derived from a tile
+# of X(w), w in S_n: the unit cells it covers and the letters its peel adds.
+# A code enters on first sight, once _tile_pairs has accepted it, so only
+# tiles do, and fewer than 3^n codes per n are tiles.
+_PAIRS: dict[int, dict[int, int]] = {}
+_LETTERS: dict[int, dict[int, tuple[int, ...]]] = {}
+
+
 def _tile_pairs(code: int, n: int) -> int:
     """The unit cells the tile with this code covers, all its label pairs;
-    raises ValueError when the code is no tile of X(w), w in S_n.  Only
-    tiles enter the cache, and fewer than 3^n codes per n are tiles."""
+    raises ValueError when the code is no tile of X(w), w in S_n."""
+    known = _PAIRS.get(n) or _PAIRS.setdefault(n, {})
+    if code in known:
+        return known[code]
     labels = code & ((1 << n) - 1)
     if code >> 2 * n:
         raise ValueError("a tile code has bits beyond 2n")
@@ -78,7 +86,8 @@ def _tile_pairs(code: int, n: int) -> int:
         raise ValueError("a tile needs at least two labels")
     if labels & code >> n:
         raise ValueError("a tile's labels must not meet its anchor")
-    return sum(_pair_bit(a, b) for a, b in combinations(_labels(labels), 2))
+    pairs = known[code] = sum(_pair_bit(a, b) for a, b in combinations(_labels(labels), 2))
+    return pairs
 
 
 @lru_cache(maxsize=1)
@@ -124,7 +133,8 @@ class Tiling:
     ``tiles`` is a frozenset of tile codes.  ``chain`` is the chain of the
     tiling's canonical peel when enumeration built it (see
     :func:`_canonical_peels`), else None; :func:`_peel_order` reads it, so
-    only a tiling that holds its chain has a peel word.
+    only a tiling that holds its chain has a peel word.  A w given as a
+    list or another sequence is checked and stored as a tuple.
     """
 
     w: Perm
@@ -132,10 +142,18 @@ class Tiling:
     chain: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        pairs = list(map(_tile_pairs, self.tiles, repeat(len(self.w))))
-        covered = reduce(or_, pairs, 0)
-        if sum(map(int.bit_count, pairs)) != covered.bit_count():
-            raise ValueError("tiles overlap")
+        if type(self.w) is not tuple:
+            object.__setattr__(self, "w", check_perm(self.w))
+        n = len(self.w)
+        known = _PAIRS.get(n) or _PAIRS.setdefault(n, {})
+        covered = 0
+        for code in self.tiles:
+            pairs = known.get(code) or _tile_pairs(code, n)
+            if covered & pairs:
+                for code in self.tiles:
+                    _tile_pairs(code, n)  # a non-tile code is reported first
+                raise ValueError("tiles overlap")
+            covered |= pairs
         if covered != _inversion_mask(self.w):
             raise ValueError("tiles must cover X(w) exactly")
 
@@ -333,6 +351,17 @@ def _peel_letters(j: int, m: int) -> tuple[int, ...]:
     return letters
 
 
+def _tile_letters(code: int, n: int) -> tuple[int, ...]:
+    """The letters that peeling the tile with this code, of X(w) with w in
+    S_n, adds: it peels at j = |anchor| + 1 and has order m = |labels|.
+    Raises ValueError unless the code is a tile."""
+    _tile_pairs(code, n)
+    above = (code >> n).bit_count()
+    letters = _peel_letters(above + 1, code.bit_count() - above)
+    _LETTERS.setdefault(n, {})[code] = letters
+    return letters
+
+
 def peel_word(t: Tiling) -> Word:
     """The reduced word produced by the deterministic peel (topmost eligible
     tile first); reading the peel sequence right-to-left gives the word.
@@ -342,10 +371,10 @@ def peel_word(t: Tiling) -> Word:
     exactly when it has l(w) letters.
     """
     n = len(t.w)
+    known = _LETTERS.get(n) or _LETTERS.setdefault(n, {})
     letters: list[int] = []
     for tile in _peel_order(t):
-        above = (tile >> n).bit_count()
-        letters += _peel_letters(above + 1, tile.bit_count() - above)
+        letters += known.get(tile) or _tile_letters(tile, n)
     if len(letters) != _inversion_mask(t.w).bit_count():
         raise RuntimeError("the peeled word does not reach the identity")
     return tuple(reversed(letters))

@@ -100,6 +100,112 @@ def test_tiling_area_check():
             Tiling(not_a_perm, frozenset())
 
 
+def test_a_tiling_accepts_w_as_a_list():
+    """A list w is normalised to the tuple: the tiling equals the one built
+    from the tuple and peels to the same word."""
+    tiles = frozenset({_code({1, 2, 3}, (), 3)})
+    assert Tiling([3, 2, 1], tiles) == Tiling((3, 2, 1), tiles)
+    for t in enumerate_zonotopal((2, 4, 3, 1, 5)):
+        listed = Tiling(list(t.w), t.tiles, t.chain)
+        assert listed == t and type(listed.w) is tuple
+        assert peel_word(listed) == peel_word(t)
+    with pytest.raises(ValueError, match="not a permutation"):
+        Tiling([1, 1], frozenset())
+
+
+def _cell_pairs(cells, n):
+    """The label pairs a <= b of the unit cells in this mask, cell i being
+    the i-th pair in the order (1, 2), (1, 3), (2, 3), (1, 4), ..."""
+    pairs = [(a, b) for b in range(2, n + 1) for a in range(1, b)]
+    assert cells >> len(pairs) == 0
+    return {pair for i, pair in enumerate(pairs) if cells >> i & 1}
+
+
+def _all_tile_codes(n):
+    """Every tile code of S_n: two or more labels, an anchor apart from them."""
+    masks = range(1 << n)
+    return [a | b << n for a in masks if a & (a - 1) for b in masks if not a & b]
+
+
+def _fill_tile_tables(n):
+    """Enumerate and peel Z(w) for every w of S_n, as a query does."""
+    for w in permutations(range(1, n + 1)):
+        for t in enumerate_zonotopal(w):
+            peel_word(t)
+
+
+HEXAGON, RHOMBUS_12 = _code({1, 2, 3}, (), 3), _code({1, 2}, (), 3)
+MEETS_ITS_ANCHOR = _code({2, 3}, {2}, 3)
+OVERLAP_THEN_NON_TILE = frozenset({RHOMBUS_12, _code({1, 2}, {3}, 3), MEETS_ITS_ANCHOR})
+REJECTED_TILINGS = [
+    ((3, 2, 1), {HEXAGON, RHOMBUS_12}, "tiles overlap"),
+    ((3, 2, 1), {RHOMBUS_12, _code({1, 3}, {2}, 3)}, r"tiles must cover X\(w\) exactly"),
+    ((2, 1, 3), {RHOMBUS_12, _code({2, 3}, {1}, 3)}, r"tiles must cover X\(w\) exactly"),
+    ((3, 2, 1), {HEXAGON | 1 << 6}, "a tile code has bits beyond 2n"),
+    ((3, 2, 1), {_code({2}, {1}, 3)}, "a tile needs at least two labels"),
+    ((3, 2, 1), {MEETS_ITS_ANCHOR}, "a tile's labels must not meet its anchor"),
+    ((3, 2, 1), OVERLAP_THEN_NON_TILE, "a tile's labels must not meet its anchor"),
+    ((3, 2, 1), {_code({2}, (), 3), HEXAGON, RHOMBUS_12}, "a tile needs at least two labels"),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("w, tiles, message", REJECTED_TILINGS)
+def test_rejected_tilings_name_their_fault(monkeypatch, warm, w, tiles, message):
+    """Each fault has its message, whether or not the per-n tile tables
+    already hold the tiles, a non-tile code is reported before an overlap,
+    and no rejected code enters a table."""
+    monkeypatch.setattr(redux.tilings, "_PAIRS", {})
+    monkeypatch.setattr(redux.tilings, "_LETTERS", {})
+    if warm:
+        _fill_tile_tables(len(w))
+        assert len(redux.tilings._PAIRS[3]) == len(_all_tile_codes(3)) == 7
+    tiles = frozenset(tiles)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Tiling(w, tiles)
+    rejected = set(tiles) - set(_all_tile_codes(3))
+    for code in rejected:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            decode(code, 3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            peel_word(Tiling((1, 2, 3), frozenset(), (code, None)))
+    for table in (redux.tilings._PAIRS, redux.tilings._LETTERS):
+        assert not rejected & set(table.get(3, ())), table
+
+
+def test_the_overlap_is_met_before_the_non_tile_code():
+    """Validation meets the two rhombi on the cell {1, 2} before the code
+    whose anchor meets its labels, yet reports that code."""
+    assert list(OVERLAP_THEN_NON_TILE)[-1] == MEETS_ITS_ANCHOR
+
+
+def test_tile_tables_hold_their_definitions(monkeypatch):
+    """For every tile of S_n, n <= 6, the stored unit cells are its label
+    pairs and the stored letters those of a peel at j = |anchor| + 1; one
+    int read as a code of S5 and of S6 gets each n's own entry."""
+    monkeypatch.setattr(redux.tilings, "_PAIRS", {})
+    monkeypatch.setattr(redux.tilings, "_LETTERS", {})
+    for n in range(2, 7):
+        codes = _all_tile_codes(n)
+        for code in codes:
+            labels, anchor = decode(code, n)
+            redux.tilings._tile_letters(code, n)
+            cells = redux.tilings._PAIRS[n][code]
+            assert _cell_pairs(cells, n) == set(combinations(labels, 2)), (n, code)
+            assert redux.tilings._LETTERS[n][code] == redux.tilings._peel_letters(
+                len(anchor) + 1, len(labels)
+            ), (n, code)
+        assert set(redux.tilings._PAIRS[n]) == set(redux.tilings._LETTERS[n]) == set(codes)
+    assert len(redux.tilings._PAIRS[6]) == 473
+    code = _code({2, 3}, {1}, 5)
+    assert code == _code({2, 3, 6}, (), 6)
+    assert _cell_pairs(redux.tilings._PAIRS[5][code], 5) == {(2, 3)}
+    assert _cell_pairs(redux.tilings._PAIRS[6][code], 6) == {(2, 3), (2, 6), (3, 6)}
+    assert redux.tilings._LETTERS[5][code] == (2,)
+    assert redux.tilings._LETTERS[6][code] == (1, 2, 1)
+    assert peel_word(Tiling((1, 3, 2, 4, 5), frozenset({code}), (code, None))) == (2,)
+
+
 def test_tile_codec_round_trip_S5():
     """Decoding gives ascending labels and anchor, re-encoding them gives
     every code back, and ``Tiling.key`` orders the tilings as listed."""
