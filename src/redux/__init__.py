@@ -16,7 +16,6 @@ from .permcore import (
     syt_count,
 )
 from .patterns import (
-    Occurrence,
     ObstructionReport,
     analyze_321,
     is_freely_braided,

@@ -93,7 +93,7 @@ def _emit_json(args, payload: dict) -> int:
 def cmd_info(args) -> int:
     w = _parse(args.w)
     code, shape = code_and_shape(w)
-    count_321, in_U_n, _ = analyze_321(w)
+    count_321, in_U_n = analyze_321(w)
     fields = {
         "permutation": format_perm(w),
         "length": length(w),
@@ -174,26 +174,30 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     w = _parse(args.w)
-    target, _, index_text = args.target.partition(":")
+    target, colon, index_text = args.target.partition(":")
+    if target not in ("polygon", "tiling", "graph", "poset"):
+        raise SystemExit2(f"unknown render target {args.target!r}")
+    if colon and target != "tiling":
+        raise SystemExit2(f"render target {target!r} takes no ':' suffix")
     if target == "polygon":
         if args.format == "json":
             raise SystemExit2("render polygon has no JSON form; it emits SVG only")
         _emit(args, polygon_svg(w))
         return EXIT_OK
     if target == "tiling":
-        tilings = enumerate_rhombic(w)
         index = index_text or "0"
-        if not index.isdecimal() or int(index) >= len(tilings):
+        if not index.isdecimal():
+            raise SystemExit2(f"{index_text!r} is not a tiling index")
+        tilings = enumerate_rhombic(w)
+        if int(index) >= len(tilings):
             raise SystemExit2(
                 f"tiling index {index_text!r} out of range 0..{len(tilings) - 1}"
             )
         shown, payload, picture = tilings[int(index)], tiling_payload, tiling_svg
     elif target == "graph":
         shown, payload, picture = graph(w), graph_payload, graph_dot
-    elif target == "poset":
+    else:  # poset
         shown, payload, picture = poset(w), poset_payload, poset_dot
-    else:
-        raise SystemExit2(f"unknown render target {args.target!r}")
     if args.format == "json":
         return _emit_json(args, payload(shown))
     _emit(args, picture(shown))

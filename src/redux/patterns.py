@@ -9,30 +9,6 @@ from itertools import combinations
 from .permcore import Perm, check_perm, inversions
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    """An occurrence of ``pattern`` in some ambient permutation.
-
-    ``positions`` are the 1-based indices i_1 < ... < i_k and ``values`` the
-    entries at those indices, in position order.  ``value_of_role(m)`` is the
-    ambient value playing the pattern value ``m`` (the paper-style bracket
-    notation: role m is the m-th smallest value of the occurrence).
-    """
-
-    pattern: Perm
-    positions: tuple[int, ...]
-    values: tuple[int, ...]
-
-    def value_of_role(self, m: int) -> int:
-        if not 1 <= m <= len(self.pattern):
-            raise ValueError(f"no role {m} in a pattern of length {len(self.pattern)}")
-        return sorted(self.values)[m - 1]
-
-    def roles(self) -> tuple[int, ...]:
-        """All occurrence values ordered by role: increasing."""
-        return tuple(sorted(self.values))
-
-
 @cache
 def _bounds(p: Perm) -> tuple:
     """bounds[d]: the nearest values below and above p[d] among p[:d], 0 and
@@ -79,18 +55,15 @@ def _search(w: Perm, p: Perm):
         i = positions.pop() + 1
 
 
-def occurrences(w: Perm, p: Perm) -> list[Occurrence]:
-    """All occurrences of the pattern ``p`` in ``w``, lexicographic by positions.
+def occurrences(w: Perm, p: Perm) -> list[tuple[int, ...]]:
+    """All occurrences of the pattern ``p`` in ``w``, each as its 1-based
+    increasing position tuple, in lexicographic order.
 
-    >>> [o.values for o in occurrences((2, 1, 4, 3), (2, 1, 4, 3))]
-    [(2, 1, 4, 3)]
+    >>> occurrences((3, 1, 4, 2), (2, 1))
+    [(1, 2), (1, 4), (3, 4)]
     """
     w, p = check_perm(w), check_perm(p)
-    return [_occurrence(w, p, pos) for pos in _search(w, p)]
-
-
-def _occurrence(w: Perm, p: Perm, pos: tuple[int, ...]) -> Occurrence:
-    return Occurrence(pattern=p, positions=pos, values=tuple(w[i - 1] for i in pos))
+    return list(_search(w, p))
 
 
 def contains(w: Perm, p: Perm) -> bool:
@@ -113,6 +86,14 @@ def first_occurrences(w: Perm, k: int) -> dict[Perm, tuple[int, ...]]:
     for pos, pattern in zip(combinations(range(1, len(w) + 1), k), patterns):
         found.setdefault(pattern, pos)
     return found
+
+
+def _pattern_at(w: Perm, at) -> Perm:
+    """The pattern of the entries of ``w`` at the 1-based positions ``at``,
+    which must be nonempty, strictly increasing and within w."""
+    if not at or list(at) != sorted(set(at)) or not 0 < at[0] <= at[-1] <= len(w):
+        raise ValueError("occurrence positions must be increasing positions of w")
+    return _standardize(tuple([w[i - 1] for i in at]))
 
 
 @cache
@@ -171,9 +152,7 @@ def is_freely_braided(w: Perm) -> bool:
 def is_freely_braided_by_intersections(w: Perm) -> bool:
     """Defining condition: distinct 321-patterns meet in at most one position."""
     occs = occurrences(w, (3, 2, 1))
-    return all(
-        len(set(a.positions) & set(b.positions)) <= 1 for a, b in combinations(occs, 2)
-    )
+    return all(len(set(a) & set(b)) <= 1 for a, b in combinations(occs, 2))
 
 
 @dataclass(frozen=True)
@@ -226,19 +205,15 @@ def _obstruction(at, roles, x: int) -> ObstructionReport:
     return ObstructionReport(x, m, a, b, obstructed_left, obstructed_right)
 
 
-def analyze_321(w: Perm) -> tuple[int, bool, int | None]:
-    """(count of 321-occurrences, whether all share max and min, unique middle).
+def analyze_321(w: Perm) -> tuple[int, bool]:
+    """(count of 321-occurrences, whether all share their max and min value).
 
-    The middle value is reported only when the occurrence is unique.
+    An occurrence's max sits at its first position and its min at its last,
+    so sharing a value is sharing that position.
 
     >>> analyze_321((5, 2, 3, 4, 1))
-    (3, True, None)
+    (3, True)
     """
     occs = occurrences(w, (3, 2, 1))
-    k = len(occs)
-    shared = (
-        len({o.value_of_role(3) for o in occs}) <= 1
-        and len({o.value_of_role(1) for o in occs}) <= 1
-    )
-    middle = occs[0].value_of_role(2) if k == 1 else None
-    return k, shared, middle
+    shared = len({o[0] for o in occs}) <= 1 and len({o[-1] for o in occs}) <= 1
+    return len(occs), shared

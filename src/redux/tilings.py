@@ -22,7 +22,7 @@ from functools import cache, cached_property, lru_cache
 from itertools import combinations, product
 
 from .commutation import FlipGraph, classes, index_moves, is_path, is_tree, spans_cycle_space
-from .patterns import Occurrence, avoids, is_freely_braided, occurrences
+from .patterns import _pattern_at, avoids, is_freely_braided, occurrences
 from .permcore import (
     Perm,
     check_perm,
@@ -439,8 +439,9 @@ def _sort_window(u: Perm, r: int, s: int, tiles: list) -> Perm:
     return u
 
 
-def mono(w: Perm, occ: Occurrence, t: Tiling) -> Tiling:
-    """Replay a rhombic tiling of X(p) through the occurrence of p in w.
+def mono(w: Perm, at: tuple[int, ...], t: Tiling) -> Tiling:
+    """Replay a rhombic tiling of X(p) through the occurrence of p at the
+    1-based positions ``at`` of w.
 
     Each pattern tile, taken in peel order, sorts the corresponding window of
     w (the two pattern entries and everything between them); the window
@@ -448,12 +449,10 @@ def mono(w: Perm, occ: Occurrence, t: Tiling) -> Tiling:
     deterministically.
     """
     w = check_perm(w)
-    p = occ.pattern
-    if tuple(w[i - 1] for i in occ.positions) != occ.values:
-        raise ValueError("occurrence does not match the permutation")
+    p = _pattern_at(w, at)
     if t.w != p or not t.is_rhombic():
         raise ValueError("t must be a rhombic tiling of the pattern's polygon")
-    amb = occ.roles()  # amb[v - 1] plays the pattern value v
+    amb = sorted(w[i - 1] for i in at)  # amb[v - 1] plays the pattern value v
     u = w
     tiles: list = []
     for tile in _peel_order(t):
@@ -738,8 +737,7 @@ def chain_equivalences(w: Perm) -> tuple[bool, bool, bool, bool]:
     g = p.flip_graph
     occs = occurrences(w, (3, 2, 1))
     pattern_cond = avoids(w, (4, 3, 2, 1)) and all(
-        len(set(a.positions) & set(b.positions)) >= 2
-        for a, b in combinations(occs, 2)
+        len(set(a) & set(b)) >= 2 for a, b in combinations(occs, 2)
     )
     return (is_tree(g), is_path(g), maximal_cover_minimal(p), pattern_cond)
 

@@ -19,7 +19,6 @@ from itertools import permutations
 
 from .commutation import class_count, classes, graph, graphs_isomorphic, is_path
 from .patterns import (
-    Occurrence,
     analyze_321,
     first_occurrences,
     is_freely_braided,
@@ -83,9 +82,9 @@ def _show_pair(case) -> str:
 
 def _embeds(case) -> bool:
     """``embed_reduced_word`` builds its word with all its checks passing."""
-    w, occ, pattern_word, _ = case
+    w, at, pattern_word, _ = case
     try:
-        embed_reduced_word(w, occ, pattern_word)
+        embed_reduced_word(w, at, pattern_word)
     except VexError:
         return False
     return True
@@ -108,7 +107,7 @@ def _vexthm(n: int) -> tuple[int, str | None]:
         for k in (3, 4)
     }
     embeddings = (
-        (w, Occurrence(p, pos, tuple([w[i - 1] for i in pos])), pattern_word, p)
+        (w, pos, pattern_word, p)
         for k, patterns in vexillary.items()
         for m in range(k, n + 1)
         for w in all_perms(m)
@@ -156,7 +155,7 @@ def _best_long_moves(u: Perm, y: int, z: int, memo: dict) -> int:
 def _one_long_move(w: Perm, memo: dict) -> bool:
     """U_n membership = no word with two long braid moves; path graph
     corollary.  ``memo`` is passed on to :func:`_max_long_moves`."""
-    k, shares, _ = analyze_321(w)
+    k, shares = analyze_321(w)
     if shares != (_max_long_moves(w, memo) <= 1):
         return False
     if not shares:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect
 from functools import lru_cache
 
-from .patterns import Occurrence, _obstruction, contains, is_vexillary, occurrences
+from .patterns import _obstruction, _pattern_at, contains, is_vexillary, occurrences
 from .permcore import Perm, check_perm, inverse, length
 from .redwords import Word, evaluate, find_shift_factor, shift
 
@@ -172,10 +172,10 @@ def _is_vexillary_pattern(p: Perm) -> bool:
     return is_vexillary(p)
 
 
-def _vex(w: Perm, occ: Occurrence) -> tuple[_VexState, int]:
-    """Shorten ``w`` until the occurrence of ``occ.pattern`` is consecutive;
-    return the final state, its pattern entries in positions M+1 .. M+k,
-    and M, once every check has passed.
+def _vex(w: Perm, at: tuple[int, ...]) -> tuple[_VexState, int]:
+    """Shorten ``w`` until the pattern occurrence at the 1-based positions
+    ``at`` is consecutive; return the final state, its pattern entries in
+    positions M+1 .. M+k, and M, once every check has passed.
 
     The pattern must be vexillary.  Step 1 picks an inside entry x, and Steps
     2-7 act on x until it is no longer inside; vex stops when nothing is
@@ -186,20 +186,11 @@ def _vex(w: Perm, occ: Occurrence) -> tuple[_VexState, int]:
     """
     w = tuple(w)
     length_w = _checked(w)[0]
-    p = occ.pattern
+    p = _pattern_at(w, at)
     if not _is_vexillary_pattern(p):
         raise ValueError("vex requires a vexillary pattern")
-    n, k, at = len(w), len(p), occ.positions
-    if len(at) != k or list(at) != sorted(set(at)) or not 0 < at[0] <= at[-1] <= n:
-        raise ValueError("occurrence positions must be k increasing positions of w")
-    if tuple([w[i - 1] for i in at]) != occ.values:
-        raise ValueError("occurrence does not match the permutation")
-    st = _VexState(w, p, occ.values)
-    try:
-        st.check_occurrence()
-    except VexError:
-        raise ValueError("occurrence values do not form the pattern") from None
-    inv, pat, order = st.inv, st.pat, st.order
+    st = _VexState(w, p, [w[i - 1] for i in at])
+    k, inv, pat, order = len(p), st.inv, st.pat, st.order
 
     steps = 0
     inside = st.inside()
@@ -289,22 +280,20 @@ def lex_least_reduced_word(w: Perm) -> Word:
     return tuple(letters)
 
 
-def embed_reduced_word(w: Perm, occ: Occurrence, pattern_word: Word) -> Word:
-    """A reduced word of ``w`` containing ``pattern_word`` (a reduced word of
-    the occurrence's pattern) shifted, as a factor.
+def embed_reduced_word(w: Perm, at: tuple[int, ...], pattern_word: Word) -> Word:
+    """A reduced word of ``w`` containing ``pattern_word`` shifted, as a
+    factor; ``pattern_word`` must be a reduced word of the pattern that the
+    entries of w at the 1-based positions ``at`` form.
 
-    >>> from .patterns import occurrences
-    >>> w = (3, 1, 4, 6, 5, 2)
-    >>> occ = [o for o in occurrences(w, (2, 3, 1)) if o.values == (3, 6, 2)][0]
-    >>> embed_reduced_word(w, occ, (1, 2))
+    >>> embed_reduced_word((3, 1, 4, 6, 5, 2), (1, 4, 6), (1, 2))
     (5, 2, 3, 4, 5, 1)
     """
     w = tuple(w)
     n = len(w)
-    k = len(occ.pattern)
-    if not _is_reduced_word_of(tuple(pattern_word), occ.pattern):
+    st, M = _vex(w, at)
+    k = len(st.p)
+    if not _is_reduced_word_of(tuple(pattern_word), st.p):
         raise ValueError("pattern_word is not a reduced word of the pattern")
-    st, M = _vex(w, occ)
     st.w[M : M + k] = sorted(st.w[M : M + k])  # w_tilde turns into w_prime
     h = lex_least_reduced_word(tuple(st.w))
     word = tuple(st.left) + h + shift(pattern_word, M, n) + tuple(reversed(st.right))
@@ -317,15 +306,14 @@ def embed_reduced_word(w: Perm, occ: Occurrence, pattern_word: Word) -> Word:
     return word
 
 
-def _normal_form_2143(p: Perm, occ: Occurrence) -> bool:
-    """Whether the 2143-occurrence sits in the witness construction's shape:
-    directly after role 1 come the values between roles 2 and 3, ascending,
-    then role 4."""
-    r = occ.roles()  # values of roles 1..4
-    z = occ.positions[1]  # position of role 1
-    run = list(range(r[1] + 1, r[2]))
-    tail = p[z : z + len(run) + 1]
-    return tail == tuple(run) + (r[3],)
+def _normal_form_2143(p: Perm, at: tuple[int, ...]) -> bool:
+    """Whether the 2143-occurrence at the positions ``at`` of p sits in the
+    witness construction's shape: directly after role 1 come the values
+    between roles 2 and 3, ascending, then role 4."""
+    two, _, four, three = [p[i - 1] for i in at]  # the values of the roles
+    z = at[1]  # position of role 1
+    run = tuple(range(two + 1, three))
+    return p[z : z + len(run) + 1] == run + (four,)
 
 
 def nonvex_witness(p: Perm) -> Perm:
@@ -338,13 +326,12 @@ def nonvex_witness(p: Perm) -> Perm:
     p = check_perm(p)
     if is_vexillary(p):
         raise ValueError("witness construction requires a non-vexillary pattern")
-    occ = next(
+    at = next(
         (o for o in occurrences(p, (2, 1, 4, 3)) if _normal_form_2143(p, o)), None
     )
-    if occ is None:
+    if at is None:
         raise RuntimeError("no 2143-occurrence in witness normal form")
-    r2 = occ.roles()[1]
-    z = occ.positions[1]
+    r2, z = p[at[0] - 1], at[1]  # the value of role 2 and the position of role 1
     k = len(p)
     w = []
     for pos in range(1, k + 2):

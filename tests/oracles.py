@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from redux.commutation import CommutationClass, classes, trace_key
-from redux.patterns import Occurrence, _obstruction, _occurrence, _search
+from redux.patterns import _obstruction, _search
 from redux.permcore import Perm, check_perm, format_perm, inverse
 from redux.redwords import Word, evaluate, format_word
 from redux.tilings import (
@@ -41,22 +41,22 @@ def left_mult_adjacent(w: Perm, i: int) -> Perm:
     return tuple(lst)
 
 
-def first_occurrence(w: Perm, p: Perm) -> Occurrence | None:
-    """The lexicographically first occurrence of ``p`` in ``w``, or None;
-    the search stops there.
+def first_occurrence(w: Perm, p: Perm) -> tuple[int, ...] | None:
+    """The 1-based positions of the lexicographically first occurrence of
+    ``p`` in ``w``, or None; the search stops there.
 
-    >>> first_occurrence((3, 1, 2), (2, 1)).values
-    (3, 1)
+    >>> first_occurrence((3, 1, 2), (2, 1))
+    (1, 2)
     """
     w, p = check_perm(w), check_perm(p)
-    pos = next(_search(w, p), None)
-    return None if pos is None else _occurrence(w, p, pos)
+    return next(_search(w, p), None)
 
 
-def obstruction(w: Perm, occ: Occurrence, x: int):
-    """Obstruction data for the inside entry ``x`` of the occurrence: the
-    core ``_obstruction`` on w's position array and the sorted roles."""
-    return _obstruction((0, *inverse(w)), occ.roles(), x)
+def obstruction(w: Perm, at: tuple[int, ...], x: int):
+    """Obstruction data for the inside entry ``x`` of the occurrence at the
+    1-based positions ``at``: the core ``_obstruction`` on w's position
+    array and the occurrence's values in increasing order."""
+    return _obstruction((0, *inverse(w)), sorted(w[i - 1] for i in at), x)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +200,10 @@ class VexResult:
     pattern_positions: tuple[int, ...]
 
 
-def vex(w: Perm, occ: Occurrence) -> VexResult:
-    """Shorten ``w`` until the occurrence of ``occ.pattern`` is consecutive,
-    read off the final state of ``vexalg._vex``."""
-    st, M = _vex(w, occ)
+def vex(w: Perm, at: tuple[int, ...]) -> VexResult:
+    """Shorten ``w`` until the pattern occurrence at the 1-based positions
+    ``at`` is consecutive, read off the final state of ``vexalg._vex``."""
+    st, M = _vex(w, at)
     return VexResult(
         prefix_letters=tuple(reversed(st.left)),
         w_tilde=tuple(st.w),

@@ -104,6 +104,10 @@ def test_usage_errors_exit_2(capsys):
         ["render", "nope", "321"],
         ["render", "tiling:9", "321"],
         ["render", "tiling:-1", "321"],
+        ["render", "tiling:abc", "321"],
+        ["render", "graph:5", "321"],
+        ["render", "poset:x", "321"],
+        ["render", "polygon:3", "321"],
         ["--format", "json", "render", "polygon", "321"],
         ["verify", "monotone", "--n", "3"],
         ["verify", "2ktiles", "--n", "2"],
@@ -112,6 +116,20 @@ def test_usage_errors_exit_2(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert "error" in err
+
+
+def test_render_usage_messages(capsys):
+    """Only ``tiling`` takes a ``:suffix``, and it must be a tiling index."""
+    for argv, message in (
+        (["render", "graph:5", "321"], "render target 'graph' takes no ':' suffix"),
+        (["render", "poset:x", "321"], "render target 'poset' takes no ':' suffix"),
+        (["render", "polygon:3", "321"], "render target 'polygon' takes no ':' suffix"),
+        (["render", "nope:1", "321"], "unknown render target 'nope:1'"),
+        (["render", "tiling:abc", "321"], "'abc' is not a tiling index"),
+        (["render", "tiling:-1", "321"], "'-1' is not a tiling index"),
+        (["render", "tiling:2", "321"], "tiling index '2' out of range 0..1"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_argparse_usage_exit_2(capsys):

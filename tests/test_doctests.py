@@ -1,29 +1,20 @@
-"""Run every module's doctests under pytest."""
+"""Run every module's doctests under pytest: each module of the ``redux``
+package, found by ``pkgutil`` so none can be left out, and the test oracles."""
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import redux.commutation
-import redux.patterns
-import redux.permcore
-import redux.redwords
-import redux.tilings
-import redux.vexalg
-import redux.verify
+import redux
 
 import oracles
 
 MODULES = [
-    redux.permcore,
-    redux.patterns,
-    redux.redwords,
-    redux.commutation,
-    redux.vexalg,
-    redux.tilings,
-    redux.verify,
-    oracles,
-]
+    importlib.import_module(f"redux.{info.name}")
+    for info in pkgutil.iter_modules(redux.__path__)
+] + [oracles]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

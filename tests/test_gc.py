@@ -10,7 +10,6 @@ import gc
 import pytest
 
 from redux.commutation import class_count, classes, graph, graphs_isomorphic, simple_cycles_of_length
-from redux.patterns import Occurrence
 from redux.redwords import enumerate_R
 from redux.tilings import (
     _tile_label_sets,
@@ -41,9 +40,7 @@ CALLS = {
     "maxelt": lambda: run("maxelt", 4),
     "_tile_label_sets": lambda: _tile_label_sets(W, {}),
     "embed_reduced_word": lambda: embed_reduced_word(
-        (1, 3, 4, 5, 2),
-        Occurrence((2, 3, 1), (2, 4, 5), (3, 5, 2)),
-        lex_least_reduced_word((2, 3, 1)),
+        (1, 3, 4, 5, 2), (2, 4, 5), lex_least_reduced_word((2, 3, 1))
     ),
     "graphs_isomorphic": lambda: graphs_isomorphic(
         flip_graph_from_tilings((4, 6, 5, 2, 3, 1)), graph((4, 6, 5, 2, 3, 1))

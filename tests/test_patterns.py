@@ -36,25 +36,15 @@ def all_perms(n):
 
 
 def test_occurrences_golden():
-    occs = occurrences((3, 1, 4, 6, 5, 2), (2, 3, 1))
-    assert ((3, 6, 2) in [o.values for o in occs])
-    one = [o for o in occs if o.values == (3, 6, 2)][0]
-    assert one.positions == (1, 4, 6)
-    assert one.roles() == (2, 3, 6)
-    assert one.value_of_role(3) == 6
-
-
-def test_value_of_role_rejects_roles_outside_the_pattern():
-    occ = occurrences((3, 2, 1), (3, 2, 1))[0]
-    assert [occ.value_of_role(m) for m in (1, 2, 3)] == [1, 2, 3]
-    for m in (-1, 0, 4):
-        with pytest.raises(ValueError, match=f"no role {m} "):
-            occ.value_of_role(m)
+    w = (3, 1, 4, 6, 5, 2)
+    occs = occurrences(w, (2, 3, 1))
+    assert occs == [(1, 3, 6), (1, 4, 6), (1, 5, 6), (3, 4, 6), (3, 5, 6)]
+    assert [w[i - 1] for i in occs[1]] == [3, 6, 2]
 
 
 def _occurrences_by_subsets(w, p):
-    """(positions, values) of every occurrence of p in w: the reference scan
-    over all k-subsets of positions, each tested pair by pair."""
+    """The positions of every occurrence of p in w: the reference scan over
+    all k-subsets of positions, each tested pair by pair."""
     out = []
     for pos in combinations(range(1, len(w) + 1), len(p)):
         values = tuple(w[i - 1] for i in pos)
@@ -62,7 +52,7 @@ def _occurrences_by_subsets(w, p):
             (values[h] < values[j]) == (p[h] < p[j])
             for h, j in combinations(range(len(p)), 2)
         ):
-            out.append((pos, values))
+            out.append(pos)
     return out
 
 
@@ -72,8 +62,7 @@ def test_search_matches_subset_scan_S6_S4():
         for w in all_perms(n):
             for p in patterns:
                 expected = _occurrences_by_subsets(w, p)
-                found = [(o.positions, o.values) for o in occurrences(w, p)]
-                assert found == expected, (w, p)
+                assert occurrences(w, p) == expected, (w, p)
                 assert contains(w, p) == bool(expected), (w, p)
 
 
@@ -85,7 +74,7 @@ def test_first_occurrences_match_contains_and_first_occurrence():
                 found = first_occurrences(w, k)
                 assert set(found) == {p for p in patterns if contains(w, p)}, (w, k)
                 for p, positions in found.items():
-                    assert positions == first_occurrence(w, p).positions, (w, p)
+                    assert positions == first_occurrence(w, p), (w, p)
 
 
 @given(perms, small_patterns)
@@ -110,8 +99,7 @@ def test_freely_braided_cross_check():
 def test_obstruction_one_side():
     # x = 4 inside the occurrence with values (3, 2, 5, 1): blocked left only
     w = (3, 2, 4, 5, 1)
-    occ = [o for o in occurrences(w, (3, 2, 4, 1)) if o.values == (3, 2, 5, 1)][0]
-    report = obstruction(w, occ, 4)
+    report = obstruction(w, (1, 2, 4, 5), 4)
     assert (report.m, report.a, report.b) == (3, 0, 0)
     assert report.obstructed_left and not report.obstructed_right
 
@@ -119,8 +107,7 @@ def test_obstruction_one_side():
 def test_obstruction_both_sides():
     # x = 3 inside the occurrence with values (2, 1, 5, 4): blocked both ways
     w = (2, 1, 3, 5, 4)
-    occ = [o for o in occurrences(w, (2, 1, 4, 3)) if o.values == (2, 1, 5, 4)][0]
-    report = obstruction(w, occ, 3)
+    report = obstruction(w, (1, 2, 4, 5), 3)
     assert report.m == 2
     assert report.obstructed_left and report.obstructed_right
 
@@ -133,11 +120,11 @@ def position(w, value):
 def _obstruction_by_scans(w, occ, x):
     """The definition of :func:`obstruction` read literally, each position
     found by a scan of w; the oracle for the position-array version."""
-    roles = occ.roles()
+    roles = sorted(w[i - 1] for i in occ)
     k = len(roles)
     if x in roles:
         raise ValueError(f"{x} is a pattern entry, not inside the pattern")
-    lo, hi = min(occ.positions), max(occ.positions)
+    lo, hi = occ[0], occ[-1]
     px = position(w, x)
     if not lo < px < hi:
         raise ValueError(f"{x} is not inside the pattern")
@@ -193,7 +180,7 @@ def test_obstruction_matches_the_position_scans_S5():
             for w in all_perms(5):
                 at = [0, *inverse(w)]
                 for occ in occurrences(w, p):
-                    roles = sorted(occ.values)
+                    roles = sorted(w[i - 1] for i in occ)
                     for x in range(1, 6):
                         expected = _outcome(_obstruction_by_scans, w, occ, x)
                         assert _outcome(obstruction, w, occ, x) == expected, (w, occ, x)
@@ -209,7 +196,7 @@ def test_obstruction_matches_the_position_scans_S5():
 
 def test_obstruction_rejects_bad_input():
     w = (3, 2, 4, 5, 1)
-    occ = [o for o in occurrences(w, (3, 2, 4, 1)) if o.values == (3, 2, 5, 1)][0]
+    occ = (1, 2, 4, 5)  # the values 3, 2, 5, 1 of a 3241
     with pytest.raises(ValueError):
         obstruction(w, occ, 5)  # a pattern entry, not inside
     for x in (0, 6):  # not a value of w
@@ -218,20 +205,22 @@ def test_obstruction_rejects_bad_input():
 
 
 def test_analyze_321():
-    assert analyze_321((5, 2, 3, 4, 1)) == (3, True, None)
-    assert analyze_321((1, 2, 3)) == (0, True, None)
-    count, shared, middle = analyze_321((4, 3, 2, 1))
-    assert count == 4 and not shared and middle is None
+    assert analyze_321((5, 2, 3, 4, 1)) == (3, True)
+    assert analyze_321((1, 2, 3)) == (0, True)
+    assert analyze_321((4, 3, 2, 1)) == (4, False)
+    assert analyze_321((3, 2, 1)) == (1, True)
+    assert analyze_321((1, 4, 3, 2)) == (1, True)
 
 
 def test_in_U_n():
     """U_n membership, every 321-pattern sharing its maximal and minimal
-    value, is the second field of ``analyze_321``; the third names the middle
-    value of a unique 321-pattern."""
+    value, is the second field of ``analyze_321``.  The two 321-patterns of
+    4312 share their max but not their min, and those of 3421 their min but
+    not their max."""
     assert analyze_321((5, 2, 3, 4, 1))[1]
     assert not analyze_321((4, 3, 2, 1))[1]
-    assert analyze_321((3, 2, 1)) == (1, True, 2)
-    assert analyze_321((1, 4, 3, 2)) == (1, True, 3)
+    assert analyze_321((4, 3, 1, 2)) == (2, False)
+    assert analyze_321((3, 4, 2, 1)) == (2, False)
 
 
 @given(perms)

@@ -496,13 +496,26 @@ def test_edge_sets_pinned_S5():
 def test_mono_is_injective_on_the_worked_example():
     w = (4, 6, 1, 7, 3, 5, 2)
     p = (3, 1, 5, 4, 2)
-    occ = [o for o in occurrences(w, p) if o.values == (4, 1, 7, 5, 2)][0]
+    occ = (1, 3, 4, 6, 7)  # the values 4, 1, 7, 5, 2
     images = set()
     for t in enumerate_rhombic(p):
         lifted = mono(w, occ, t)
         assert lifted.w == w and lifted.is_rhombic()
         images.add(lifted.key())
     assert len(images) == len(enumerate_rhombic(p))
+
+
+def test_mono_rejects_a_tiling_of_another_pattern():
+    """The positions name the pattern; a tiling of any other pattern, or
+    positions that name none, are refused."""
+    w = (3, 1, 4, 6, 5, 2)
+    at = (1, 4, 6)  # the values 3, 6, 2 of a 231
+    assert mono(w, at, enumerate_rhombic((2, 3, 1))[0]).w == w
+    for p in ((3, 1, 2), (3, 2, 1), (2, 1)):
+        with pytest.raises(ValueError, match="^t must be a rhombic tiling of the"):
+            mono(w, at, enumerate_rhombic(p)[0])
+    with pytest.raises(ValueError, match="^occurrence positions must be increasing"):
+        mono(w, (1, 6, 4), enumerate_rhombic((2, 3, 1))[0])
 
 
 @settings(max_examples=25, deadline=None)

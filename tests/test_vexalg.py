@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redux.patterns import Occurrence, is_vexillary, occurrences
+from redux.patterns import is_vexillary, occurrences
 from redux.permcore import length, right_mult_adjacent
 from redux.redwords import enumerate_R, evaluate, find_shift_factor, shift
 from redux import verify, vexalg
@@ -21,13 +21,9 @@ vex_patterns3 = st.sampled_from(
 )
 
 
-def _occ(w, p, values):
-    return [o for o in occurrences(w, p) if o.values == values][0]
-
-
 def test_vex_golden_trace():
     w = (3, 1, 4, 6, 5, 2)
-    res = vex(w, _occ(w, (2, 3, 1), (3, 6, 2)))
+    res = vex(w, (1, 4, 6))  # the values 3, 6, 2 of a 231
     assert res.prefix_letters == (5,)
     assert res.suffix_letters == (1, 5, 4)
     assert res.M == 1
@@ -42,35 +38,40 @@ def test_vex_golden_trace():
 
 def test_embed_golden():
     w = (3, 1, 4, 6, 5, 2)
-    word = embed_reduced_word(w, _occ(w, (2, 3, 1), (3, 6, 2)), (1, 2))
+    word = embed_reduced_word(w, (1, 4, 6), (1, 2))
     assert word == (5, 2, 3, 4, 5, 1)
 
 
 def test_vex_rejects_bad_input():
-    w = (2, 1, 4, 3)
-    with pytest.raises(ValueError):
-        vex(w, _occ(w, (2, 1, 4, 3), (2, 1, 4, 3)))  # pattern not vexillary
-    with pytest.raises(ValueError):
-        embed_reduced_word((3, 2, 1), _occ((3, 2, 1), (2, 1), (3, 2)), (1, 2))
-    bad = [
-        Occurrence((2, 1), (1, 2), (1, 2)),  # the values do not form the pattern
-        Occurrence((1, 2, 3), (1, 2), (1, 2)),  # too few positions
-        Occurrence((1, 2), (2, 1), (2, 1)),  # decreasing positions
-        Occurrence((1, 2), (1, 1), (1, 1)),  # a repeated position
-        Occurrence((1, 2), (0, 1), (3, 1)),  # a position outside w
-    ]
-    for occ in bad:
+    with pytest.raises(ValueError, match="^vex requires a vexillary pattern$"):
+        vex((2, 1, 4, 3), (1, 2, 3, 4))
+    message = "^occurrence positions must be increasing positions of w$"
+    for at in (
+        (),  # no position
+        (2, 1),  # decreasing positions
+        (1, 1),  # a repeated position
+        (0, 1),  # a position outside w
+        (3, 4),  # a position outside w
+    ):
+        with pytest.raises(ValueError, match=message):
+            vex((1, 2, 3), at)
+        with pytest.raises(ValueError, match=message):
+            embed_reduced_word((1, 2, 3), at, ())
+    # a reduced word of another pattern: of 231 for a 21, of 312 for a 231
+    for w, at, pattern_word in (
+        ((3, 2, 1), (1, 2), (1, 2)),
+        ((3, 1, 4, 6, 5, 2), (1, 4, 6), (2, 1)),
+    ):
+        vex(w, at)
         with pytest.raises(ValueError):
-            vex((1, 2, 3), occ)
-        with pytest.raises(ValueError):
-            embed_reduced_word((1, 2, 3), occ, lex_least_reduced_word(occ.pattern))
+            embed_reduced_word(w, at, pattern_word)
 
 
 def test_vex_step_cap_names_its_limit(monkeypatch):
     w = (3, 1, 4, 6, 5, 2)
     monkeypatch.setattr(vexalg, "_STEP_CAP", 1)
     with pytest.raises(VexError, match="vex did not terminate within 1 steps"):
-        vex(w, _occ(w, (2, 3, 1), (3, 6, 2)))
+        vex(w, (1, 4, 6))
 
 
 def test_check_occurrence_rejects_a_broken_state():
@@ -150,7 +151,7 @@ def test_vexthm_validates_each_w_once(monkeypatch):
     current = {}
 
     def embed(w, occ, pattern_word):
-        current["w"], current["visit"] = w, (len(occ.pattern), w)
+        current["w"], current["visit"] = w, (len(occ), w)
         visits.setdefault(current["visit"], {"check_perm": 0, "length": 0})
         return embed_reduced_word(w, occ, pattern_word)
 
@@ -175,26 +176,19 @@ def test_vexthm_validates_each_w_once(monkeypatch):
     assert all(c == {"check_perm": 1, "length": 1} for c in rest)
 
 
-def test_vex_builds_no_occurrence(monkeypatch):
+def test_vex_step_5_count(monkeypatch):
     """Step 5 reads the obstruction off vex's own state: the vexthm sweep
-    at n = 5 runs Step 5 141 times and constructs no Occurrence in vexalg."""
-    made, steps = [], []
-
-    class Counting(Occurrence):
-        def __init__(self, *args, **kwargs):
-            made.append(args or kwargs)
-            super().__init__(*args, **kwargs)
+    at n = 5 runs it 141 times."""
+    steps = []
 
     def counting_obstruction(at, roles, x):
         steps.append(x)
         return real(at, roles, x)
 
     real = vexalg._obstruction
-    monkeypatch.setattr(vexalg, "Occurrence", Counting)
     monkeypatch.setattr(vexalg, "_obstruction", counting_obstruction)
     assert verify.run("vexthm", 5).ok
     assert len(steps) == 141
-    assert made == []
 
 
 @settings(max_examples=60)
@@ -264,7 +258,8 @@ def test_vex_outputs_pinned():
                             res.pattern_positions,
                         )
                         word = embed_reduced_word(w, occ, pattern_word)
-                        h.update(repr((w, occ.values, fields, word)).encode())
+                        values = tuple(w[i - 1] for i in occ)
+                        h.update(repr((w, values, fields, word)).encode())
                         cases += 1
     assert (cases, h.hexdigest()) == (VEX_CASES, VEX_DIGEST)
 
