@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .permcore import Perm, check_perm, inversions
 
@@ -91,7 +92,12 @@ def first_occurrences(w: Perm, k: int) -> dict[Perm, tuple[int, ...]]:
 def _pattern_at(w: Perm, at) -> Perm:
     """The pattern of the entries of ``w`` at the 1-based positions ``at``,
     which must be nonempty, strictly increasing and within w."""
-    if not at or list(at) != sorted(set(at)) or not 0 < at[0] <= at[-1] <= len(w):
+    last, n = 0, len(w)
+    for i in at:
+        if not last < i <= n:
+            raise ValueError("occurrence positions must be increasing positions of w")
+        last = i
+    if not last:
         raise ValueError("occurrence positions must be increasing positions of w")
     return _standardize(tuple([w[i - 1] for i in at]))
 
@@ -155,8 +161,10 @@ def is_freely_braided_by_intersections(w: Perm) -> bool:
     return all(len(set(a) & set(b)) <= 1 for a, b in combinations(occs, 2))
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
+    """What ``_obstruction`` reports; a named tuple, so that ``vexalg``'s
+    Step 5 builds it cheaply and unpacks it."""
+
     x: int
     m: int
     a: int
@@ -182,8 +190,8 @@ def _obstruction(at, roles, x: int) -> ObstructionReport:
     role_at = [at[v] for v in roles]  # role_at[j]: the position of role j + 1
     if not min(role_at) < px < max(role_at):
         raise ValueError(f"{x} is not inside the pattern")
-    m = next((m for m in range(1, k) if roles[m - 1] < x < roles[m]), None)
-    if m is None:
+    m = bisect(roles, x)  # the roles increase, so <m> < x < <m+1> if any m fits
+    if not 0 < m < k:
         raise ValueError(f"no role m with <m> < {x} < <m+1>")
     if not role_at[m - 1] < px < role_at[m]:
         raise ValueError("values <m>, x, <m+1> do not appear in increasing order")
@@ -194,14 +202,11 @@ def _obstruction(at, roles, x: int) -> ObstructionReport:
     b = 0
     while m + b + 1 < k and role_at[m + b] < role_at[m + b + 1]:
         b += 1
-    left_end, right_end = roles[m - 1 - a], roles[m + b]
+    # The roles below <m-a> are the first m-1-a, those above <m+1+b> the
+    # last k-m-b-1.
     left_at, right_at = role_at[m - 1 - a], role_at[m + b]
-    obstructed_left = any(
-        roles[j] < left_end and left_at < role_at[j] < px for j in range(k)
-    )
-    obstructed_right = any(
-        roles[j] > right_end and px < role_at[j] < right_at for j in range(k)
-    )
+    obstructed_left = any(left_at < q < px for q in role_at[: m - 1 - a])
+    obstructed_right = any(px < q < right_at for q in role_at[m + b + 1 :])
     return ObstructionReport(x, m, a, b, obstructed_left, obstructed_right)
 
 

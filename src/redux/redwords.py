@@ -169,6 +169,8 @@ def find_shift_factor(
             if size > room:
                 continue
             M = word[start] - pat[0]
-            if M >= 0 and word[start : start + size] == tuple(map(M.__add__, pat)):
+            if M < 0 or (size > 1 and word[start + 1] - pat[1] != M):
+                continue  # rejected on its first two letters, no tuple built
+            if word[start : start + size] == tuple(map(M.__add__, pat)):
                 return start + 1, M, pat
     return None

@@ -28,11 +28,6 @@ class VexError(RuntimeError):
     """
 
 
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise VexError(message)
-
-
 @lru_cache(maxsize=1)
 def _checked(w: Perm) -> tuple[int, tuple[int, ...]]:
     """``length(w)`` and the position of each value in ``w`` (index 0
@@ -57,7 +52,7 @@ class _VexState:
 
     def __init__(self, w: Perm, pattern: Perm, values):
         self.w = list(w)
-        self.inv = list(_checked(tuple(w))[1])
+        self.inv = list(_checked(w)[1])
         self.p = pattern
         self.order = [r - 1 for r in pattern]  # pat index of the role at each position
         self.pat = sorted(values)  # pat[m-1] is the value in role m
@@ -138,8 +133,10 @@ def _slide(st: _VexState, x: int, m: int, reach: int, d: int) -> int:
             st.rmult(min(px, px + d))
         elif z in pat:
             idx = pat.index(z)
-            _require(lo <= idx <= hi, "blocking entry must be a chain bound")
-            _require(d * (x - pat[idx - d]) > 0, "interchange unsorts bounds")
+            if not lo <= idx <= hi:
+                raise VexError("blocking entry must be a chain bound")
+            if d * (x - pat[idx - d]) <= 0:
+                raise VexError("interchange unsorts bounds")
             pat[idx] = x
             st.check_occurrence()
             x = z
@@ -155,12 +152,15 @@ def _trade(st: _VexState, x: int, idx: int) -> int:
     the new bound and the new x.  Returns the new x."""
     old_bound = st.pat[idx]
     s, t = st.inv[old_bound], st.inv[x]
-    _require((t - s) * (x - old_bound) < 0, "x and its bound must form an inversion")
+    if (t - s) * (x - old_bound) >= 0:
+        raise VexError("x and its bound must form an inversion")
     lo, hi = sorted((x, old_bound))
     st.sort_values_left(lo, hi)
     st.pat[idx], new_x = st.w[s - 1], st.w[t - 1]
-    _require(lo <= st.pat[idx] <= hi and st.pat[idx] != old_bound, "bound not moved")
-    _require(lo <= new_x <= hi and new_x != x, "x not moved toward its bound")
+    if not lo <= st.pat[idx] <= hi or st.pat[idx] == old_bound:
+        raise VexError("bound not moved")
+    if not lo <= new_x <= hi or new_x == x:
+        raise VexError("x not moved toward its bound")
     st.check_occurrence()
     return new_x
 
@@ -223,12 +223,13 @@ def _vex(w: Perm, at: tuple[int, ...]) -> tuple[_VexState, int]:
                 # Step 4: <m> < x < <m+1>; the roles are increasing
                 m = bisect(pat, x)
                 if inv[pat[m - 1]] < inv[x] < inv[pat[m]]:  # Step 5
-                    report = _obstruction(inv, pat, x)
-                    _require(report.m == m, "obstruction names another role")
-                    if not report.obstructed_right:
-                        x = _slide(st, x, m, report.b, 1)
-                    elif not report.obstructed_left:
-                        x = _slide(st, x, m, report.a, -1)
+                    _, named, a, b, blocked_left, blocked_right = _obstruction(inv, pat, x)
+                    if named != m:
+                        raise VexError("obstruction names another role")
+                    if not blocked_right:
+                        x = _slide(st, x, m, b, 1)
+                    elif not blocked_left:
+                        x = _slide(st, x, m, a, -1)
                     else:
                         raise VexError("inside entry obstructed on both sides")
                 elif inv[pat[m]] < inv[x]:  # Step 6
@@ -241,9 +242,10 @@ def _vex(w: Perm, at: tuple[int, ...]) -> tuple[_VexState, int]:
     # exactly when they span k.
     st.check_occurrence()
     M = inv[pat[order[0]]] - 1
-    _require(inv[pat[order[-1]]] - M == k, "occurrence not consecutive")
-    moves = len(st.left) + len(st.right)
-    _require(length(st.w) == length_w - moves, "a multiplication did not shorten w")
+    if inv[pat[order[-1]]] - M != k:
+        raise VexError("occurrence not consecutive")
+    if length(st.w) != length_w - len(st.left) - len(st.right):
+        raise VexError("a multiplication did not shorten w")
     return st, M
 
 
@@ -251,33 +253,63 @@ def _vex(w: Perm, at: tuple[int, ...]) -> tuple[_VexState, int]:
 def _is_reduced_word_of(word: Word, p: Perm) -> bool:
     """Whether ``word`` is a reduced word of ``p``, memoised on (word, p)
     for at most 64 pairs: a sweep embeds the same few pattern words again
-    and again."""
+    and again.  A letter outside 1..k-1 makes it no word of p at all."""
+    if not all(0 < a < len(p) for a in word):
+        return False
     value, reduced = evaluate(word, len(p))
     return value == p and reduced
 
 
-def lex_least_reduced_word(w: Perm) -> Word:
-    """The lexicographically least reduced word of ``w``: for j = 1 .. n-1
-    in turn, the run j, j-1, .., j-c+1, where c counts the values below
-    j + 1 that lie right of it in w, read off a bitset of their positions.
+def _lex_least(inv) -> Word:
+    """The lexicographically least reduced word of the permutation whose
+    value v sits at the 1-based position ``inv[v]`` (index 0 unused): for
+    j = 1 .. n-1 in turn, the run j, j-1, .., j-c+1, where c counts the
+    values below j + 1 that lie right of it, read off a bitset of their
+    positions.
 
     Read as right multiplications from the identity, run j carries j + 1
     leftward past c smaller values, so the word is reduced and evaluates to
-    w.  Its first letter is the smallest left descent of w (the values up to
-    it are in increasing order in w), and dropping that letter leaves the
-    same construction for s_j w, so the word is the one the greedy smallest
-    left descent builds, which is the lexicographically least.
+    the permutation.  Its first letter is the smallest left descent (the
+    values up to it are in increasing order), and dropping that letter
+    leaves the same construction for s_j times the permutation, so the word
+    is the one the greedy smallest left descent builds, which is the
+    lexicographically least.
 
-    >>> lex_least_reduced_word((4, 3, 2, 1))
+    >>> _lex_least([0, 4, 3, 2, 1])  # the inverse of 4321
     (1, 2, 1, 3, 2, 1)
     """
     letters: list[int] = []
     below = 0  # bitset of the positions of the values below j + 1
-    for j, at in enumerate(inverse(check_perm(w))):
+    for j, at in enumerate(inv[1:]):
         if c := (below >> at).bit_count():
             letters += range(j, j - c, -1)
         below |= 1 << at
     return tuple(letters)
+
+
+def lex_least_reduced_word(w: Perm) -> Word:
+    """The lexicographically least reduced word of ``w``, once ``check_perm``
+    accepts it: :func:`_lex_least` on the inverse of w.
+    ``embed_reduced_word`` reads its h the same way, off the inverse that
+    ``_vex`` keeps, without this validation.
+
+    >>> lex_least_reduced_word((4, 3, 2, 1))
+    (1, 2, 1, 3, 2, 1)
+    """
+    return _lex_least((0, *inverse(check_perm(w))))
+
+
+def _prime_word(st: _VexState, M: int) -> Word:
+    """h, the lexicographically least reduced word of w', read off the final
+    state of ``_vex``.  w' is w_tilde with its window M+1 .. M+k sorted.  The
+    window holds the roles and ``st.pat`` lists them in increasing order, so
+    sorting it moves role j to position M + j: k entries of ``st.inv``
+    change, and ``st`` then holds w'."""
+    inv = st.inv
+    for i, v in enumerate(st.pat, M + 1):
+        inv[v] = i
+    st.w[M : M + len(st.pat)] = st.pat
+    return _lex_least(inv)
 
 
 def embed_reduced_word(w: Perm, at: tuple[int, ...], pattern_word: Word) -> Word:
@@ -285,24 +317,27 @@ def embed_reduced_word(w: Perm, at: tuple[int, ...], pattern_word: Word) -> Word
     factor; ``pattern_word`` must be a reduced word of the pattern that the
     entries of w at the 1-based positions ``at`` form.
 
+    The word is the left multipliers of ``_vex`` in order of application,
+    then h, then ``pattern_word`` shifted by M, then the right multipliers
+    in reverse.  h, the lexicographically least reduced word of w', is read
+    off the inverse that ``_vex`` keeps (:func:`_prime_word`); no
+    permutation is rebuilt or validated again.  The word is checked to be a
+    reduced word of w that contains the shifted pattern word.
+
     >>> embed_reduced_word((3, 1, 4, 6, 5, 2), (1, 4, 6), (1, 2))
     (5, 2, 3, 4, 5, 1)
     """
     w = tuple(w)
-    n = len(w)
     st, M = _vex(w, at)
-    k = len(st.p)
-    if not _is_reduced_word_of(tuple(pattern_word), st.p):
+    pattern_word = tuple(pattern_word)
+    if not _is_reduced_word_of(pattern_word, st.p):
         raise ValueError("pattern_word is not a reduced word of the pattern")
-    st.w[M : M + k] = sorted(st.w[M : M + k])  # w_tilde turns into w_prime
-    h = lex_least_reduced_word(tuple(st.w))
-    word = tuple(st.left) + h + shift(pattern_word, M, n) + tuple(reversed(st.right))
-    value, reduced = evaluate(word, n)
-    _require(value == w and reduced, "assembled word must be a reduced word of w")
-    _require(
-        find_shift_factor(word, [pattern_word]) is not None,
-        "assembled word must contain the shifted pattern word",
-    )
+    n = len(w)
+    word = (*st.left, *_prime_word(st, M), *shift(pattern_word, M, n), *reversed(st.right))
+    if evaluate(word, n) != (w, True):
+        raise VexError("assembled word must be a reduced word of w")
+    if find_shift_factor(word, [pattern_word]) is None:
+        raise VexError("assembled word must contain the shifted pattern word")
     return word
 
 
@@ -341,5 +376,6 @@ def nonvex_witness(p: Perm) -> Perm:
         val = p[pos - 1] if pos <= z else p[pos - 2]
         w.append(val if val <= r2 else val + 1)
     result = check_perm(w)
-    _require(contains(result, p), "witness must contain the pattern")
+    if not contains(result, p):
+        raise VexError("witness must contain the pattern")
     return result

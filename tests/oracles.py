@@ -4,8 +4,8 @@ The CLI, the sweeps and the benchmark reach none of this code, so it lives
 with the tests (``test_source.py`` keeps src/redux free of such code).  Each
 function is the direct form of something the library does another way: the
 braid-move closure of a class, the boundary rescan that peels a tiling, the
-public wrappers over ``vex`` and the obstruction core, and Elnitsky's map
-from a rhombic tiling to its class.
+public wrappers over ``vex`` and the obstruction core, the shifted-factor
+search by brute force, and Elnitsky's map from a rhombic tiling to its class.
 """
 
 from dataclasses import dataclass
@@ -57,6 +57,24 @@ def obstruction(w: Perm, at: tuple[int, ...], x: int):
     1-based positions ``at``: the core ``_obstruction`` on w's position
     array and the occurrence's values in increasing order."""
     return _obstruction((0, *inverse(w)), sorted(w[i - 1] for i in at), x)
+
+
+def shift_factor(word: Word, pattern_words) -> tuple[int, int, Word] | None:
+    """First (start, M, pattern_word), start 1-based, with ``pattern_word``
+    shifted by M equal to the factor of ``word`` at start: every start in
+    turn, every pattern word in the order given, and every shift M from 0
+    to the largest letter of word, each shifted tuple built and compared.
+
+    >>> shift_factor((5, 2, 3, 1), [(1, 2)])
+    (2, 1, (1, 2))
+    """
+    word = tuple(word)
+    for start in range(len(word) + 1):
+        for pat in pattern_words:
+            for M in range(max(word, default=0) + 1):
+                if word[start : start + len(pat)] == tuple(a + M for a in pat):
+                    return start + 1, M, pat
+    return None
 
 
 # ---------------------------------------------------------------------------

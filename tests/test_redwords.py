@@ -5,7 +5,7 @@ The braid moves are the reference versions in ``oracles``."""
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redux.permcore import length, longest_element
@@ -20,7 +20,7 @@ from redux.redwords import (
     shift,
 )
 
-from oracles import apply_long_move, apply_short_move, braid_moves
+from oracles import apply_long_move, apply_short_move, braid_moves, shift_factor
 
 perms = st.integers(1, 5).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1)))
@@ -85,6 +85,35 @@ def test_find_shift_factor():
     assert find_shift_factor((1, 2), [(2,), ()]) == (1, 0, ())
     assert find_shift_factor((), [(1,)]) is None
     assert find_shift_factor([2, 3], [(1, 2)]) == (1, 1, (1, 2))
+
+
+# The reduced words of every pattern in S3 and S4, the empty word alone, and
+# lists in which two pattern words can match at one start.
+PATTERN_WORD_LISTS = [
+    enumerate_R(p) for k in (3, 4) for p in permutations(range(1, k + 1))
+] + [[()], [(), (1,)], [(1,), (1, 2)], [(1, 2), (1, 2, 3)], [(1, 2, 1), (1, 2, 1, 3)]]
+
+
+@st.composite
+def words_and_pattern_word_lists(draw):
+    """A word of letters 1..6, at most 12 long, and a list of pattern words;
+    half the time the word has one of them, shifted, planted in it."""
+    pattern_words = draw(st.sampled_from(PATTERN_WORD_LISTS))
+    planted: list = []
+    if draw(st.booleans()):
+        pat = draw(st.sampled_from(pattern_words))
+        M = draw(st.integers(0, 6 - max(pat, default=0)))
+        planted = [a + M for a in pat]
+    word = draw(st.lists(st.integers(1, 6), max_size=12 - len(planted)))
+    at = draw(st.integers(0, len(word)))
+    return word[:at] + planted + word[at:], pattern_words
+
+
+@settings(max_examples=300)
+@given(words_and_pattern_word_lists())
+def test_find_shift_factor_matches_the_brute_force(case):
+    word, pattern_words = case
+    assert find_shift_factor(word, pattern_words) == shift_factor(word, pattern_words)
 
 
 def test_braid_moves():

@@ -155,13 +155,15 @@ print(run("vexthm", 4).summary())
     "breakage, verdict",
     [
         (
-            "least = vexalg.lex_least_reduced_word\n"
-            "vexalg.lex_least_reduced_word = lambda w: least(w)[::-1]",
+            "prime_word = vexalg._prime_word\n"
+            "vexalg._prime_word = lambda st, M: prime_word(st, M)[::-1]",
             "vexthm: FAIL at w=1342 p=123",
         ),
         ("vexalg.find_shift_factor = lambda word, words: None", "vexthm: FAIL at w=123 p=123"),
+        # h read off w_tilde's inverse, the window never sorted
+        ("vexalg._prime_word = lambda st, M: vexalg._lex_least(st.inv)", "vexthm: FAIL at w=132 p=132"),
     ],
-    ids=["not-a-word-of-w", "no-shifted-factor"],
+    ids=["not-a-word-of-w", "no-shifted-factor", "stale-window-inverse"],
 )
 def test_vexthm_fails_a_broken_embedding_under_optimize(python, breakage, verdict):
     proc = python("-O", "-c", BROKEN_EMBEDDING.format(breakage))

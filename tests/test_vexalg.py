@@ -57,13 +57,17 @@ def test_vex_rejects_bad_input():
             vex((1, 2, 3), at)
         with pytest.raises(ValueError, match=message):
             embed_reduced_word((1, 2, 3), at, ())
-    # a reduced word of another pattern: of 231 for a 21, of 312 for a 231
+    # a reduced word of another pattern (of 231 for a 21, of 312 for a 231),
+    # and letters outside 1..k-1 (0 and 2 for a 21)
+    message = "^pattern_word is not a reduced word of the pattern$"
     for w, at, pattern_word in (
         ((3, 2, 1), (1, 2), (1, 2)),
         ((3, 1, 4, 6, 5, 2), (1, 4, 6), (2, 1)),
+        ((3, 2, 1), (1, 2), (0,)),
+        ((3, 2, 1), (1, 2), (2,)),
     ):
         vex(w, at)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             embed_reduced_word(w, at, pattern_word)
 
 
