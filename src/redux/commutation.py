@@ -5,7 +5,8 @@ heap, the poset on letter positions generated by "p before q when p < q and
 |word[p] - word[q]| <= 1".  The classes are enumerated as their
 lexicographically least words, their normal forms, directly, without
 building R(w) (Cartier-Foata; Anisimov-Knuth).  A word finds its class by
-its :func:`trace_key`.
+its :func:`trace_key`, and every class size of w is read off one DP over
+the traces of the prefixes of w's reduced words (:func:`_class_sizes`).
 """
 
 from __future__ import annotations
@@ -15,58 +16,35 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .permcore import Perm, check_perm, format_perm, inverse, length
-from .redwords import BudgetError, Word, check_budget
+from .redwords import BudgetError, Word, check_budget, evaluate, format_word
 
 GRAPH_ISO_VERTEX_CAP = 64
-
-
-def _heap(word: Word) -> list[int]:
-    """below[p]: bitmask of the positions that precede p in every word of
-    the class, i.e. the strict down-set of p in the heap of ``word``."""
-    below: list[int] = []
-    last: dict[int, int] = {}
-    for p, a in enumerate(word):
-        mask = 0
-        for b in (a - 1, a, a + 1):
-            q = last.get(b)
-            if q is not None:
-                mask |= below[q] | 1 << q
-        below.append(mask)
-        last[a] = p
-    return below
+_sizes: dict[tuple[int, ...], int] = {}  # :func:`_class_sizes` of the last w
 
 
 @dataclass(frozen=True)
 class CommutationClass:
     """A commutation class, represented by its lexicographically least word
-    and looked up by its :func:`trace_key`."""
+    and looked up by its :func:`trace_key`; its size, by that key too."""
 
     representative: Word
 
     @cached_property
     def size(self) -> int:
-        """The number of words in the class (linear extensions of its heap), by
-        a DP over order ideals as bitmasks.  A letter's positions form a chain,
-        so an ideal grows only by its frontier, each letter's next position."""
-        word = self.representative
-        below = _heap(word)
-        first: dict[int, int] = {}  # each letter's first position, as a bit
-        after = [0] * len(word)  # after[p]: word[p]'s next position, as a bit
-        for p in reversed(range(len(word))):
-            after[p], first[word[p]] = first.get(word[p], 0), 1 << p
-        ideals = {0: [1, sum(first.values())]}
-        for _ in below:
-            grown: dict[int, list[int]] = {}
-            for ideal, (count, frontier) in ideals.items():
-                rest = frontier
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    p = bit.bit_length() - 1
-                    if not below[p] & ~ideal:
-                        grown.setdefault(ideal | bit, [0, frontier ^ bit | after[p]])[0] += count
-            ideals = grown
-        return sum(count for count, _ in ideals.values())
+        """The number of words in the class, read off :func:`_class_sizes` of
+        w.  The representative is evaluated, to find w, only when its key is
+        not in the last w's table; ValueError unless it is a reduced word."""
+        global _sizes
+        rep = self.representative
+        key = trace_key(rep)
+        if key not in _sizes:
+            w, reduced = evaluate(rep, len(key))
+            if not reduced:
+                raise ValueError(f"{format_word(rep)} is not a reduced word")
+            _sizes = _class_sizes(w)
+            if key not in _sizes:  # the DP and the normal forms disagree on C(w)
+                raise RuntimeError(f"C({format_perm(w)}) lacks the class of {format_word(rep)}")
+        return _sizes[key]
 
 
 @dataclass(frozen=True)
@@ -220,8 +198,8 @@ def classes(w: Perm) -> list[CommutationClass]:
     """The commutation classes of R(w), sorted by representative.
 
     Only the length limit of the current budget applies: R(w) is never
-    built.  Each class is generated once, as its lexicographic normal form,
-    and its size is the number of linear extensions of its heap.
+    built.  Each class is generated once, as its lexicographic normal form;
+    the first ``size`` asked for sizes them all (:func:`_class_sizes`).
     """
     w = check_budget(w)
     return [CommutationClass(form) for form in _normal_forms(w)]
@@ -283,11 +261,43 @@ def trace_key(word: Word) -> tuple[int, ...]:
     >>> trace_key((1, 3, 2)) == trace_key((3, 1, 2)) != trace_key((1, 2, 3))
     True
     """
+    if min(word, default=1) < 1:  # key[a - 1] would then alias another pair
+        raise ValueError(f"letters must be at least 1: {word!r}")
     key = [1] * (max(word, default=0) + 1)
     for a in word:
         key[a - 1] = key[a - 1] << 1 | 1
         key[a] <<= 1
     return tuple(key)
+
+
+def _class_sizes(w: Perm) -> dict[tuple[int, ...], int]:
+    """{trace key: size} for every commutation class of w, by one forward DP
+    over the traces of the prefixes of w's reduced words, each keyed by its
+    :func:`trace_key` and counting its words.  Appending x edits only the
+    projections {x-1, x} and {x, x+1}.  A layer's traces are grouped by v,
+    the inverse of what remains (as in :func:`_normal_forms`), so v's
+    descents are found once for all of them; two layers are alive at a time.
+
+    >>> sizes = _class_sizes((4, 2, 3, 1))
+    >>> [sizes[trace_key(rep)] for rep in ((1, 2, 3, 2, 1), (1, 3, 2, 1, 3), (3, 2, 1, 2, 3))]
+    [1, 4, 1]
+    """
+    n = width = len(w)
+    while width > 1 and w[width - 1] == width:  # letters width.. never occur
+        width -= 1
+    layer = {inverse(w): {(1,) * width: 1}}
+    for _ in range(length(w)):
+        grown: dict[Perm, dict[tuple[int, ...], int]] = {}
+        for v, traces in layer.items():
+            for x in range(1, n):
+                if v[x - 1] > v[x]:
+                    into = grown.setdefault(v[: x - 1] + (v[x], v[x - 1]) + v[x + 1 :], {})
+                    for key, count in traces.items():
+                        key = key[: x - 1] + (key[x - 1] << 1 | 1, key[x] << 1) + key[x + 1 :]
+                        into[key] = into.get(key, 0) + count
+        layer = grown
+    (sizes,) = layer.values()
+    return sizes
 
 
 def graph(w: Perm) -> FlipGraph:

@@ -5,7 +5,8 @@ with the tests (``test_source.py`` keeps src/redux free of such code).  Each
 function is the direct form of something the library does another way: the
 braid-move closure of a class, the boundary rescan that peels a tiling, the
 public wrappers over ``vex`` and the obstruction core, the shifted-factor
-search by brute force, and Elnitsky's map from a rhombic tiling to its class.
+search by brute force, Elnitsky's map from a rhombic tiling to its class, and
+a class's size counted on its own heap.
 """
 
 from dataclasses import dataclass
@@ -127,6 +128,51 @@ def class_words(c: CommutationClass) -> frozenset[Word]:
                 seen.add(nbr)
                 stack.append(nbr)
     return frozenset(seen)
+
+
+def heap(word: Word) -> list[int]:
+    """below[p]: bitmask of the positions that precede p in every word of
+    the class, i.e. the strict down-set of p in the heap of ``word``."""
+    below: list[int] = []
+    last: dict[int, int] = {}
+    for p, a in enumerate(word):
+        mask = 0
+        for b in (a - 1, a, a + 1):
+            q = last.get(b)
+            if q is not None:
+                mask |= below[q] | 1 << q
+        below.append(mask)
+        last[a] = p
+    return below
+
+
+def class_size(word: Word) -> int:
+    """The number of words in the class of ``word`` (linear extensions of
+    its heap), by a DP over order ideals as bitmasks.  A letter's positions
+    form a chain, so an ideal grows only by its frontier, each letter's next
+    position.
+
+    >>> class_size((1, 3, 2, 1, 3))
+    4
+    """
+    below = heap(word)
+    first: dict[int, int] = {}  # each letter's first position, as a bit
+    after = [0] * len(word)  # after[p]: word[p]'s next position, as a bit
+    for p in reversed(range(len(word))):
+        after[p], first[word[p]] = first.get(word[p], 0), 1 << p
+    ideals = {0: [1, sum(first.values())]}
+    for _ in below:
+        grown: dict[int, list[int]] = {}
+        for ideal, (count, frontier) in ideals.items():
+            rest = frontier
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                p = bit.bit_length() - 1
+                if not below[p] & ~ideal:
+                    grown.setdefault(ideal | bit, [0, frontier ^ bit | after[p]])[0] += count
+        ideals = grown
+    return sum(count for count, _ in ideals.values())
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import redux.commutation
 import redux.tilings
 from redux.commutation import (
+    CommutationClass,
     FlipGraph,
     class_count,
     classes,
@@ -29,10 +30,10 @@ from redux.commutation import (
     trace_key,
 )
 from redux.permcore import longest_element
-from redux.redwords import BudgetError, budget, enumerate_R, evaluate, format_word
+from redux.redwords import BudgetError, budget, count_R, enumerate_R, evaluate, format_word
 from redux.render import graph_dot, graph_payload, to_json
 
-from oracles import apply_long_move, braid_moves, class_words
+from oracles import apply_long_move, braid_moves, class_size, class_words, heap
 
 perms5 = st.permutations((1, 2, 3, 4, 5)).map(tuple)
 words5 = perms5.flatmap(lambda w: st.sampled_from(enumerate_R(w)))
@@ -73,7 +74,7 @@ def test_classes_partition_R():
 def _size_by_all_positions(rep):
     """Reference class size: the linear extensions of the heap, counted by
     a DP over order ideals that tries every position at every step."""
-    below = redux.commutation._heap(rep)
+    below = heap(rep)
     ideals = {0: 1}
     for _ in below:
         grown = {}
@@ -87,12 +88,60 @@ def _size_by_all_positions(rep):
 
 
 def test_class_size_matches_reference_S6():
+    """The shared DP's sizes agree with each class's own heap, counted by
+    its frontier and by every position."""
     total = 0
     for w in permutations(range(1, 7)):
         for c in classes(w):
-            assert c.size == _size_by_all_positions(c.representative), c
+            rep = c.representative
+            assert c.size == class_size(rep) == _size_by_all_positions(rep), c
             total += 1
     assert total == 9661
+
+
+def test_class_sizes_key_every_class_S6():
+    """The DP over prefix traces reaches the classes that the normal forms
+    list, and its sizes add up to |R(w)|, for every w of S1-S6."""
+    for n in range(1, 7):
+        for w in permutations(range(1, n + 1)):
+            sizes = redux.commutation._class_sizes(w)
+            assert set(sizes) == {trace_key(c.representative) for c in classes(w)}, w
+            assert sum(sizes.values()) == count_R(w), w
+
+
+def test_class_sizes_longest_element_S7():
+    w0 = longest_element(7)
+    with budget(max_length=21):
+        sizes = redux.commutation._class_sizes(w0)
+        assert len(sizes) == len(classes(w0)) == 24698
+    assert sum(sizes.values()) == count_R(w0) == 1_100_742_656
+
+
+@pytest.mark.parametrize("rep", [(1, 1), (2, 1, 2, 1), (1, 2, 1, 2, 1)])
+def test_size_rejects_a_word_that_is_not_reduced(rep):
+    with pytest.raises(ValueError, match=f"{format_word(rep)} is not a reduced word"):
+        CommutationClass(rep).size
+
+
+def test_size_rejects_a_letter_below_1():
+    """(3, 1, -2) once aliased (3, 1, 2) by negative indexing, so with the
+    table of 2413 loaded it read off that class's size."""
+    assert CommutationClass((3, 1, 2)).size == 2  # 312 and 132
+    for rep in [(3, 1, -2), (-1,), (0,), (1, 0)]:
+        with pytest.raises(ValueError, match="letters must be at least 1"):
+            CommutationClass(rep).size
+
+
+def test_size_of_the_shortest_words():
+    assert CommutationClass(()).size == 1
+    assert CommutationClass((3,)).size == 1
+
+
+def test_size_raises_when_the_dp_lacks_the_class(monkeypatch):
+    monkeypatch.setattr(redux.commutation, "_sizes", {})
+    monkeypatch.setattr(redux.commutation, "_class_sizes", lambda w: {})
+    with pytest.raises(RuntimeError, match=r"C\(321\) lacks the class of 121"):
+        CommutationClass((1, 2, 1)).size
 
 
 def test_graph_edges_match_long_moves_on_R():
@@ -134,7 +183,7 @@ def _long_moves(rep):
     else, gives a word of the class with the chain consecutive; the move
     turns j k j there into k j k.
     """
-    below = redux.commutation._heap(rep)
+    below = heap(rep)
     last = {}
     out = []
     for c, j in enumerate(rep):

@@ -31,6 +31,7 @@ CALLS = {
     "poset.hasse": lambda: poset(W).hasse,
     "uniform_2k_tiling_exists": lambda: uniform_2k_tiling_exists(6, 3),
     "classes": lambda: classes(W),
+    "CommutationClass.size": lambda: [c.size for c in classes(W)],
     "class_count": lambda: class_count(W, {}),
     "simple_cycles_of_length": lambda: simple_cycles_of_length(
         flip_graph_from_tilings(W), 4
