@@ -37,7 +37,7 @@ from .render import (
     tiling_svg,
     to_json,
 )
-from .tilings import enumerate_rhombic, enumerate_zonotopal, peel_word, poset
+from .tilings import enumerate_rhombic, enumerate_zonotopal, peel_lines, poset
 from .verify import THEOREMS, EmptySweepError, run as run_verify
 
 EXIT_OK = 0
@@ -141,11 +141,7 @@ def cmd_enum(args) -> int:
         items = enumerate_rhombic(w) if rhombic else enumerate_zonotopal(w)
         if as_json:
             return _emit_json(args, {"tilings": [tiling_payload(t) for t in items]})
-        lines = (
-            format_word(peel_word(t))
-            + ("" if rhombic else " " + str(list(t.shape_profile())))
-            for t in items
-        )
+        lines = peel_lines(items, profiles=not rhombic)
     else:  # poset
         p = poset(w)
         if as_json:

@@ -29,11 +29,13 @@ class CommutationClass:
 
     representative: Word
 
-    @cached_property
+    @property
     def size(self) -> int:
         """The number of words in the class, read off :func:`_class_sizes` of
         w.  The representative is evaluated, to find w, only when its key is
-        not in the last w's table; ValueError unless it is a reduced word."""
+        not in the last w's table; ValueError unless it is a reduced word.
+        Each read looks the key up again: the table, not the class, keeps
+        the size."""
         global _sizes
         rep = self.representative
         key = trace_key(rep)

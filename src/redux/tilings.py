@@ -15,6 +15,7 @@ the tests read, and its result is the one order of tiles.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -66,11 +67,12 @@ def _pair_bit(a: int, b: int) -> int:
 
 
 # {n: {tile code: value}}, one dict per n for each value derived from a tile
-# of X(w), w in S_n: the unit cells it covers and the letters its peel adds.
-# A code enters on first sight, once _tile_pairs has accepted it, so only
-# tiles do, and fewer than 3^n codes per n are tiles.
+# of X(w), w in S_n: the unit cells it covers and what its peel adds to a
+# peel word (:func:`_tile_part`).  A code enters on first sight, once
+# _tile_pairs has accepted it, so only tiles do, and fewer than 3^n codes
+# per n are tiles.
 _PAIRS: dict[int, dict[int, int]] = {}
-_LETTERS: dict[int, dict[int, tuple[int, ...]]] = {}
+_PARTS: dict[int, dict[int, tuple[tuple[int, ...], int, str, str]]] = {}
 
 
 def _tile_pairs(code: int, n: int) -> int:
@@ -132,7 +134,7 @@ class Tiling:
 
     ``tiles`` is a frozenset of tile codes.  ``chain`` is the chain of the
     tiling's canonical peel when enumeration built it (see
-    :func:`_canonical_peels`), else None; :func:`_peel_order` reads it, so
+    :func:`_canonical_peels`), else None; :func:`_peel_chain` reads it, so
     only a tiling that holds its chain has a peel word.  A w given as a
     list or another sequence is checked and stored as a tuple.
     """
@@ -231,6 +233,13 @@ def shared_chains():
         _CHAINS.reset(token)
 
 
+def _scope(max_order: int) -> tuple[dict, dict] | None:
+    """The open scope's (chain memo, tile tables) at this max_order, or None
+    outside any :func:`shared_chains` scope."""
+    scope = _CHAINS.get()
+    return None if scope is None else scope.setdefault(max_order, ({}, {}))
+
+
 def _tile_bits(n: int, tiles=None) -> dict[int, int]:
     """Tile codes of S_n, these or else all, mapped in decode order to bits N..1."""
     full, masks = (1 << n) - 1, range(1 << n)
@@ -252,8 +261,8 @@ def _enumerate(w: Perm, max_order: int) -> tuple[Tiling, ...]:
     fresh and its first tiles are X(w)'s; a sweep's scope shares its memo
     and one table of every code of S_n.
     """
-    scope, n = _CHAINS.get(), len(w)
-    memo, tables = ({}, {}) if scope is None else scope.setdefault(max_order, ({}, {}))
+    scope, n = _scope(max_order), len(w)
+    memo, tables = scope or ({}, {})
     chains = _canonical_peels(w, max_order, memo)
     if scope is None:
         bits = _tile_bits(n, {chain[0] for cs in memo.values() for chain in cs if chain})
@@ -310,6 +319,14 @@ def _chain_tiles(chain) -> list[int]:
     return tiles
 
 
+def _rhombic_tile_sets(w: Perm) -> set[frozenset]:
+    """The tile sets of T(w), read off its chains at max_order 2, in the
+    open scope's memo as :func:`_enumerate` would, without building or
+    sorting tilings."""
+    memo, _ = _scope(2) or ({}, {})
+    return {frozenset(_chain_tiles(chain)) for chain in _canonical_peels(w, 2, memo)}
+
+
 def enumerate_rhombic(w: Perm) -> tuple[Tiling, ...]:
     """All rhombic tilings T(w), sorted deterministically."""
     w = check_budget(w)
@@ -326,14 +343,13 @@ def enumerate_zonotopal(w: Perm) -> tuple[Tiling, ...]:
 # Peel words
 
 
-def _peel_order(t: Tiling) -> list[int]:
-    """The tiles of t in canonical peel order, topmost tile on the boundary
-    first, read off the chain that enumeration stored in t.  Raises
-    ValueError for a tiling with tiles but no chain: only enumeration
-    records the order."""
+def _peel_chain(t: Tiling):
+    """The chain enumeration stored in t: its tiles in canonical peel order,
+    topmost tile on the boundary first.  Raises ValueError for a tiling with
+    tiles but no chain: only enumeration records the order."""
     if t.chain is None and t.tiles:
         raise ValueError("a tiling built without its chain holds no peel order")
-    return _chain_tiles(t.chain)
+    return t.chain
 
 
 @cache
@@ -351,33 +367,85 @@ def _peel_letters(j: int, m: int) -> tuple[int, ...]:
     return letters
 
 
-def _tile_letters(code: int, n: int) -> tuple[int, ...]:
-    """The letters that peeling the tile with this code, of X(w) with w in
-    S_n, adds: it peels at j = |anchor| + 1 and has order m = |labels|.
-    Raises ValueError unless the code is a tile."""
+def _tile_part(code: int, n: int) -> tuple[tuple[int, ...], int, str, str]:
+    """What peeling the tile with this code, of X(w) with w in S_n, adds to
+    a peel word: (its letters, its order m, those letters last first as
+    :func:`format_word` writes them without commas and with commas).  It
+    peels at j = |anchor| + 1 and has order m = |labels|.  Raises
+    ValueError unless the code is a tile."""
     _tile_pairs(code, n)
     above = (code >> n).bit_count()
-    letters = _peel_letters(above + 1, code.bit_count() - above)
-    _LETTERS.setdefault(n, {})[code] = letters
-    return letters
+    m = code.bit_count() - above
+    letters = _peel_letters(above + 1, m)
+    text = [str(letter) for letter in reversed(letters)]
+    part = _PARTS.setdefault(n, {})[code] = (letters, m, "".join(text), ",".join(text))
+    return part
+
+
+def _peel_parts(t: Tiling) -> list[tuple[tuple[int, ...], int, str, str]]:
+    """The part (:func:`_tile_part`) of each tile of t, in the canonical
+    peel order of its chain, walked once.  Raises ValueError for a tiling
+    without its chain, and RuntimeError unless the letters number l(w):
+    each removes an inversion, so exactly then does the word reach the
+    identity."""
+    chain, n = _peel_chain(t), len(t.w)
+    known = _PARTS.get(n) or _PARTS.setdefault(n, {})
+    parts, count = [], 0
+    while chain is not None:
+        tile, chain = chain
+        part = known.get(tile) or _tile_part(tile, n)
+        parts.append(part)
+        count += len(part[0])
+    if count != _inversion_mask(t.w).bit_count():
+        raise RuntimeError("the peeled word does not reach the identity")
+    return parts
 
 
 def peel_word(t: Tiling) -> Word:
     """The reduced word produced by the deterministic peel (topmost eligible
     tile first); reading the peel sequence right-to-left gives the word.
 
-    Each tile in :func:`_peel_order` peels at j = |anchor| + 1, and each of
-    its letters removes an inversion, so the word reaches the identity
-    exactly when it has l(w) letters.
+    It joins the letters of :func:`_peel_parts`, which
+    :func:`peel_lines` reads as text.
+
+    >>> peel_word(enumerate_zonotopal((3, 2, 1))[-1])
+    (1, 2, 1)
     """
-    n = len(t.w)
-    known = _LETTERS.get(n) or _LETTERS.setdefault(n, {})
     letters: list[int] = []
-    for tile in _peel_order(t):
-        letters += known.get(tile) or _tile_letters(tile, n)
-    if len(letters) != _inversion_mask(t.w).bit_count():
-        raise RuntimeError("the peeled word does not reach the identity")
+    for part in _peel_parts(t):
+        letters += part[0]
     return tuple(reversed(letters))
+
+
+def peel_lines(tilings: Sequence[Tiling], profiles: bool) -> Iterator[str]:
+    """The line ``redux enum tilings|zonotopal`` lists for each tiling of one
+    w: ``format_word(peel_word(t))`` and, when ``profiles``, a space and
+    ``list(t.shape_profile())``, built in one walk of t's chain.
+
+    The word's text joins each tile's text, last tile first, and the
+    profile sorts the tiles' orders; each profile is formatted once per
+    call.  Every reduced word of w has the same letters, so whether commas
+    separate them (a letter above 9) is settled once, by w: letter i is in
+    the word exactly when w(1..i) is not 1..i.
+
+    >>> list(peel_lines(enumerate_zonotopal((3, 2, 1)), True))
+    ['121 [2, 2, 2]', '212 [2, 2, 2]', '121 [3]']
+    >>> list(peel_lines(enumerate_rhombic((1, 2, 3)), False))
+    ['e']
+    """
+    if not tilings:
+        return
+    w = tilings[0].w
+    wide = any(max(w[:i]) > i for i in range(10, len(w)))
+    field, sep = (3, ",") if wide else (2, "")
+    texts: dict[tuple[int, ...], str] = {}
+    for t in tilings:
+        parts = _peel_parts(t)
+        line = sep.join([part[field] for part in reversed(parts)]) or "e"
+        if profiles:
+            orders = tuple(sorted([part[1] for part in parts]))
+            line += texts.get(orders) or texts.setdefault(orders, f" {list(orders)}")
+        yield line
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +523,7 @@ def mono(w: Perm, at: tuple[int, ...], t: Tiling) -> Tiling:
     amb = sorted(w[i - 1] for i in at)  # amb[v - 1] plays the pattern value v
     u = w
     tiles: list = []
-    for tile in _peel_order(t):
+    for tile in _chain_tiles(_peel_chain(t)):
         labels = tile & ((1 << len(p)) - 1)
         r = u.index(amb[labels.bit_length() - 1]) + 1
         s = u.index(amb[(labels & -labels).bit_length() - 1]) + 1
@@ -638,14 +706,18 @@ class TilingPoset:
 
     @cached_property
     def _lower_covers(self) -> tuple:
-        """_lower_covers[j]: the sorted indices of the elements j covers."""
+        """_lower_covers[j]: the sorted indices of the elements j covers;
+        :meth:`down_set` walks them."""
         below: list = [[] for _ in self.elements]
         for i, j in sorted(self.hasse):
             below[j].append(i)
         return tuple(map(tuple, below))
 
     def minimal_indices(self) -> list[int]:
-        return [j for j, below in enumerate(self._lower_covers) if not below]
+        """The elements that cover nothing, in index order: no cover
+        starts from them going down."""
+        covering = {j for _, j in self.hasse}
+        return [j for j in range(len(self.elements)) if j not in covering]
 
     @cached_property
     def flip_graph(self) -> FlipGraph:
@@ -670,10 +742,12 @@ class TilingPoset:
 
 
 def poset(w: Perm) -> TilingPoset:
+    """P(w) on Z(w).  Raises RuntimeError unless its minimal elements, each
+    a validated tiling, are exactly the tile sets of T(w)'s chains."""
     elements = enumerate_zonotopal(w)
     p = TilingPoset(check_perm(w), elements)
     minimal = {elements[i].tiles for i in p.minimal_indices()}
-    rhombic = {t.tiles for t in enumerate_rhombic(w)}
+    rhombic = _rhombic_tile_sets(w)
     if minimal != rhombic:
         raise RuntimeError(
             f"the {len(minimal)} minimal elements of P({format_perm(p.w)}) "

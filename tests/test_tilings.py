@@ -14,7 +14,7 @@ import redux.verify
 from redux.commutation import FlipGraph, classes, graph, graphs_isomorphic
 from redux.patterns import avoids, occurrences
 from redux.permcore import identity, longest_element
-from redux.redwords import evaluate
+from redux.redwords import evaluate, format_word
 from redux.render import (
     polygon_svg,
     poset_dot,
@@ -37,6 +37,7 @@ from redux.tilings import (
     level2_cycle_correspondence,
     maximal_cover_minimal,
     mono,
+    peel_lines,
     peel_word,
     poset,
     shared_chains,
@@ -156,7 +157,7 @@ def test_rejected_tilings_name_their_fault(monkeypatch, warm, w, tiles, message)
     already hold the tiles, a non-tile code is reported before an overlap,
     and no rejected code enters a table."""
     monkeypatch.setattr(redux.tilings, "_PAIRS", {})
-    monkeypatch.setattr(redux.tilings, "_LETTERS", {})
+    monkeypatch.setattr(redux.tilings, "_PARTS", {})
     if warm:
         _fill_tile_tables(len(w))
         assert len(redux.tilings._PAIRS[3]) == len(_all_tile_codes(3)) == 7
@@ -167,9 +168,12 @@ def test_rejected_tilings_name_their_fault(monkeypatch, warm, w, tiles, message)
     for code in rejected:
         with pytest.raises(ValueError, match=f"^{message}$"):
             decode(code, 3)
+        chained = Tiling((1, 2, 3), frozenset(), (code, None))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            peel_word(Tiling((1, 2, 3), frozenset(), (code, None)))
-    for table in (redux.tilings._PAIRS, redux.tilings._LETTERS):
+            peel_word(chained)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            list(peel_lines([chained], True))
+    for table in (redux.tilings._PAIRS, redux.tilings._PARTS):
         assert not rejected & set(table.get(3, ())), table
 
 
@@ -181,28 +185,32 @@ def test_the_overlap_is_met_before_the_non_tile_code():
 
 def test_tile_tables_hold_their_definitions(monkeypatch):
     """For every tile of S_n, n <= 6, the stored unit cells are its label
-    pairs and the stored letters those of a peel at j = |anchor| + 1; one
-    int read as a code of S5 and of S6 gets each n's own entry."""
+    pairs and the stored part holds the letters of a peel at j = |anchor| +
+    1, the tile's order and those letters last first as text, without and
+    with commas; one int read as a code of S5 and of S6 gets each n's own
+    entry."""
     monkeypatch.setattr(redux.tilings, "_PAIRS", {})
-    monkeypatch.setattr(redux.tilings, "_LETTERS", {})
+    monkeypatch.setattr(redux.tilings, "_PARTS", {})
     for n in range(2, 7):
         codes = _all_tile_codes(n)
         for code in codes:
             labels, anchor = decode(code, n)
-            redux.tilings._tile_letters(code, n)
+            redux.tilings._tile_part(code, n)
             cells = redux.tilings._PAIRS[n][code]
             assert _cell_pairs(cells, n) == set(combinations(labels, 2)), (n, code)
-            assert redux.tilings._LETTERS[n][code] == redux.tilings._peel_letters(
-                len(anchor) + 1, len(labels)
+            letters = redux.tilings._peel_letters(len(anchor) + 1, len(labels))
+            text = [str(letter) for letter in reversed(letters)]
+            assert redux.tilings._PARTS[n][code] == (
+                letters, len(labels), "".join(text), ",".join(text)
             ), (n, code)
-        assert set(redux.tilings._PAIRS[n]) == set(redux.tilings._LETTERS[n]) == set(codes)
+        assert set(redux.tilings._PAIRS[n]) == set(redux.tilings._PARTS[n]) == set(codes)
     assert len(redux.tilings._PAIRS[6]) == 473
     code = _code({2, 3}, {1}, 5)
     assert code == _code({2, 3, 6}, (), 6)
     assert _cell_pairs(redux.tilings._PAIRS[5][code], 5) == {(2, 3)}
     assert _cell_pairs(redux.tilings._PAIRS[6][code], 6) == {(2, 3), (2, 6), (3, 6)}
-    assert redux.tilings._LETTERS[5][code] == (2,)
-    assert redux.tilings._LETTERS[6][code] == (1, 2, 1)
+    assert redux.tilings._PARTS[5][code] == ((2,), 2, "2", "2")
+    assert redux.tilings._PARTS[6][code] == ((1, 2, 1), 3, "121", "1,2,1")
     assert peel_word(Tiling((1, 3, 2, 4, 5), frozenset({code}), (code, None))) == (2,)
 
 
@@ -267,7 +275,7 @@ def test_chain_words_match_the_rescan(ws):
     for w in ws:
         for t in enumerate_rhombic(w) + enumerate_zonotopal(w):
             assert (t.chain is None) == (not t.tiles)  # only e has no peel
-            assert redux.tilings._peel_order(t) == peel_order(w, t.tiles), t.key()
+            assert redux.tilings._chain_tiles(t.chain) == peel_order(w, t.tiles), t.key()
             assert evaluate(peel_word(t), len(w)) == (w, True), t.key()
 
 
@@ -317,6 +325,68 @@ def test_peel_word_rejects_a_chain_lacking_a_tile():
     t = enumerate_zonotopal((2, 4, 3, 1, 9, 6, 5, 8, 7))[-1]
     with pytest.raises(RuntimeError, match="does not reach the identity"):
         peel_word(Tiling(t.w, t.tiles, t.chain[1]))
+
+
+LISTINGS = ((enumerate_rhombic, False), (enumerate_zonotopal, True))
+
+
+def _listed(tilings, profiles):
+    """The listing line of each tiling as peel_word and shape_profile give it."""
+    return [
+        format_word(peel_word(t)) + (f" {list(t.shape_profile())}" if profiles else "")
+        for t in tilings
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_peel_lines_match_peel_words(n):
+    """Each listed line is the tiling's formatted peel word, then for Z(w)
+    its shape profile, for every tiling of T(w) and Z(w), w in S_n."""
+    for w in permutations(range(1, n + 1)):
+        for enumerate_tilings, profiles in LISTINGS:
+            tilings = enumerate_tilings(w)
+            assert list(peel_lines(tilings, profiles)) == _listed(tilings, profiles), w
+
+
+def test_peel_lines_of_the_identity():
+    for n in (1, 3):
+        assert list(peel_lines(enumerate_rhombic(identity(n)), False)) == ["e"]
+        assert list(peel_lines(enumerate_zonotopal(identity(n)), True)) == ["e []"]
+    assert list(peel_lines((), True)) == []
+
+
+@pytest.mark.parametrize(
+    "w, last, sep",
+    [
+        ((1, 2, 3, 4, 5, 6, 7, 8, 11, 10, 9, 12), "9,10,9 [3]", ","),
+        ((1, 2, 3, 4, 5, 6, 7, 10, 9, 8, 11), "898 [3]", ""),
+    ],
+    ids=["comma-form", "S11-digit-form"],
+)
+def test_peel_lines_choose_commas_by_w(w, last, sep):
+    """Commas separate the letters exactly when one is above 9, also for
+    w in S_n with n >= 11 whose letters stay at 9 or below."""
+    for enumerate_tilings, profiles in LISTINGS:
+        tilings = enumerate_tilings(w)
+        lines = list(peel_lines(tilings, profiles))
+        assert lines == _listed(tilings, profiles), w
+        assert all(("," in line.split()[0]) == (sep == ",") for line in lines)
+    assert lines[-1] == last
+
+
+def test_peel_lines_check_each_walk(monkeypatch):
+    """A tile's letters cut short leave the word short of the identity, and
+    a tiling without its chain has no line."""
+    t = enumerate_zonotopal((3, 2, 1))[-1]
+    (hexagon,) = t.tiles
+    monkeypatch.setattr(redux.tilings, "_PARTS", {3: {hexagon: ((1, 2), 3, "21", "2,1")}})
+    short = "^the peeled word does not reach the identity$"
+    chainless = "^a tiling built without its chain holds no peel order$"
+    for read in (peel_word, lambda t: list(peel_lines([t], True))):
+        with pytest.raises(RuntimeError, match=short):
+            read(t)
+        with pytest.raises(ValueError, match=chainless):
+            read(Tiling(t.w, t.tiles))
 
 
 def test_eln_is_a_bijection_S4():
@@ -656,8 +726,10 @@ def test_coatom_counts():
 
 
 def test_poset_rejects_missing_rhombic_tiling(monkeypatch):
-    real = redux.tilings.enumerate_rhombic
-    monkeypatch.setattr(redux.tilings, "enumerate_rhombic", lambda w: real(w)[1:])
+    real = redux.tilings._rhombic_tile_sets
+    monkeypatch.setattr(
+        redux.tilings, "_rhombic_tile_sets", lambda w: set(sorted(real(w), key=sorted)[1:])
+    )
     with pytest.raises(RuntimeError, match=r"the 3 minimal elements of P\(4231\) "
                        r"are not its 2 rhombic tilings"):
         poset((4, 2, 3, 1))
@@ -685,26 +757,35 @@ def test_chain_equivalences_agree_S4():
 
 
 @pytest.mark.parametrize(
-    "check, w, verdict",
+    "check, w, verdict, reader",
     [
-        (level2_cycle_correspondence, (4, 6, 5, 2, 3, 1), True),
-        (chain_equivalences, (4, 6, 5, 2, 3, 1), (False,) * 4),
-        (lambda w: freely_braided_structure(w).all_ok(), (5, 2, 1, 4, 3), True),
-        (redux.verify._tilings_match_classes, (4, 6, 5, 2, 3, 1), True),
+        (level2_cycle_correspondence, (4, 6, 5, 2, 3, 1), True, "_rhombic_tile_sets"),
+        (chain_equivalences, (4, 6, 5, 2, 3, 1), (False,) * 4, "_rhombic_tile_sets"),
+        (
+            lambda w: freely_braided_structure(w).all_ok(),
+            (5, 2, 1, 4, 3),
+            True,
+            "_rhombic_tile_sets",
+        ),
+        (redux.verify._tilings_match_classes, (4, 6, 5, 2, 3, 1), True, "enumerate_rhombic"),
     ],
     ids=["ssv", "chainthm", "fb", "elthm"],
 )
-def test_one_rhombic_enumeration_per_call(monkeypatch, check, w, verdict):
-    """T(w) is enumerated once: ssv, chainthm and fb build the flip graph on
-    the minimal elements of P(w), so poset's check of those elements
-    enumerates it; elthm counts T(w) as the vertices of its flip graph."""
+def test_one_rhombic_enumeration_per_call(monkeypatch, check, w, verdict, reader):
+    """T(w) is enumerated once, by one of its two readers: ssv, chainthm and
+    fb build the flip graph on the minimal elements of P(w), so poset's
+    check of those elements reads T(w)'s tile sets off its chains; elthm
+    counts T(w) as the vertices of its flip graph."""
     calls = []
-    real = redux.tilings.enumerate_rhombic
-    monkeypatch.setattr(
-        redux.tilings, "enumerate_rhombic", lambda w: calls.append(w) or real(w)
-    )
+    for name in ("enumerate_rhombic", "_rhombic_tile_sets"):
+        real = getattr(redux.tilings, name)
+        monkeypatch.setattr(
+            redux.tilings,
+            name,
+            lambda w, real=real, name=name: calls.append((name, w)) or real(w),
+        )
     assert check(w) == verdict
-    assert calls == [w]
+    assert calls == [(reader, w)]
 
 
 def test_one_class_enumeration_for_elthm(monkeypatch):
