@@ -40,7 +40,6 @@ from .commutation import (
     graphs_isomorphic,
     is_path,
     is_tree,
-    reverse,
     rotate_prefix,
     rotate_suffix,
     trace_key,

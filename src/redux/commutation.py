@@ -434,11 +434,6 @@ def graphs_isomorphic(g1: FlipGraph, g2: FlipGraph) -> bool:
     return _iso_backtrack(g1.adjacency, g2.adjacency)
 
 
-def reverse(w: Perm) -> Perm:
-    """w^R: the one-line notation read backwards; |C(w)| is invariant."""
-    return tuple(reversed(check_perm(w)))
-
-
 def _mod_n(value: int, n: int) -> int:
     r = value % n
     return r if r != 0 else n

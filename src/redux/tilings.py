@@ -310,6 +310,62 @@ def _canonical_peels(u: Perm, max_order: int, memo: dict) -> tuple:
     return memo[u]
 
 
+def _rank_counts(u: Perm, memo: dict) -> dict[int, tuple[int, int, int]]:
+    """The tilings of Z(u) counted without building one: a map {end of the
+    canonical first tile: (r0, r1, r2)}, where r_k counts those tilings
+    whose tiles have Σ(order - 2) = k, the last entry taking every sum
+    >= 2.  The end is the tile's bit count (:func:`_canonical_peels`), 0
+    for the empty tiling of the identity.
+
+    A peel at j with a tile of order m adds m - 2 to the sum of every tiling
+    of the boundary it leaves that it can start canonically: those whose
+    first tile ends at j or below, as :func:`_canonical_peels` tests.
+    ``memo`` maps each boundary done so far to its map, which does not
+    depend on where the walk started.
+    """
+    counts = memo.get(u)
+    if counts is None:
+        counts = {}
+        for j, tile, rest in _peels(u, 2, len(u)):
+            r0 = r1 = r2 = 0
+            for end, (a, b, c) in _rank_counts(rest, memo).items():
+                if end == 0 or end >= j:
+                    r0, r1, r2 = r0 + a, r1 + b, r2 + c
+            if not r0 | r1 | r2:
+                continue
+            end = tile.bit_count()
+            rank = end - j - 1  # m - 2: the anchor holds j - 1 labels
+            if rank == 1:
+                r0, r1, r2 = 0, r0, r1 + r2
+            elif rank:
+                r0, r1, r2 = 0, 0, r0 + r1 + r2
+            if end in counts:
+                a, b, c = counts[end]
+                r0, r1, r2 = r0 + a, r1 + b, r2 + c
+            counts[end] = r0, r1, r2
+        memo[u] = counts = counts or {0: (1, 0, 0)}
+    return counts
+
+
+def rank_counts(w: Perm, memo: dict) -> tuple[int, int, int]:
+    """(r0, r1, r2): the tilings of Z(w) whose tiles have Σ(order - 2) = 0,
+    = 1 and >= 2, counted by :func:`_rank_counts` without building one.
+
+    r0 = |T(w)|, and r1 counts the tilings with one hexagon and rhombi
+    elsewhere, one per flip of T(w).  The sum is not the rank of P(w): the
+    coatoms of the 12-gon have sums 3 and 4.  ``memo`` serves every w of
+    one S_n; the budget applies as in :func:`enumerate_zonotopal`.
+
+    >>> rank_counts((3, 2, 1), {}), rank_counts((4, 3, 2, 1), {})
+    ((2, 1, 0), (8, 8, 1))
+    """
+    w = check_budget(w)
+    r0 = r1 = r2 = 0
+    for a, b, c in _rank_counts(w, memo).values():
+        r0, r1, r2 = r0 + a, r1 + b, r2 + c
+    return r0, r1, r2
+
+
 def _chain_tiles(chain) -> list[int]:
     """The tiles of a chain, in peel order."""
     tiles = []
@@ -760,14 +816,6 @@ def has_unique_max(p: TilingPoset) -> bool:
     return len(p.maximal_indices()) == 1
 
 
-def maximal_cover_minimal(p: TilingPoset) -> bool:
-    """Every element strictly below a maximal element is minimal (height <= 1)."""
-    minimal = set(p.minimal_indices())
-    return all(
-        set(p.down_set(i)) <= minimal for i in p.maximal_indices()
-    )
-
-
 def level2_cycle_correspondence(w: Perm) -> bool:
     """Level-2 poset elements are rhombi+2 hexagons or rhombi+1 octagon, and
     their induced cycles span the GF(2) cycle space of the flip graph."""
@@ -804,16 +852,32 @@ def level2_cycle_correspondence(w: Perm) -> bool:
     return spans_cycle_space(p.flip_graph, cycles)
 
 
-def chain_equivalences(w: Perm) -> tuple[bool, bool, bool, bool]:
+def chain_equivalences(w: Perm, memo: dict) -> tuple[bool, bool, bool, bool]:
     """(flip graph is a tree, is a path, maximal covers minimal in P(w),
-    w avoids 4321 and all 321-patterns pairwise intersect at least twice)."""
-    p = poset(w)
-    g = p.flip_graph
+    w avoids 4321 and all 321-patterns pairwise intersect at least twice),
+    the first three read off :func:`rank_counts` with ``memo``.
+
+    Maximal covers minimal exactly when no tiling of Z(w) has Σ(order - 2)
+    >= 2: one with two hexagons or a tile of order >= 4 lies above a tiling
+    that is not minimal.  T(w) has r0 vertices and r1 edges, so it is no
+    tree unless r1 = r0 - 1; only then is its flip graph built, and
+    RuntimeError is raised unless it has those counts.
+    """
+    r0, r1, r2 = rank_counts(w, memo)
+    tree = path = False
+    if r1 == r0 - 1:
+        g = flip_graph_from_tilings(w)
+        if (g.vertex_count, len(g.edges)) != (r0, r1):
+            raise RuntimeError(
+                f"T({format_perm(w)}) has {g.vertex_count} tilings and {len(g.edges)} "
+                f"flips where its rank counts give {r0} and {r1}"
+            )
+        tree, path = is_tree(g), is_path(g)
     occs = occurrences(w, (3, 2, 1))
     pattern_cond = avoids(w, (4, 3, 2, 1)) and all(
         len(set(a) & set(b)) >= 2 for a, b in combinations(occs, 2)
     )
-    return (is_tree(g), is_path(g), maximal_cover_minimal(p), pattern_cond)
+    return tree, path, r2 == 0, pattern_cond
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .tilings import (
     level2_cycle_correspondence,
     poset,
     has_unique_max,
+    rank_counts,
     shared_chains,
     uniform_2k_tiling_exists,
 )
@@ -186,10 +187,23 @@ def _tilings_match_classes(w: Perm) -> bool:
     return flips.vertex_count == g.vertex_count and graphs_isomorphic(flips, g)
 
 
+def _tilings_count_classes(w: Perm, tiling_memo: dict, class_memo: dict) -> bool:
+    """|T(w)| = |C(w)|, by two DPs that share no code: r0 of the rank counts
+    of Z(w) over the peels of Elnitsky's polygon, and the count of normal
+    forms of the commutation classes, each with its own memo."""
+    return rank_counts(w, tiling_memo)[0] == class_count(w, class_memo)
+
+
 def _uniform_2k_tiling_iff(nk: tuple[int, int]) -> bool:
     """Uniform 2k-gon tilings of X(w0) exist exactly for k=2 and k=n."""
     n, k = nk
     return uniform_2k_tiling_exists(n, k) == (k == 2 or k == n)
+
+
+def _chain_conditions_agree(w: Perm, memo: dict) -> bool:
+    """The four conditions of :func:`chain_equivalences` hold together or
+    not at all; ``memo`` is its rank counts', shared by the sweep."""
+    return len(set(chain_equivalences(w, memo))) == 1
 
 
 def _unique_max_iff_avoids(w: Perm) -> bool:
@@ -213,15 +227,16 @@ THEOREMS = {
     "1lbm": lambda n: _sweep(all_perms(n), partial(_one_long_move, memo={})),
     "monotone": _monotone,
     "elthm": lambda n: _sweep(all_perms(n), _tilings_match_classes),
+    "elcount": lambda n: _sweep(
+        all_perms(n), partial(_tilings_count_classes, tiling_memo={}, class_memo={})
+    ),
     "2kgon": lambda n: _sweep(all_perms(n), partial(decreasing_tile_check, memo={})),
     "2ktiles": lambda n: _sweep(
         ((m, k) for m in range(3, n + 1) for k in range(2, m + 1)),
         _uniform_2k_tiling_iff,
         show=lambda nk: "n={} k={}".format(*nk),
     ),
-    "chainthm": lambda n: _sweep(
-        all_perms(n), lambda w: len(set(chain_equivalences(w))) == 1
-    ),
+    "chainthm": lambda n: _sweep(all_perms(n), partial(_chain_conditions_agree, memo={})),
     "maxelt": lambda n: _sweep(all_perms(n), _unique_max_iff_avoids),
     "ssv": lambda n: _sweep(all_perms(n), level2_cycle_correspondence),
     "fb": lambda n: _sweep(

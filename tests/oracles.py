@@ -5,25 +5,29 @@ with the tests (``test_source.py`` keeps src/redux free of such code).  Each
 function is the direct form of something the library does another way: the
 braid-move closure of a class, the boundary rescan that peels a tiling, the
 public wrappers over ``vex`` and the obstruction core, the shifted-factor
-search by brute force, Elnitsky's map from a rhombic tiling to its class, and
-a class's size counted on its own heap.
+search by brute force, Elnitsky's map from a rhombic tiling to its class,
+a class's size counted on its own heap, and chainthm's four conditions read
+off the whole poset P(w).
 """
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
-from redux.commutation import CommutationClass, classes, trace_key
-from redux.patterns import _obstruction, _search
+from redux.commutation import CommutationClass, classes, is_path, is_tree, trace_key
+from redux.patterns import _obstruction, _search, avoids, occurrences
 from redux.permcore import Perm, check_perm, format_perm, inverse
 from redux.redwords import Word, evaluate, format_word
 from redux.tilings import (
     Tiling,
+    TilingPoset,
     _hexagons,
     _outline_edges,
     _peels,
     decode,
     peel_word,
     polygon_outline,
+    poset,
 )
 from redux.vexalg import _vex
 
@@ -247,6 +251,29 @@ def flip_neighbors(t: Tiling) -> list:
     return [
         Tiling(t.w, (t.tiles - inside) | other) for _, inside, other in _hexagons(t)
     ]
+
+
+# ---------------------------------------------------------------------------
+# chainthm on the poset P(w)
+
+
+def maximal_cover_minimal(p: TilingPoset) -> bool:
+    """Every element strictly below a maximal element is minimal (height <= 1)."""
+    minimal = set(p.minimal_indices())
+    return all(set(p.down_set(i)) <= minimal for i in p.maximal_indices())
+
+
+def chain_equivalences(w: Perm) -> tuple[bool, bool, bool, bool]:
+    """(flip graph is a tree, is a path, maximal covers minimal in P(w),
+    w avoids 4321 and all 321-patterns pairwise intersect at least twice),
+    the first three read off all of P(w) and its flip graph on T(w)."""
+    p = poset(w)
+    g = p.flip_graph
+    occs = occurrences(w, (3, 2, 1))
+    pattern_cond = avoids(w, (4, 3, 2, 1)) and all(
+        len(set(a) & set(b)) >= 2 for a, b in combinations(occs, 2)
+    )
+    return (is_tree(g), is_path(g), maximal_cover_minimal(p), pattern_cond)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from redux.commutation import (
     is_connected,
     is_path,
     is_tree,
-    reverse,
     rotate_prefix,
     rotate_suffix,
     simple_cycles_of_length,
@@ -287,11 +286,6 @@ def test_graph_raises_when_a_guaranteed_property_fails(monkeypatch, check):
     monkeypatch.setattr(f"redux.commutation.{check}", lambda g: False)
     with pytest.raises(RuntimeError, match=check.removeprefix("is_")):
         graph((4, 2, 3, 1))
-
-
-def test_reverse():
-    assert reverse((4, 1, 3, 2)) == (2, 3, 1, 4)
-    assert reverse(reverse((5, 3, 2, 4, 1))) == (5, 3, 2, 4, 1)
 
 
 def _reverse_complement(w):

@@ -235,7 +235,6 @@ def _roots(source: _Source) -> list:
 # with the statement it checks; their helpers are reached through them.
 UNSWEPT_RESULTS = {
     ("tilings", "mono"): "the lift of a pattern tiling is injective (monotonicity)",
-    ("commutation", "reverse"): "reflecting the polygon preserves |C(w)| and G(w)",
     ("commutation", "rotate_prefix"): "rotating the polygon preserves |C(w)| and G(w)",
     ("commutation", "rotate_suffix"): "rotating the polygon preserves |C(w)| and G(w)",
     ("commutation", "cycle_space_generated_by_4_8_cycles"): (

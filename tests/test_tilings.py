@@ -35,11 +35,11 @@ from redux.tilings import (
     freely_braided_structure,
     has_unique_max,
     level2_cycle_correspondence,
-    maximal_cover_minimal,
     mono,
     peel_lines,
     peel_word,
     poset,
+    rank_counts,
     shared_chains,
     uniform_2k_tiling_exists,
 )
@@ -664,7 +664,7 @@ def test_poset_structure():
     assert len(p.elements) == 3
     assert len(p.minimal_indices()) == 2
     assert has_unique_max(p)
-    assert maximal_cover_minimal(p)
+    assert oracles.maximal_cover_minimal(p)
     assert p.hasse == frozenset(
         {(i, j) for i in p.minimal_indices() for j in p.maximal_indices()}
     )
@@ -752,15 +752,53 @@ def test_level2_cycles_S4():
 
 def test_chain_equivalences_agree_S4():
     for w in perms4:
-        flags = chain_equivalences(w)
+        flags = oracles.chain_equivalences(w)
         assert len(set(flags)) == 1, w
+
+
+def _perms_1_to_6():
+    return (tuple(w) for n in range(1, 7) for w in permutations(range(1, n + 1)))
+
+
+def test_rank_counts_match_shape_profiles_S1_to_S6():
+    """r_k counts the tilings of Z(w) whose shape profile has Σ(order - 2) =
+    k, the last count taking every sum >= 2; one memo serves each S_n."""
+    memos: dict = {}
+    with shared_chains():
+        for w in _perms_1_to_6():
+            profiles = [z.shape_profile() for z in enumerate_zonotopal(w)]
+            sums = [min(sum(p) - 2 * len(p), 2) for p in profiles]
+            expected = tuple(sums.count(k) for k in range(3))
+            assert rank_counts(w, memos.setdefault(len(w), {})) == expected, w
+
+
+def test_chain_equivalences_match_the_poset_route_S1_to_S6():
+    """The flags read off the rank counts equal the flags read off P(w)."""
+    memos: dict = {}
+    with shared_chains():
+        for w in _perms_1_to_6():
+            flags = chain_equivalences(w, memos.setdefault(len(w), {}))
+            assert flags == oracles.chain_equivalences(w), w
+
+
+def test_chain_equivalences_reject_a_flip_graph_off_the_counts(monkeypatch):
+    """T(321) has 2 tilings and 1 flip; a flip graph with 3 and 2 is refused,
+    both sides named."""
+    real = redux.tilings.flip_graph_from_tilings
+    monkeypatch.setattr(
+        redux.tilings, "flip_graph_from_tilings", lambda w: real((4, 2, 3, 1))
+    )
+    with pytest.raises(RuntimeError, match=r"T\(321\) has 3 tilings and 2 flips "
+                       r"where its rank counts give 2 and 1"):
+        chain_equivalences((3, 2, 1), {})
 
 
 @pytest.mark.parametrize(
     "check, w, verdict, reader",
     [
         (level2_cycle_correspondence, (4, 6, 5, 2, 3, 1), True, "_rhombic_tile_sets"),
-        (chain_equivalences, (4, 6, 5, 2, 3, 1), (False,) * 4, "_rhombic_tile_sets"),
+        (lambda w: chain_equivalences(w, {}), (4, 6, 5, 2, 3, 1), (False,) * 4, None),
+        (lambda w: chain_equivalences(w, {}), (5, 2, 3, 4, 1), (True,) * 4, "enumerate_rhombic"),
         (
             lambda w: freely_braided_structure(w).all_ok(),
             (5, 2, 1, 4, 3),
@@ -769,13 +807,14 @@ def test_chain_equivalences_agree_S4():
         ),
         (redux.verify._tilings_match_classes, (4, 6, 5, 2, 3, 1), True, "enumerate_rhombic"),
     ],
-    ids=["ssv", "chainthm", "fb", "elthm"],
+    ids=["ssv", "chainthm-counts", "chainthm-tree", "fb", "elthm"],
 )
 def test_one_rhombic_enumeration_per_call(monkeypatch, check, w, verdict, reader):
-    """T(w) is enumerated once, by one of its two readers: ssv, chainthm and
+    """T(w) is enumerated at most once, by one of its two readers: ssv and
     fb build the flip graph on the minimal elements of P(w), so poset's
     check of those elements reads T(w)'s tile sets off its chains; elthm
-    counts T(w) as the vertices of its flip graph."""
+    counts T(w) as the vertices of its flip graph, and chainthm builds that
+    graph only when the rank counts of Z(w) allow a tree."""
     calls = []
     for name in ("enumerate_rhombic", "_rhombic_tile_sets"):
         real = getattr(redux.tilings, name)
@@ -785,7 +824,7 @@ def test_one_rhombic_enumeration_per_call(monkeypatch, check, w, verdict, reader
             lambda w, real=real, name=name: calls.append((name, w)) or real(w),
         )
     assert check(w) == verdict
-    assert calls == [(reader, w)]
+    assert calls == ([(reader, w)] if reader else [])
 
 
 def test_one_class_enumeration_for_elthm(monkeypatch):

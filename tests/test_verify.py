@@ -21,6 +21,7 @@ def test_known_theorems():
         "1lbm",
         "monotone",
         "elthm",
+        "elcount",
         "2kgon",
         "2ktiles",
         "chainthm",
@@ -58,6 +59,7 @@ CHECKED_AT_5 = {
     "2kgon": 120,
     "2ktiles": 9,
     "chainthm": 120,
+    "elcount": 120,
     "elthm": 120,
     "fb": 71,
     "maxelt": 120,
