@@ -1,7 +1,9 @@
 """The constructive embedding machine and the non-vexillary witness."""
 
+import ast
 import hashlib
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -293,3 +295,77 @@ def test_vexthm_embeddings_pinned():
                     h.update(repr((w, p, word)).encode())
                     cases += 1
     assert (cases, h.hexdigest()) == (EMBED_CASES, EMBED_DIGEST)
+
+
+# The same sha256 as VEX_DIGEST over every occurrence of every vexillary
+# pattern of size 3 or 4 in every w of S_6 alone: stepping cases are much
+# more common there than in S_3 .. S_5.
+VEX_S6_CASES = 24750
+VEX_S6_DIGEST = "2dc89b809a7bcc92543fd202b82fc1416bc67ea29dbe188aa8ef0c5fc1f14d17"
+
+
+def test_vex_outputs_pinned_S6():
+    h = hashlib.sha256()
+    cases = 0
+    for k in (3, 4):
+        for p in map(tuple, permutations(range(1, k + 1))):
+            if not is_vexillary(p):
+                continue
+            pattern_word = lex_least_reduced_word(p)
+            for w in map(tuple, permutations(range(1, 7))):
+                for occ in occurrences(w, p):
+                    res = vex(w, occ)
+                    fields = (
+                        res.prefix_letters,
+                        res.w_tilde,
+                        res.suffix_letters,
+                        res.M,
+                        res.pattern_positions,
+                    )
+                    word = embed_reduced_word(w, occ, pattern_word)
+                    values = tuple(w[i - 1] for i in occ)
+                    h.update(repr((w, values, fields, word)).encode())
+                    cases += 1
+    assert (cases, h.hexdigest()) == (VEX_S6_CASES, VEX_S6_DIGEST)
+
+
+# Every message ``vexalg`` raises a VexError with; an f-string is pinned as
+# its source.  A rewrite of the construction keeps every check it had.
+VEX_ERROR_MESSAGES = {
+    "right multiplier adds an inversion",
+    "left multiplier adds an inversion",
+    "pattern roles must stay increasing",
+    "pattern occurrence lost during vex",
+    "blocking entry must be a chain bound",
+    "interchange unsorts bounds",
+    "x and its bound must form an inversion",
+    "bound not moved",
+    "x not moved toward its bound",
+    "f'vex did not terminate within {_STEP_CAP} steps'",
+    "obstruction names another role",
+    "inside entry obstructed on both sides",
+    "occurrence not consecutive",
+    "a multiplication did not shorten w",
+    "assembled word must be a reduced word of w",
+    "assembled word must contain the shifted pattern word",
+    "witness must contain the pattern",
+}
+
+
+def test_vex_error_messages_pinned():
+    tree = ast.parse(Path(vexalg.__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "VexError"
+        ):
+            (message,) = node.exc.args
+            if isinstance(message, ast.Constant):
+                found.add(message.value)
+            else:
+                found.add(ast.unparse(message))
+    assert len(VEX_ERROR_MESSAGES) == 17
+    assert found == VEX_ERROR_MESSAGES
