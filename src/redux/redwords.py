@@ -160,13 +160,13 @@ def find_shift_factor(
     if no shifted factor occurs.
     """
     word = tuple(word)
-    sized = [(pat, len(pat)) for pat in pattern_words]
-    for start in range(len(word) + 1):  # 0-based here
-        room = len(word) - start
-        for pat, size in sized:
+    n = len(word)
+    for start in range(n + 1):  # 0-based here
+        for pat in pattern_words:
+            size = len(pat)
             if not size:
                 return start + 1, 0, pat
-            if size > room:
+            if start + size > n:
                 continue
             M = word[start] - pat[0]
             if M < 0 or (size > 1 and word[start + 1] - pat[1] != M):

@@ -873,9 +873,10 @@ def chain_equivalences(w: Perm, memo: dict) -> tuple[bool, bool, bool, bool]:
                 f"flips where its rank counts give {r0} and {r1}"
             )
         tree, path = is_tree(g), is_path(g)
-    occs = occurrences(w, (3, 2, 1))
+    # 321-occurrences are listed only for w avoiding 4321, and the pairs
+    # stop at the first one sharing fewer than two positions.
     pattern_cond = avoids(w, (4, 3, 2, 1)) and all(
-        len(set(a) & set(b)) >= 2 for a, b in combinations(occs, 2)
+        len(set(a) & set(b)) >= 2 for a, b in combinations(occurrences(w, (3, 2, 1)), 2)
     )
     return tree, path, r2 == 0, pattern_cond
 

@@ -38,14 +38,27 @@ def _checked(w: Perm) -> tuple[int, tuple[int, ...]]:
     return length(w), (0, *inverse(w))
 
 
+@lru_cache(maxsize=64)
+def _order(p: Perm) -> tuple[int, ...]:
+    """The index in ``pat`` (the roles in increasing order) of the role at
+    each position of ``p``; ValueError unless p is vexillary.  Memoised: a
+    sweep passes the same few patterns to ``_vex`` again and again."""
+    if not is_vexillary(p):
+        raise ValueError("vex requires a vexillary pattern")
+    return tuple(r - 1 for r in p)
+
+
 class _VexState:
-    """Mutable working state; every multiplication must remove an inversion.
+    """The working state of ``_vex``.  ``_vex`` holds its lists in locals;
+    Steps 5-7 (:func:`_slide`, :func:`_trade`) go through its methods.
 
     ``w`` is the current permutation as a list and ``inv[v]`` the 1-based
     position of the value v in it, copied at the start from
-    :func:`_checked`; every multiplication updates both.
-    ``pat`` and ``inv`` change in place only, so a caller may hold them in
-    locals.
+    :func:`_checked`.  ``pat[m-1]`` is the value in role m and ``order`` the
+    index in ``pat`` of the role at each position of p.  ``left`` and
+    ``right`` are the left and right multipliers in order of application.
+    The lists change in place only, and every multiplication must remove an
+    inversion.
     """
 
     __slots__ = ("w", "inv", "p", "order", "pat", "left", "right")
@@ -54,18 +67,10 @@ class _VexState:
         self.w = list(w)
         self.inv = list(_checked(w)[1])
         self.p = pattern
-        self.order = [r - 1 for r in pattern]  # pat index of the role at each position
-        self.pat = sorted(values)  # pat[m-1] is the value in role m
-        self.left: list[int] = []  # left multipliers, in order of application
-        self.right: list[int] = []  # right multipliers, in order of application
-
-    def inside(self) -> list[int]:
-        """Non-pattern values strictly between the pattern's extreme positions,
-        ordered by position.  The occurrence holds whenever this is asked, so
-        those are the positions of the first and the last role in p."""
-        pat, inv, order = self.pat, self.inv, self.order
-        first, last = inv[pat[order[0]]], inv[pat[order[-1]]]
-        return [v for v in self.w[first : last - 1] if v not in pat]
+        self.order = _order(pattern)
+        self.pat = sorted(values)
+        self.left: list[int] = []
+        self.right: list[int] = []
 
     def rmult(self, i: int) -> None:
         w = self.w
@@ -165,13 +170,6 @@ def _trade(st: _VexState, x: int, idx: int) -> int:
     return new_x
 
 
-@lru_cache(maxsize=64)
-def _is_vexillary_pattern(p: Perm) -> bool:
-    """:func:`is_vexillary`, memoised: a sweep passes the same few patterns
-    to ``_vex`` again and again."""
-    return is_vexillary(p)
-
-
 def _vex(w: Perm, at: tuple[int, ...]) -> tuple[_VexState, int]:
     """Shorten ``w`` until the pattern occurrence at the 1-based positions
     ``at`` is consecutive; return the final state, its pattern entries in
@@ -183,42 +181,62 @@ def _vex(w: Perm, at: tuple[int, ...]) -> tuple[_VexState, int]:
     above-range, then the largest interior one; 5a before 5b) make the output
     deterministic, but any output satisfying the two defining invariants is a
     correct answer.
+
+    Steps 2 and 3 and the final checks run on the state's lists held in
+    locals; Steps 5-7 call :func:`_slide` and :func:`_trade`.
     """
     w = tuple(w)
     length_w = _checked(w)[0]
     p = _pattern_at(w, at)
-    if not _is_vexillary_pattern(p):
-        raise ValueError("vex requires a vexillary pattern")
     st = _VexState(w, p, [w[i - 1] for i in at])
-    k, inv, pat, order = len(p), st.inv, st.pat, st.order
+    k, u, inv, pat, order, right = len(p), st.w, st.inv, st.pat, st.order, st.right
+    head, tail = order[0], order[-1]  # pat indices of the first and last role in p
 
+    # The inside entries: the non-pattern values strictly between the first
+    # and the last role in p, ordered by position.  The occurrence holds
+    # whenever they are listed.
     steps = 0
-    inside = st.inside()
+    inside = [v for v in u[at[0] : at[-1] - 1] if v not in pat]
     while inside:
         # Step 1.  Tie-break: clear the entries below the pattern's value
-        # range first, then those above it, then the largest interior entry.
-        below = [v for v in inside if v < pat[0]]
+        # range first, the largest of them; then those above it, the
+        # smallest; then the largest interior entry.
+        ranked = sorted(inside)
+        below = bisect(ranked, pat[0])  # ranked[:below] lie below the range
+        above = bisect(ranked, pat[-1])  # ranked[above:] lie above it
         if below:
-            x = max(below)
+            x = ranked[below - 1]
+        elif above < len(ranked):
+            x = ranked[above]
         else:
-            above = [v for v in inside if v > pat[-1]]
-            x = min(above) if above else max(inside)
+            x = ranked[-1]
         while x in inside:
             steps += 1
             if steps > _STEP_CAP:
                 raise VexError(f"vex did not terminate within {_STEP_CAP} steps")
-            # Steps 2 and 3 move only non-pattern entries, so the pattern
-            # entries keep their order and the same one stays at either end.
+            # Steps 2 and 3 right-multiply only non-pattern entries, each one
+            # past the pattern entry at its end, so the pattern entries keep
+            # their order and the same one stays at either end.
             if x > pat[-1]:  # Step 2
-                end = pat[order[-1]]
+                end = pat[tail]
                 for y in sorted([y for y in inside if y >= x], reverse=True):
-                    while inv[y] < inv[end]:
-                        st.rmult(inv[y])
+                    while (i := inv[y]) < inv[end]:
+                        b = u[i]
+                        if y < b:
+                            raise VexError("right multiplier adds an inversion")
+                        u[i - 1], u[i] = b, y
+                        inv[y], inv[b] = i + 1, i
+                        right.append(i)
             elif x < pat[0]:  # Step 3
-                end = pat[order[0]]
+                end = pat[head]
                 for y in sorted([y for y in inside if y <= x]):
-                    while inv[y] > inv[end]:
-                        st.rmult(inv[y] - 1)
+                    while (i := inv[y] - 1) >= inv[end]:
+                        a = u[i - 1]
+                        if a < y:
+                            raise VexError("right multiplier adds an inversion")
+                        u[i - 1], u[i] = y, a
+                        inv[a], inv[y] = i + 1, i
+                        right.append(i)
             else:
                 # Step 4: <m> < x < <m+1>; the roles are increasing
                 m = bisect(pat, x)
@@ -236,15 +254,16 @@ def _vex(w: Perm, at: tuple[int, ...]) -> tuple[_VexState, int]:
                     x = _trade(st, x, m)
                 else:  # Step 7
                     x = _trade(st, x, m - 1)
-            inside = st.inside()
+            inside = [v for v in u[inv[pat[head]] : inv[pat[tail]] - 1] if v not in pat]
 
-    # Once the positions along p strictly increase, they are M+1 .. M+k
-    # exactly when they span k.
-    st.check_occurrence()
-    M = inv[pat[order[0]]] - 1
-    if inv[pat[order[-1]]] - M != k:
+    # The occurrence holds and is consecutive exactly when the roles are
+    # increasing and the entries M+1 .. M+k are the roles in the order of p;
+    # on a failure, check_occurrence names a lost occurrence first.
+    M = inv[pat[head]] - 1
+    if pat != sorted(pat) or u[M : M + k] != [pat[r] for r in order]:
+        st.check_occurrence()
         raise VexError("occurrence not consecutive")
-    if length(st.w) != length_w - len(st.left) - len(st.right):
+    if length(u) != length_w - len(st.left) - len(right):
         raise VexError("a multiplication did not shorten w")
     return st, M
 
@@ -333,10 +352,13 @@ def embed_reduced_word(w: Perm, at: tuple[int, ...], pattern_word: Word) -> Word
     if not _is_reduced_word_of(pattern_word, st.p):
         raise ValueError("pattern_word is not a reduced word of the pattern")
     n = len(w)
-    word = (*st.left, *_prime_word(st, M), *shift(pattern_word, M, n), *reversed(st.right))
+    h = _prime_word(st, M)
+    word = (*st.left, *h, *shift(pattern_word, M, n), *reversed(st.right))
     if evaluate(word, n) != (w, True):
         raise VexError("assembled word must be a reduced word of w")
-    if find_shift_factor(word, [pattern_word]) is None:
+    # The shifted pattern word was placed right after h; a factor of this
+    # suffix is a factor of the word.
+    if find_shift_factor(word[len(st.left) + len(h) :], [pattern_word]) is None:
         raise VexError("assembled word must contain the shifted pattern word")
     return word
 

@@ -16,6 +16,7 @@ from redux.tilings import (
     enumerate_zonotopal,
     flip_graph_from_tilings,
     freely_braided_structure,
+    rank_counts,
 )
 from redux.vexalg import embed_reduced_word, nonvex_witness
 from redux.verify import run
@@ -82,15 +83,18 @@ def test_criterion_07_freely_braided():
 
 
 def test_criterion_08_pinned_counts():
-    ok = len(classes(longest_element(4))) == 8
-    ok = ok and len(classes(longest_element(5))) == 62
-    ok = ok and len(classes(longest_element(6))) == 908
+    """Each count of commutation classes of w0 is pinned twice: once on the
+    words route and once as r0 of the rank counts of Elnitsky's tilings."""
+    ok = len(classes(longest_element(4))) == 8 == rank_counts(longest_element(4), {})[0]
+    ok = ok and len(classes(longest_element(5))) == 62 == rank_counts(longest_element(5), {})[0]
+    ok = ok and len(classes(longest_element(6))) == 908 == rank_counts(longest_element(6), {})[0]
     ok = ok and len(enumerate_R(longest_element(4))) == 16 == syt_count((3, 2, 1))
     ok = ok and len(enumerate_zonotopal((3, 2, 1))) == 3
     ok = ok and len(enumerate_zonotopal(W9)) == 27
     with budget(max_length=28):
-        ok = ok and class_count(longest_element(7), {}) == 24698
-        ok = ok and class_count(longest_element(8), {}) == 1232944
+        for n, count in ((7, 24698), (8, 1232944)):
+            w0 = longest_element(n)
+            ok = ok and class_count(w0, {}) == count == rank_counts(w0, {})[0]
     _report(8, ok)
 
 
