@@ -146,7 +146,7 @@ def shift(word: Word, M: int, new_n: int) -> Word:
         raise ValueError("shift must be nonnegative")
     if word and max(word) + M > new_n - 1:
         raise ValueError(f"shift by {M} leaves letters outside 1..{new_n - 1}")
-    return tuple(map(M.__add__, word))
+    return tuple([a + M for a in word])
 
 
 def find_shift_factor(
@@ -170,7 +170,10 @@ def find_shift_factor(
                 continue
             M = word[start] - pat[0]
             if M < 0 or (size > 1 and word[start + 1] - pat[1] != M):
-                continue  # rejected on its first two letters, no tuple built
-            if word[start : start + size] == tuple(map(M.__add__, pat)):
+                continue  # rejected on its first two letters
+            for j in range(2, size):
+                if word[start + j] - pat[j] != M:
+                    break
+            else:
                 return start + 1, M, pat
     return None
