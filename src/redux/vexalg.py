@@ -49,16 +49,13 @@ def _order(p: Perm) -> tuple[int, ...]:
 
 
 class _VexState:
-    """The working state of ``_vex``.  ``_vex`` holds its lists in locals;
-    Steps 5-7 (:func:`_slide`, :func:`_trade`) go through its methods.
+    """Mutable working state; every multiplication must remove an inversion.
 
     ``w`` is the current permutation as a list and ``inv[v]`` the 1-based
     position of the value v in it, copied at the start from
-    :func:`_checked`.  ``pat[m-1]`` is the value in role m and ``order`` the
-    index in ``pat`` of the role at each position of p.  ``left`` and
-    ``right`` are the left and right multipliers in order of application.
-    The lists change in place only, and every multiplication must remove an
-    inversion.
+    :func:`_checked`; every multiplication updates both.
+    ``pat`` and ``inv`` change in place only, so a caller may hold them in
+    locals.
     """
 
     __slots__ = ("w", "inv", "p", "order", "pat", "left", "right")
@@ -67,10 +64,18 @@ class _VexState:
         self.w = list(w)
         self.inv = list(_checked(w)[1])
         self.p = pattern
-        self.order = _order(pattern)
-        self.pat = sorted(values)
-        self.left: list[int] = []
-        self.right: list[int] = []
+        self.order = _order(pattern)  # pat index of the role at each position
+        self.pat = sorted(values)  # pat[m-1] is the value in role m
+        self.left: list[int] = []  # left multipliers, in order of application
+        self.right: list[int] = []  # right multipliers, in order of application
+
+    def inside(self) -> list[int]:
+        """Non-pattern values strictly between the pattern's extreme positions,
+        ordered by position.  The occurrence holds whenever this is asked, so
+        those are the positions of the first and the last role in p."""
+        pat, inv, order = self.pat, self.inv, self.order
+        first, last = inv[pat[order[0]]], inv[pat[order[-1]]]
+        return [v for v in self.w[first : last - 1] if v not in pat]
 
     def rmult(self, i: int) -> None:
         w = self.w
@@ -181,22 +186,15 @@ def _vex(w: Perm, at: tuple[int, ...]) -> tuple[_VexState, int]:
     above-range, then the largest interior one; 5a before 5b) make the output
     deterministic, but any output satisfying the two defining invariants is a
     correct answer.
-
-    Steps 2 and 3 and the final checks run on the state's lists held in
-    locals; Steps 5-7 call :func:`_slide` and :func:`_trade`.
     """
     w = tuple(w)
     length_w = _checked(w)[0]
     p = _pattern_at(w, at)
     st = _VexState(w, p, [w[i - 1] for i in at])
-    k, u, inv, pat, order, right = len(p), st.w, st.inv, st.pat, st.order, st.right
-    head, tail = order[0], order[-1]  # pat indices of the first and last role in p
+    k, inv, pat, order = len(p), st.inv, st.pat, st.order
 
-    # The inside entries: the non-pattern values strictly between the first
-    # and the last role in p, ordered by position.  The occurrence holds
-    # whenever they are listed.
     steps = 0
-    inside = [v for v in u[at[0] : at[-1] - 1] if v not in pat]
+    inside = st.inside()
     while inside:
         # Step 1.  Tie-break: clear the entries below the pattern's value
         # range first, the largest of them; then those above it, the
@@ -214,29 +212,18 @@ def _vex(w: Perm, at: tuple[int, ...]) -> tuple[_VexState, int]:
             steps += 1
             if steps > _STEP_CAP:
                 raise VexError(f"vex did not terminate within {_STEP_CAP} steps")
-            # Steps 2 and 3 right-multiply only non-pattern entries, each one
-            # past the pattern entry at its end, so the pattern entries keep
-            # their order and the same one stays at either end.
+            # Steps 2 and 3 move only non-pattern entries, so the pattern
+            # entries keep their order and the same one stays at either end.
             if x > pat[-1]:  # Step 2
-                end = pat[tail]
+                end = pat[order[-1]]
                 for y in sorted([y for y in inside if y >= x], reverse=True):
-                    while (i := inv[y]) < inv[end]:
-                        b = u[i]
-                        if y < b:
-                            raise VexError("right multiplier adds an inversion")
-                        u[i - 1], u[i] = b, y
-                        inv[y], inv[b] = i + 1, i
-                        right.append(i)
+                    while inv[y] < inv[end]:
+                        st.rmult(inv[y])
             elif x < pat[0]:  # Step 3
-                end = pat[head]
+                end = pat[order[0]]
                 for y in sorted([y for y in inside if y <= x]):
-                    while (i := inv[y] - 1) >= inv[end]:
-                        a = u[i - 1]
-                        if a < y:
-                            raise VexError("right multiplier adds an inversion")
-                        u[i - 1], u[i] = y, a
-                        inv[a], inv[y] = i + 1, i
-                        right.append(i)
+                    while inv[y] > inv[end]:
+                        st.rmult(inv[y] - 1)
             else:
                 # Step 4: <m> < x < <m+1>; the roles are increasing
                 m = bisect(pat, x)
@@ -254,16 +241,15 @@ def _vex(w: Perm, at: tuple[int, ...]) -> tuple[_VexState, int]:
                     x = _trade(st, x, m)
                 else:  # Step 7
                     x = _trade(st, x, m - 1)
-            inside = [v for v in u[inv[pat[head]] : inv[pat[tail]] - 1] if v not in pat]
+            inside = st.inside()
 
-    # The occurrence holds and is consecutive exactly when the roles are
-    # increasing and the entries M+1 .. M+k are the roles in the order of p;
-    # on a failure, check_occurrence names a lost occurrence first.
-    M = inv[pat[head]] - 1
-    if pat != sorted(pat) or u[M : M + k] != [pat[r] for r in order]:
-        st.check_occurrence()
+    # Once the positions along p strictly increase, they are M+1 .. M+k
+    # exactly when they span k.
+    st.check_occurrence()
+    M = inv[pat[order[0]]] - 1
+    if inv[pat[order[-1]]] - M != k:
         raise VexError("occurrence not consecutive")
-    if length(u) != length_w - len(st.left) - len(right):
+    if length(st.w) != length_w - len(st.left) - len(st.right):
         raise VexError("a multiplication did not shorten w")
     return st, M
 
