@@ -873,8 +873,7 @@ def chain_equivalences(w: Perm, memo: dict) -> tuple[bool, bool, bool, bool]:
                 f"flips where its rank counts give {r0} and {r1}"
             )
         tree, path = is_tree(g), is_path(g)
-    # 321-occurrences are listed only for w avoiding 4321, and the pairs
-    # stop at the first one sharing fewer than two positions.
+    # The 321-occurrences are listed only for w avoiding 4321.
     pattern_cond = avoids(w, (4, 3, 2, 1)) and all(
         len(set(a) & set(b)) >= 2 for a, b in combinations(occurrences(w, (3, 2, 1)), 2)
     )

@@ -239,12 +239,15 @@ def test_embed_output_is_verified(w, p, pick):
 # sha256 over the vex result and the embedded word for every occurrence of
 # every vexillary pattern of size 3 or 4 in every w of S_3 .. S_5.  Any change
 # to a single output of vex fails here; to re-record after an intended change,
-# print ``cases`` and ``h.hexdigest()``.
+# print ``_vex_outputs_digest(3, 5)``.
 VEX_CASES = 1900
 VEX_DIGEST = "6254920a3738a65c9d8b7239cd2c5c8f3230a23a95abed0a20f1baf2af5fabc2"
 
 
-def test_vex_outputs_pinned():
+def _vex_outputs_digest(n_min, n_max):
+    """(cases, sha256) over the vex result and the embedded word for every
+    occurrence of every vexillary pattern p of size 3 or 4 in every w of
+    S_n, max(len(p), n_min) <= n <= n_max."""
     h = hashlib.sha256()
     cases = 0
     for k in (3, 4):
@@ -252,7 +255,7 @@ def test_vex_outputs_pinned():
             if not is_vexillary(p):
                 continue
             pattern_word = lex_least_reduced_word(p)
-            for n in range(k, 6):
+            for n in range(max(k, n_min), n_max + 1):
                 for w in map(tuple, permutations(range(1, n + 1))):
                     for occ in occurrences(w, p):
                         res = vex(w, occ)
@@ -267,7 +270,21 @@ def test_vex_outputs_pinned():
                         values = tuple(w[i - 1] for i in occ)
                         h.update(repr((w, values, fields, word)).encode())
                         cases += 1
-    assert (cases, h.hexdigest()) == (VEX_CASES, VEX_DIGEST)
+    return cases, h.hexdigest()
+
+
+def test_vex_outputs_pinned():
+    assert _vex_outputs_digest(3, 5) == (VEX_CASES, VEX_DIGEST)
+
+
+# The same sha256 over every w of S_6 alone: stepping cases are much more
+# common there than in S_3 .. S_5.
+VEX_S6_CASES = 24750
+VEX_S6_DIGEST = "2dc89b809a7bcc92543fd202b82fc1416bc67ea29dbe188aa8ef0c5fc1f14d17"
+
+
+def test_vex_outputs_pinned_S6():
+    assert _vex_outputs_digest(6, 6) == (VEX_S6_CASES, VEX_S6_DIGEST)
 
 
 # sha256 over (w, p, word) for every embedding the vexthm sweep checks at
@@ -295,38 +312,6 @@ def test_vexthm_embeddings_pinned():
                     h.update(repr((w, p, word)).encode())
                     cases += 1
     assert (cases, h.hexdigest()) == (EMBED_CASES, EMBED_DIGEST)
-
-
-# The same sha256 as VEX_DIGEST over every occurrence of every vexillary
-# pattern of size 3 or 4 in every w of S_6 alone: stepping cases are much
-# more common there than in S_3 .. S_5.
-VEX_S6_CASES = 24750
-VEX_S6_DIGEST = "2dc89b809a7bcc92543fd202b82fc1416bc67ea29dbe188aa8ef0c5fc1f14d17"
-
-
-def test_vex_outputs_pinned_S6():
-    h = hashlib.sha256()
-    cases = 0
-    for k in (3, 4):
-        for p in map(tuple, permutations(range(1, k + 1))):
-            if not is_vexillary(p):
-                continue
-            pattern_word = lex_least_reduced_word(p)
-            for w in map(tuple, permutations(range(1, 7))):
-                for occ in occurrences(w, p):
-                    res = vex(w, occ)
-                    fields = (
-                        res.prefix_letters,
-                        res.w_tilde,
-                        res.suffix_letters,
-                        res.M,
-                        res.pattern_positions,
-                    )
-                    word = embed_reduced_word(w, occ, pattern_word)
-                    values = tuple(w[i - 1] for i in occ)
-                    h.update(repr((w, values, fields, word)).encode())
-                    cases += 1
-    assert (cases, h.hexdigest()) == (VEX_S6_CASES, VEX_S6_DIGEST)
 
 
 # Every message ``vexalg`` raises a VexError with; an f-string is pinned as
