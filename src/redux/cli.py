@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import sys
 from collections.abc import Iterable
+from functools import cache
 from itertools import chain
 
 from .commutation import classes, graph
@@ -242,9 +243,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call in this process, built by the
+    first one: each ``parse_args`` returns a fresh namespace, no default is
+    mutable, and each ``func`` default reads the module's names when it
+    runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with budget(max_length=args.max_length, max_words=args.max_words):
             return args.func(args)

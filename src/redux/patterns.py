@@ -132,10 +132,12 @@ def is_vexillary(w: Perm) -> bool:
 def is_vexillary_by_rows(w: Perm) -> bool:
     """Vexillarity via total ordering of the rows of the inversion set.
 
-    Independent cross-check for :func:`is_vexillary`.
+    Independent cross-check for :func:`is_vexillary`; the ``vexrows`` sweep
+    compares the two.
     """
     n = len(w)
-    rows = [frozenset(j for (i, j) in inversions(w) if i == r) for r in range(1, n + 1)]
+    inv = inversions(w)
+    rows = [frozenset(j for (i, j) in inv if i == r) for r in range(1, n + 1)]
     rows = [r for r in rows if r]
     return all(a <= b or b <= a for a, b in combinations(rows, 2))
 
@@ -156,7 +158,8 @@ def is_freely_braided(w: Perm) -> bool:
 
 
 def is_freely_braided_by_intersections(w: Perm) -> bool:
-    """Defining condition: distinct 321-patterns meet in at most one position."""
+    """Defining condition: distinct 321-patterns meet in at most one position.
+    The ``fbdef`` sweep compares it with :func:`is_freely_braided`."""
     occs = occurrences(w, (3, 2, 1))
     return all(len(set(a) & set(b)) <= 1 for a, b in combinations(occs, 2))
 

@@ -22,7 +22,9 @@ from .patterns import (
     analyze_321,
     first_occurrences,
     is_freely_braided,
+    is_freely_braided_by_intersections,
     is_vexillary,
+    is_vexillary_by_rows,
 )
 from .permcore import (
     Perm,
@@ -244,6 +246,13 @@ THEOREMS = {
         lambda w: freely_braided_structure(w).all_ok(),
     ),
     "syt": lambda n: _sweep(filter(is_vexillary, all_perms(n)), _words_count_tableaux),
+    "vexrows": lambda n: _sweep(
+        all_perms(n), lambda w: is_vexillary_by_rows(w) == is_vexillary(w)
+    ),
+    "fbdef": lambda n: _sweep(
+        all_perms(n),
+        lambda w: is_freely_braided_by_intersections(w) == is_freely_braided(w),
+    ),
 }
 
 

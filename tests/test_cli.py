@@ -152,6 +152,75 @@ def test_python_m_redux(capsys, python):
     assert proc.stdout == run_cli(capsys, "info", "321")[1]
 
 
+PARSER_BUILDS = """
+import argparse
+import contextlib
+import io
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counted
+import redux.cli
+
+counts = [len(built)]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["info", "321"], ["enum", "words", "321"], ["render", "polygon", "321"]):
+        assert redux.cli.main(argv) == 0, argv
+        counts.append(len(built))
+redux.cli.build_parser()
+counts.append(len(built))
+print(*counts)
+"""
+
+
+def test_parser_is_built_once_per_process(python):
+    """Importing ``redux.cli`` builds no parser; the first ``main`` call
+    builds one and later calls, whatever their subcommand, reuse it."""
+    proc = python("-c", PARSER_BUILDS)
+    assert proc.returncode == 0, proc.stderr
+    counts = [int(count) for count in proc.stdout.split()]
+    one_build = counts[-1] - counts[-2]
+    assert one_build > 0
+    assert counts == [0, one_build, one_build, one_build, 2 * one_build]
+
+
+def test_no_state_crosses_main_calls(capsys, tmp_path):
+    """A call made right after another gives what it gives alone: the format,
+    the ``-o`` file and the budget of one call do not reach the next, nor
+    does an argparse usage error."""
+    text_classes = run_cli(capsys, "enum", "classes", "4231")
+    text_tilings = run_cli(capsys, "enum", "tilings", "321")
+    classes_321 = run_cli(capsys, "enum", "classes", "321")
+    assert text_classes[:2] == (0, "12321 (size 1)\n13213 (size 4)\n32123 (size 1)\ncount 3\n")
+    assert text_tilings[1].splitlines()[-1] == "count 2"
+    assert classes_321[0] == 0
+
+    _, out, _ = run_cli(capsys, "--format", "json", "enum", "classes", "4231")
+    assert json.loads(out)["schema"] == 1
+    assert run_cli(capsys, "enum", "classes", "4231") == text_classes
+
+    target = tmp_path / "tilings.txt"
+    assert run_cli(capsys, "-o", str(target), "enum", "tilings", "321") == (0, "", "")
+    assert target.read_text() == text_tilings[1]
+    assert run_cli(capsys, "enum", "tilings", "321") == text_tilings
+
+    assert run_cli(capsys, "--max-length", "2", "enum", "classes", "321")[0] == 3
+    assert run_cli(capsys, "enum", "classes", "321") == classes_321
+
+    with pytest.raises(SystemExit) as exc:
+        main(["enum"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, "enum", "classes", "321") == classes_321
+
+
 def test_budget_exit_3(capsys):
     code, _, err = run_cli(capsys, "enum", "words", "87654321")
     assert code == 3

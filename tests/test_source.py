@@ -240,10 +240,6 @@ UNSWEPT_RESULTS = {
     ("commutation", "cycle_space_generated_by_4_8_cycles"): (
         "the 4- and 8-cycles span the cycle space of G(w), the words-route twin of ssv"
     ),
-    ("patterns", "is_vexillary_by_rows"): "vexillary iff the inversion rows are nested",
-    ("patterns", "is_freely_braided_by_intersections"): (
-        "freely braided iff distinct 321-patterns share at most one position"
-    ),
 }
 
 

@@ -29,6 +29,8 @@ def test_known_theorems():
         "ssv",
         "fb",
         "syt",
+        "vexrows",
+        "fbdef",
     }
 
 
@@ -62,10 +64,12 @@ CHECKED_AT_5 = {
     "elcount": 120,
     "elthm": 120,
     "fb": 71,
+    "fbdef": 120,
     "maxelt": 120,
     "monotone": 408,
     "ssv": 120,
     "syt": 103,
+    "vexrows": 120,
     "vexthm": 966,
 }
 
@@ -83,8 +87,17 @@ def test_small_sweeps_pass(theorem, checked):
         # 2143 is not vexillary, so 2314 is the 8th case of S4, not the 9th
         ("syt", 4, "_words_count_tableaux", (2, 3, 1, 4), 8, "syt: FAIL at 2314"),
         ("2ktiles", 5, "_uniform_2k_tiling_iff", (4, 3), 4, "2ktiles: FAIL at n=4 k=3"),
+        # 2143 is rejected by both criteria, so they agree there
+        ("vexrows", 4, "is_vexillary_by_rows", (2, 3, 1, 4), 9, "vexrows: FAIL at 2314"),
+        ("fbdef", 4, "is_freely_braided_by_intersections", (3, 2, 1, 4), 15, "fbdef: FAIL at 3214"),
     ],
-    ids=["all-of-Sn", "filtered", "n-k-pairs"],
+    ids=[
+        "all-of-Sn",
+        "filtered",
+        "n-k-pairs",
+        "vexillary-criteria",
+        "freely-braided-criteria",
+    ],
 )
 def test_sweep_stops_at_first_failure(
     monkeypatch, theorem, n, predicate, bad, checked, summary
