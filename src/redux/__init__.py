@@ -15,13 +15,7 @@ from .permcore import (
     right_mult_adjacent,
     syt_count,
 )
-from .patterns import (
-    ObstructionReport,
-    analyze_321,
-    is_freely_braided,
-    is_vexillary,
-    occurrences,
-)
+from .patterns import analyze_321, is_freely_braided, is_vexillary, occurrences
 from .redwords import (
     BudgetError,
     Word,

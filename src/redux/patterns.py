@@ -1,11 +1,9 @@
-"""Pattern containment, vexillarity, obstructions, and 321-pattern analysis."""
+"""Pattern containment, vexillarity, and 321-pattern analysis."""
 
 from __future__ import annotations
 
-from bisect import bisect
 from functools import cache
 from itertools import combinations
-from typing import NamedTuple
 
 from .permcore import Perm, check_perm, inversions
 
@@ -162,55 +160,6 @@ def is_freely_braided_by_intersections(w: Perm) -> bool:
     The ``fbdef`` sweep compares it with :func:`is_freely_braided`."""
     occs = occurrences(w, (3, 2, 1))
     return all(len(set(a) & set(b)) <= 1 for a, b in combinations(occs, 2))
-
-
-class ObstructionReport(NamedTuple):
-    """What ``_obstruction`` reports; a named tuple, so that ``vexalg``'s
-    Step 5 builds it cheaply and unpacks it."""
-
-    x: int
-    m: int
-    a: int
-    b: int
-    obstructed_left: bool
-    obstructed_right: bool
-
-
-def _obstruction(at, roles, x: int) -> ObstructionReport:
-    """Obstruction data for the inside entry ``x`` of a pattern occurrence,
-    read off ``at[v]``, the 1-based position of each value v (index 0
-    unused), and ``roles``, the occurrence's values in increasing order.
-    Step 5 of ``vexalg._vex`` passes its working state as it is.
-
-    Requires role m with <m> < x < <m+1> to exist and the values
-    {<m>, x, <m+1>} to appear in increasing order; obstruction is undefined
-    otherwise and a ValueError is raised.
-    """
-    k = len(roles)
-    if x in roles:
-        raise ValueError(f"{x} is a pattern entry, not inside the pattern")
-    px = at[x] if 0 < x < len(at) else 0  # 0: x is not a value of w
-    role_at = [at[v] for v in roles]  # role_at[j]: the position of role j + 1
-    if not min(role_at) < px < max(role_at):
-        raise ValueError(f"{x} is not inside the pattern")
-    m = bisect(roles, x)  # the roles increase, so <m> < x < <m+1> if any m fits
-    if not 0 < m < k:
-        raise ValueError(f"no role m with <m> < {x} < <m+1>")
-    if not role_at[m - 1] < px < role_at[m]:
-        raise ValueError("values <m>, x, <m+1> do not appear in increasing order")
-    # Maximal a, b with <m-a>, ..., <m>, x, <m+1>, ..., <m+1+b> increasing in w.
-    a = 0
-    while m - 2 - a >= 0 and role_at[m - 2 - a] < role_at[m - 1 - a]:
-        a += 1
-    b = 0
-    while m + b + 1 < k and role_at[m + b] < role_at[m + b + 1]:
-        b += 1
-    # The roles below <m-a> are the first m-1-a, those above <m+1+b> the
-    # last k-m-b-1.
-    left_at, right_at = role_at[m - 1 - a], role_at[m + b]
-    obstructed_left = any(left_at < q < px for q in role_at[: m - 1 - a])
-    obstructed_right = any(px < q < right_at for q in role_at[m + b + 1 :])
-    return ObstructionReport(x, m, a, b, obstructed_left, obstructed_right)
 
 
 def analyze_321(w: Perm) -> tuple[int, bool]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect
 from functools import lru_cache
 
-from .patterns import _obstruction, _pattern_at, contains, is_vexillary, occurrences
+from .patterns import _pattern_at, contains, is_vexillary, occurrences
 from .permcore import Perm, check_perm, inverse, length
 from .redwords import Word, evaluate, find_shift_factor, shift
 
@@ -119,6 +119,30 @@ class _VexState:
                 if inv[v + 1] < inv[v]:
                     self.lmult(v)
                     changed = True
+
+
+def _obstruction(inv, pat, m: int, px: int) -> tuple[int, int, bool, bool]:
+    """Step 5's obstruction of the inside entry x at the 1-based position
+    ``px``, where <m> < x < <m+1> appear in increasing order: the maximal a,
+    b with <m-a>, ..., <m>, x, <m+1>, ..., <m+1+b> increasing, and whether a
+    role below <m-a> lies between <m-a> and x (the left side is obstructed)
+    or a role above <m+1+b> lies between x and <m+1+b> (the right side is).
+    ``inv`` and ``pat`` are the working state's positions and roles.
+
+    >>> w = (3, 2, 4, 5, 1)  # x = 4 inside the occurrence 3, 2, 5, 1 of 3241
+    >>> _obstruction((0, *inverse(w)), [1, 2, 3, 5], 3, 3)
+    (0, 0, True, False)
+    """
+    a = b = 0
+    while a < m - 1 and inv[pat[m - 2 - a]] < inv[pat[m - 1 - a]]:
+        a += 1
+    while m + b + 1 < len(pat) and inv[pat[m + b]] < inv[pat[m + b + 1]]:
+        b += 1
+    # The roles below <m-a> are the first m-1-a, those above <m+1+b> the rest.
+    left_at, right_at = inv[pat[m - 1 - a]], inv[pat[m + b]]
+    obstructed_left = any(left_at < inv[v] < px for v in pat[: m - 1 - a])
+    obstructed_right = any(px < inv[v] < right_at for v in pat[m + b + 1 :])
+    return a, b, obstructed_left, obstructed_right
 
 
 def _slide(st: _VexState, x: int, m: int, reach: int, d: int) -> int:
@@ -228,9 +252,7 @@ def _vex(w: Perm, at: tuple[int, ...]) -> tuple[_VexState, int]:
                 # Step 4: <m> < x < <m+1>; the roles are increasing
                 m = bisect(pat, x)
                 if inv[pat[m - 1]] < inv[x] < inv[pat[m]]:  # Step 5
-                    _, named, a, b, blocked_left, blocked_right = _obstruction(inv, pat, x)
-                    if named != m:
-                        raise VexError("obstruction names another role")
+                    a, b, blocked_left, blocked_right = _obstruction(inv, pat, m, inv[x])
                     if not blocked_right:
                         x = _slide(st, x, m, b, 1)
                     elif not blocked_left:

@@ -4,18 +4,19 @@ The CLI, the sweeps and the benchmark reach none of this code, so it lives
 with the tests (``test_source.py`` keeps src/redux free of such code).  Each
 function is the direct form of something the library does another way: the
 braid-move closure of a class, the boundary rescan that peels a tiling, the
-public wrappers over ``vex`` and the obstruction core, the shifted-factor
+public wrappers over ``vex`` and Step 5's obstruction, the shifted-factor
 search by brute force, Elnitsky's map from a rhombic tiling to its class,
 a class's size counted on its own heap, and chainthm's four conditions read
 off the whole poset P(w).
 """
 
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
 from redux.commutation import CommutationClass, classes, is_path, is_tree, trace_key
-from redux.patterns import _obstruction, _search, avoids, occurrences
+from redux.patterns import _search, avoids, occurrences
 from redux.permcore import Perm, check_perm, format_perm, inverse
 from redux.redwords import Word, evaluate, format_word
 from redux.tilings import (
@@ -29,7 +30,7 @@ from redux.tilings import (
     polygon_outline,
     poset,
 )
-from redux.vexalg import _vex
+from redux.vexalg import _obstruction, _vex
 
 
 def left_mult_adjacent(w: Perm, i: int) -> Perm:
@@ -57,11 +58,14 @@ def first_occurrence(w: Perm, p: Perm) -> tuple[int, ...] | None:
     return next(_search(w, p), None)
 
 
-def obstruction(w: Perm, at: tuple[int, ...], x: int):
-    """Obstruction data for the inside entry ``x`` of the occurrence at the
-    1-based positions ``at``: the core ``_obstruction`` on w's position
-    array and the occurrence's values in increasing order."""
-    return _obstruction((0, *inverse(w)), sorted(w[i - 1] for i in at), x)
+def obstruction(w: Perm, at: tuple[int, ...], x: int) -> tuple[int, int, int, bool, bool]:
+    """(m, a, b, obstructed left, obstructed right) for the inside entry
+    ``x`` of the occurrence at the 1-based positions ``at``, where role m
+    has <m> < x < <m+1> in increasing order: m by ``bisect`` of the roles,
+    the rest from Step 5's ``_obstruction`` on w's position array."""
+    inv, roles = [0, *inverse(w)], sorted(w[i - 1] for i in at)
+    m = bisect(roles, x)
+    return (m, *_obstruction(inv, roles, m, inv[x]))
 
 
 def shift_factor(word: Word, pattern_words) -> tuple[int, int, Word] | None:

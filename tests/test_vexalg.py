@@ -15,7 +15,7 @@ from redux.redwords import enumerate_R, evaluate, find_shift_factor, shift
 from redux import verify, vexalg
 from redux.vexalg import VexError, embed_reduced_word, lex_least_reduced_word, nonvex_witness
 
-from oracles import first_occurrence, left_mult_adjacent, vex
+from oracles import first_occurrence, left_mult_adjacent, obstruction, vex
 
 perms5 = st.permutations((1, 2, 3, 4, 5)).map(tuple)
 vex_patterns3 = st.sampled_from(
@@ -187,14 +187,86 @@ def test_vex_step_5_count(monkeypatch):
     at n = 5 runs it 141 times."""
     steps = []
 
-    def counting_obstruction(at, roles, x):
-        steps.append(x)
-        return real(at, roles, x)
+    def counting_obstruction(inv, pat, m, px):
+        steps.append(px)
+        return real(inv, pat, m, px)
 
     real = vexalg._obstruction
     monkeypatch.setattr(vexalg, "_obstruction", counting_obstruction)
     assert verify.run("vexthm", 5).ok
     assert len(steps) == 141
+
+
+def test_obstruction_one_side():
+    # x = 4 inside the occurrence with values (3, 2, 5, 1): blocked left only
+    m, a, b, left, right = obstruction((3, 2, 4, 5, 1), (1, 2, 4, 5), 4)
+    assert (m, a, b) == (3, 0, 0)
+    assert left and not right
+
+
+def test_obstruction_both_sides():
+    # x = 3 inside the occurrence with values (2, 1, 5, 4): blocked both ways
+    m, _, _, left, right = obstruction((2, 1, 3, 5, 4), (1, 2, 4, 5), 3)
+    assert m == 2
+    assert left and right
+
+
+def position(w, value):
+    """1-based position of ``value`` in ``w``, by a scan."""
+    return w.index(value) + 1
+
+
+def _obstruction_by_scans(w, occ, x):
+    """The definition of the obstruction read literally, each position found
+    by a scan of w: (m, a, b, obstructed left, obstructed right), or None
+    where it is undefined (x is a role or not inside the occurrence, or no
+    role m has <m> < x < <m+1> in increasing order)."""
+    roles = sorted(w[i - 1] for i in occ)
+    k = len(roles)
+    px = position(w, x)
+    m = next((m for m in range(1, k) if roles[m - 1] < x < roles[m]), None)
+    if x in roles or not occ[0] < px < occ[-1] or m is None:
+        return None
+    if not position(w, roles[m - 1]) < px < position(w, roles[m]):
+        return None
+    a = 0
+    while m - 1 - (a + 1) >= 0 and position(w, roles[m - 1 - (a + 1)]) < position(
+        w, roles[m - 1 - a]
+    ):
+        a += 1
+    b = 0
+    while m + (b + 1) <= k - 1 and position(w, roles[m + b]) < position(
+        w, roles[m + (b + 1)]
+    ):
+        b += 1
+    left_end, right_end = roles[m - 1 - a], roles[m + b]
+    obstructed_left = any(
+        roles[j] < left_end and position(w, left_end) < position(w, roles[j]) < px
+        for j in range(k)
+    )
+    obstructed_right = any(
+        roles[j] > right_end and px < position(w, roles[j]) < position(w, right_end)
+        for j in range(k)
+    )
+    return m, a, b, obstructed_left, obstructed_right
+
+
+def test_obstruction_matches_the_position_scans_S5():
+    """Every x of every occurrence of a vexillary pattern of size 3 or 4 in
+    S5 where the obstruction is defined: Step 5's ``_obstruction``, given m
+    by ``bisect`` and the list-shaped state that ``_vex`` keeps, gives the
+    report of the scans."""
+    reports = 0
+    for k in (3, 4):
+        for p in filter(is_vexillary, verify.all_perms(k)):
+            for w in verify.all_perms(5):
+                for occ in occurrences(w, p):
+                    for x in range(1, 6):
+                        expected = _obstruction_by_scans(w, occ, x)
+                        if expected is not None:
+                            assert obstruction(w, occ, x) == expected, (w, occ, x)
+                            reports += 1
+    assert reports == 257
 
 
 @settings(max_examples=60)
@@ -327,7 +399,6 @@ VEX_ERROR_MESSAGES = {
     "bound not moved",
     "x not moved toward its bound",
     "f'vex did not terminate within {_STEP_CAP} steps'",
-    "obstruction names another role",
     "inside entry obstructed on both sides",
     "occurrence not consecutive",
     "a multiplication did not shorten w",
@@ -352,5 +423,5 @@ def test_vex_error_messages_pinned():
                 found.add(message.value)
             else:
                 found.add(ast.unparse(message))
-    assert len(VEX_ERROR_MESSAGES) == 17
+    assert len(VEX_ERROR_MESSAGES) == 16
     assert found == VEX_ERROR_MESSAGES
