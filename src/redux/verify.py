@@ -17,7 +17,16 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
 
-from .commutation import class_count, classes, graph, graphs_isomorphic, is_path
+from .commutation import (
+    class_count,
+    classes,
+    cycle_space_generated_by_4_8_cycles,
+    graph,
+    graphs_isomorphic,
+    is_path,
+    rotate_prefix,
+    rotate_suffix,
+)
 from .patterns import (
     analyze_321,
     first_occurrences,
@@ -196,6 +205,23 @@ def _tilings_count_classes(w: Perm, tiling_memo: dict, class_memo: dict) -> bool
     return rank_counts(w, tiling_memo)[0] == class_count(w, class_memo)
 
 
+def _rotations(n: int):
+    """Every (w, rotate, i), w in S_n, with ``rotate`` a rotation of the polygon
+    accepting w at i: w starts n, n-1, ..., n+1-i, or ends i, ..., 2, 1."""
+    for w in all_perms(n):
+        for i in range(1, n + 1):
+            if w[:i] == tuple(range(n, n - i, -1)):
+                yield w, rotate_prefix, i
+            if w[n - i :] == tuple(range(i, 0, -1)):
+                yield w, rotate_suffix, i
+
+
+def _rotation_keeps_class_count(case, memo: dict) -> bool:
+    """|C(w)| = |C(rotate(w, i))|, by :func:`class_count` on one S_n's memo."""
+    w, rotate, i = case
+    return class_count(w, memo) == class_count(rotate(w, i), memo)
+
+
 def _uniform_2k_tiling_iff(nk: tuple[int, int]) -> bool:
     """Uniform 2k-gon tilings of X(w0) exist exactly for k=2 and k=n."""
     n, k = nk
@@ -231,6 +257,14 @@ THEOREMS = {
     "elthm": lambda n: _sweep(all_perms(n), _tilings_match_classes),
     "elcount": lambda n: _sweep(
         all_perms(n), partial(_tilings_count_classes, tiling_memo={}, class_memo={})
+    ),
+    "cyc48": lambda n: _sweep(
+        all_perms(n), lambda w: cycle_space_generated_by_4_8_cycles(graph(w))
+    ),
+    "rotcount": lambda n: _sweep(
+        _rotations(n),
+        partial(_rotation_keeps_class_count, memo={}),
+        show=lambda case: f"{case[1].__name__}({format_perm(case[0])}, {case[2]})",
     ),
     "2kgon": lambda n: _sweep(all_perms(n), partial(decreasing_tile_check, memo={})),
     "2ktiles": lambda n: _sweep(

@@ -9,6 +9,7 @@ import pytest
 
 import redux.tilings
 from redux import verify
+from redux.commutation import graph, rotate_prefix
 from redux.redwords import BudgetError, budget, enumerate_R
 from redux.verify import THEOREMS, VerifyResult, _max_long_moves, run
 
@@ -22,6 +23,8 @@ def test_known_theorems():
         "monotone",
         "elthm",
         "elcount",
+        "cyc48",
+        "rotcount",
         "2kgon",
         "2ktiles",
         "chainthm",
@@ -61,12 +64,14 @@ CHECKED_AT_5 = {
     "2kgon": 120,
     "2ktiles": 9,
     "chainthm": 120,
+    "cyc48": 120,
     "elcount": 120,
     "elthm": 120,
     "fb": 71,
     "fbdef": 120,
     "maxelt": 120,
     "monotone": 408,
+    "rotcount": 68,
     "ssv": 120,
     "syt": 103,
     "vexrows": 120,
@@ -90,6 +95,23 @@ def test_small_sweeps_pass(theorem, checked):
         # 2143 is rejected by both criteria, so they agree there
         ("vexrows", 4, "is_vexillary_by_rows", (2, 3, 1, 4), 9, "vexrows: FAIL at 2314"),
         ("fbdef", 4, "is_freely_braided_by_intersections", (3, 2, 1, 4), 15, "fbdef: FAIL at 3214"),
+        # the predicate is handed G(w), not w; G(4321) is the last graph of S4
+        (
+            "cyc48",
+            4,
+            "cycle_space_generated_by_4_8_cycles",
+            graph((4, 3, 2, 1)),
+            24,
+            "cyc48: FAIL at 4321",
+        ),
+        (
+            "rotcount",
+            4,
+            "_rotation_keeps_class_count",
+            ((4, 3, 1, 2), rotate_prefix, 2),
+            12,
+            "rotcount: FAIL at rotate_prefix(4312, 2)",
+        ),
     ],
     ids=[
         "all-of-Sn",
@@ -97,6 +119,8 @@ def test_small_sweeps_pass(theorem, checked):
         "n-k-pairs",
         "vexillary-criteria",
         "freely-braided-criteria",
+        "cycle-space-of-G",
+        "rotations",
     ],
 )
 def test_sweep_stops_at_first_failure(
