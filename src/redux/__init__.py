@@ -26,8 +26,8 @@ from .redwords import (
     shift,
 )
 from .commutation import (
-    CommutationClass,
     FlipGraph,
+    class_sizes,
     classes,
     cycle_space_generated_by_4_8_cycles,
     graph,

@@ -5,8 +5,8 @@ heap, the poset on letter positions generated by "p before q when p < q and
 |word[p] - word[q]| <= 1".  The classes are enumerated as their
 lexicographically least words, their normal forms, directly, without
 building R(w) (Cartier-Foata; Anisimov-Knuth).  A word finds its class by
-its :func:`trace_key`, and every class size of w is read off one DP over
-the traces of the prefixes of w's reduced words (:func:`_class_sizes`).
+its :func:`trace_key`, and :func:`class_sizes` reads every class size of
+w off one DP over the traces of the prefixes of w's reduced words.
 """
 
 from __future__ import annotations
@@ -16,37 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .permcore import Perm, check_perm, format_perm, inverse, length
-from .redwords import BudgetError, Word, check_budget, evaluate, format_word
+from .redwords import BudgetError, Word, check_budget, format_word
 
 GRAPH_ISO_VERTEX_CAP = 64
-_sizes: dict[tuple[int, ...], int] = {}  # :func:`_class_sizes` of the last w
-
-
-@dataclass(frozen=True)
-class CommutationClass:
-    """A commutation class, represented by its lexicographically least word
-    and looked up by its :func:`trace_key`; its size, by that key too."""
-
-    representative: Word
-
-    @property
-    def size(self) -> int:
-        """The number of words in the class, read off :func:`_class_sizes` of
-        w.  The representative is evaluated, to find w, only when its key is
-        not in the last w's table; ValueError unless it is a reduced word.
-        Each read looks the key up again: the table, not the class, keeps
-        the size."""
-        global _sizes
-        rep = self.representative
-        key = trace_key(rep)
-        if key not in _sizes:
-            w, reduced = evaluate(rep, len(key))
-            if not reduced:
-                raise ValueError(f"{format_word(rep)} is not a reduced word")
-            _sizes = _class_sizes(w)
-            if key not in _sizes:  # the DP and the normal forms disagree on C(w)
-                raise RuntimeError(f"C({format_perm(w)}) lacks the class of {format_word(rep)}")
-        return _sizes[key]
 
 
 @dataclass(frozen=True)
@@ -127,13 +99,16 @@ def _letter_masks(n: int) -> list[tuple[int, int, int]]:
     return masks
 
 
-def _normal_forms(w: Perm) -> list[Word]:
-    """Every lexicographically least word of a commutation class of w, sorted.
+def classes(w: Perm) -> list[Word]:
+    """The commutation classes of R(w), each as its lexicographically least
+    word, its normal form, sorted.
 
-    Words are built left to right over the left descents of what remains of
-    w, so the state is (what remains, bitmask of the letters forbidden next;
-    :func:`_letter_masks`).
+    Only the length limit of the current budget applies: R(w) is never
+    built.  Words are built left to right over the left descents of what
+    remains of w, so the state is (what remains, bitmask of the letters
+    forbidden next; :func:`_letter_masks`).
     """
+    w = check_budget(w)
     total = length(w)
     masks = _letter_masks(len(w))
     forms: list[Word] = []
@@ -164,7 +139,7 @@ def _normal_forms(w: Perm) -> list[Word]:
 
 
 def class_count(w: Perm, memo: dict) -> int:
-    """|C(w)|, the number of normal forms :func:`_normal_forms` lists,
+    """|C(w)|, the number of normal forms :func:`classes` lists,
     counted by a DP over its state (the inverse of what remains, the
     forbidden mask) without building a word.
 
@@ -194,17 +169,6 @@ def _count_forms(v: Perm, forbidden: int, masks: list, memo: dict) -> int:
                     count += _count_forms(u, forbidden & keep | add, masks, memo)
         memo[state] = count = 1 if done else count
     return count
-
-
-def classes(w: Perm) -> list[CommutationClass]:
-    """The commutation classes of R(w), sorted by representative.
-
-    Only the length limit of the current budget applies: R(w) is never
-    built.  Each class is generated once, as its lexicographic normal form;
-    the first ``size`` asked for sizes them all (:func:`_class_sizes`).
-    """
-    w = check_budget(w)
-    return [CommutationClass(form) for form in _normal_forms(w)]
 
 
 def _move_keys(rep: Word, key: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -277,12 +241,8 @@ def _class_sizes(w: Perm) -> dict[tuple[int, ...], int]:
     over the traces of the prefixes of w's reduced words, each keyed by its
     :func:`trace_key` and counting its words.  Appending x edits only the
     projections {x-1, x} and {x, x+1}.  A layer's traces are grouped by v,
-    the inverse of what remains (as in :func:`_normal_forms`), so v's
-    descents are found once for all of them; two layers are alive at a time.
-
-    >>> sizes = _class_sizes((4, 2, 3, 1))
-    >>> [sizes[trace_key(rep)] for rep in ((1, 2, 3, 2, 1), (1, 3, 2, 1, 3), (3, 2, 1, 2, 3))]
-    [1, 4, 1]
+    the inverse of what remains (as in :func:`classes`), so v's descents
+    are found once for all of them; two layers are alive at a time.
     """
     n = width = len(w)
     while width > 1 and w[width - 1] == width:  # letters width.. never occur
@@ -302,6 +262,24 @@ def _class_sizes(w: Perm) -> dict[tuple[int, ...], int]:
     return sizes
 
 
+def class_sizes(w: Perm) -> dict[Word, int]:
+    """{representative: number of words} for every class of w, in the
+    order of :func:`classes`, each size read off :func:`_class_sizes` by
+    the representative's :func:`trace_key`.
+
+    >>> class_sizes((4, 2, 3, 1))
+    {(1, 2, 3, 2, 1): 1, (1, 3, 2, 1, 3): 4, (3, 2, 1, 2, 3): 1}
+    """
+    forms, sizes = classes(w), _class_sizes(w)
+    found = {}
+    for form in forms:
+        key = trace_key(form)
+        if key not in sizes:  # the DP and the normal forms disagree on C(w)
+            raise RuntimeError(f"C({format_perm(w)}) lacks the class of {format_word(form)}")
+        found[form] = sizes[key]
+    return found
+
+
 def graph(w: Perm) -> FlipGraph:
     """The graph G(w): vertices C(w), edges between classes one long braid
     move apart.  Each representative's :func:`trace_key` is computed once;
@@ -311,11 +289,11 @@ def graph(w: Perm) -> FlipGraph:
     Raises RuntimeError if G(w) is not connected or not bipartite; the paper
     guarantees both, so a violation means the construction is broken.
     """
-    cls = classes(w)
-    keys = [trace_key(c.representative) for c in cls]
-    moves = map(_move_keys, (c.representative for c in cls), keys)
+    forms = classes(w)
+    keys = [trace_key(form) for form in forms]
+    moves = map(_move_keys, forms, keys)
     edges = frozenset((min(i, j), max(i, j)) for i, j in index_moves("G", w, keys, moves))
-    g = FlipGraph(vertices=tuple(cls), edges=edges)
+    g = FlipGraph(vertices=tuple(forms), edges=edges)
     if not is_connected(g):
         raise RuntimeError(f"G({format_perm(w)}) is not connected")
     if not is_bipartite(g):

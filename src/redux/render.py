@@ -54,15 +54,15 @@ def poset_payload(p: TilingPoset) -> dict:
 def graph_payload(g: FlipGraph) -> dict:
     """G(w) with each class named by its representative."""
     return {
-        "vertices": [format_word(c.representative) for c in g.vertices],
+        "vertices": [format_word(rep) for rep in g.vertices],
         "edges": [[a, b] for a, b in sorted(g.edges)],
     }
 
 
 def graph_dot(g: FlipGraph) -> str:
     lines = ["graph G {"]
-    for i, c in enumerate(g.vertices):
-        lines.append(f'  v{i} [label="{format_word(c.representative)}"];')
+    for i, rep in enumerate(g.vertices):
+        lines.append(f'  v{i} [label="{format_word(rep)}"];')
     for a, b in sorted(g.edges):
         lines.append(f"  v{a} -- v{b};")
     lines.append("}")

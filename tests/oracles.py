@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from redux.commutation import CommutationClass, classes, is_path, is_tree, trace_key
+from redux.commutation import classes, is_path, is_tree, trace_key
 from redux.patterns import _search, avoids, occurrences
 from redux.permcore import Perm, check_perm, format_perm, inverse
 from redux.redwords import Word, evaluate, format_word
@@ -123,11 +123,11 @@ def apply_long_move(word: Word, pos: int) -> Word:
 
 
 @cache
-def class_words(c: CommutationClass) -> frozenset[Word]:
-    """Every word of the class: the closure of the representative under
-    short braid moves."""
-    seen = {c.representative}
-    stack = [c.representative]
+def class_words(rep: Word) -> frozenset[Word]:
+    """Every word of the class of ``rep``: its closure under short braid
+    moves."""
+    seen = {rep}
+    stack = [rep]
     while stack:
         word = stack.pop()
         for pos in braid_moves(word)[0]:
@@ -229,14 +229,15 @@ def tiling_from_word(word: Word, n: int) -> Tiling:
     return Tiling(w, frozenset(tiles), chain)
 
 
-def eln(t: Tiling) -> CommutationClass:
-    """The commutation class corresponding to a rhombic tiling."""
+def eln(t: Tiling) -> Word:
+    """The commutation class corresponding to a rhombic tiling, as its
+    representative."""
     if not t.is_rhombic():
         raise ValueError("eln requires a rhombic tiling")
     key = trace_key(peel_word(t))
-    for c in classes(t.w):
-        if trace_key(c.representative) == key:
-            return c
+    for rep in classes(t.w):
+        if trace_key(rep) == key:
+            return rep
     raise RuntimeError(f"C({format_perm(t.w)}) lacks the class of a tiling")
 
 

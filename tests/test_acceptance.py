@@ -35,8 +35,8 @@ def test_criterion_01_golden_examples():
     ok = {format_word(j) for j in enumerate_R((3, 2, 1))} == {"121", "212"}
     ok = ok and {format_word(j) for j in enumerate_R((2, 1, 3, 5, 4))} == {"14", "41"}
     by_rep = {
-        format_word(c.representative): {format_word(j) for j in class_words(c)}
-        for c in classes((4, 2, 3, 1))
+        format_word(rep): {format_word(j) for j in class_words(rep)}
+        for rep in classes((4, 2, 3, 1))
     }
     ok = ok and by_rep == {
         "12321": {"12321"},

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import redux.commutation
 import redux.tilings
 from redux.commutation import (
-    CommutationClass,
     FlipGraph,
     class_count,
+    class_sizes,
     classes,
     cycle_space_generated_by_4_8_cycles,
     gf2_rank,
@@ -39,35 +39,33 @@ words5 = perms5.flatmap(lambda w: st.sampled_from(enumerate_R(w)))
 
 
 def test_classes_golden_4231():
-    cls = classes((4, 2, 3, 1))
-    by_rep = {
-        format_word(c.representative): {format_word(j) for j in class_words(c)} for c in cls
-    }
+    w = (4, 2, 3, 1)
+    by_rep = {format_word(rep): {format_word(j) for j in class_words(rep)} for rep in classes(w)}
     assert by_rep == {
         "12321": {"12321"},
         "13213": {"13231", "31231", "13213", "31213"},
         "32123": {"32123"},
     }
-    assert [c.size for c in cls] == [1, 4, 1]
+    assert list(class_sizes(w).values()) == [1, 4, 1]
 
 
 def _home(w):
     """Each word of R(w) -> the representative of its class, read off the
     braid-move closures ``class_words``."""
-    return {word: c.representative for c in classes(w) for word in class_words(c)}
+    return {word: rep for rep in classes(w) for word in class_words(rep)}
 
 
 def test_classes_partition_R():
     for w in permutations(range(1, 6)):
-        cls = classes(w)
+        reps = classes(w)
         words = enumerate_R(w)
-        assert sorted(j for c in cls for j in class_words(c)) == list(words), w
-        by_key = {trace_key(c.representative): c for c in cls}
+        assert sorted(j for rep in reps for j in class_words(rep)) == list(words), w
+        by_key = {trace_key(rep): rep for rep in reps}
         for word in words:
             assert word in class_words(by_key[trace_key(word)])
-        for c in cls:
-            assert c.representative == min(class_words(c))
-            assert c.size == len(class_words(c))
+        for rep, size in class_sizes(w).items():
+            assert rep == min(class_words(rep))
+            assert size == len(class_words(rep))
 
 
 def _size_by_all_positions(rep):
@@ -91,20 +89,20 @@ def test_class_size_matches_reference_S6():
     its frontier and by every position."""
     total = 0
     for w in permutations(range(1, 7)):
-        for c in classes(w):
-            rep = c.representative
-            assert c.size == class_size(rep) == _size_by_all_positions(rep), c
+        for rep, size in class_sizes(w).items():
+            assert size == class_size(rep) == _size_by_all_positions(rep), rep
             total += 1
     assert total == 9661
 
 
 def test_class_sizes_key_every_class_S6():
-    """The DP over prefix traces reaches the classes that the normal forms
-    list, and its sizes add up to |R(w)|, for every w of S1-S6."""
+    """The DP over prefix traces sizes every class that the normal forms
+    list, in their order, and the sizes add up to |R(w)| (so the DP has no
+    class more), for every w of S1-S6."""
     for n in range(1, 7):
         for w in permutations(range(1, n + 1)):
-            sizes = redux.commutation._class_sizes(w)
-            assert set(sizes) == {trace_key(c.representative) for c in classes(w)}, w
+            sizes = class_sizes(w)
+            assert list(sizes) == classes(w), w
             assert sum(sizes.values()) == count_R(w), w
 
 
@@ -116,37 +114,22 @@ def test_class_sizes_longest_element_S7():
     assert sum(sizes.values()) == count_R(w0) == 1_100_742_656
 
 
-@pytest.mark.parametrize("rep", [(1, 1), (2, 1, 2, 1), (1, 2, 1, 2, 1)])
-def test_size_rejects_a_word_that_is_not_reduced(rep):
-    with pytest.raises(ValueError, match=f"{format_word(rep)} is not a reduced word"):
-        CommutationClass(rep).size
-
-
-def test_size_rejects_a_letter_below_1():
-    """Negative indexing would alias (3, 1, -2) to (3, 1, 2), so with the
-    table of 2413 loaded it would read off that class's size."""
-    assert CommutationClass((3, 1, 2)).size == 2  # 312 and 132
-    for rep in [(3, 1, -2), (-1,), (0,), (1, 0)]:
+def test_trace_key_rejects_a_letter_below_1():
+    """Negative indexing would alias (3, 1, -2) to (3, 1, 2)."""
+    for word in [(3, 1, -2), (-1,), (0,), (1, 0)]:
         with pytest.raises(ValueError, match="letters must be at least 1"):
-            CommutationClass(rep).size
-
-
-def test_size_of_the_shortest_words():
-    assert CommutationClass(()).size == 1
-    assert CommutationClass((3,)).size == 1
+            trace_key(word)
 
 
 def test_size_raises_when_the_dp_lacks_the_class(monkeypatch):
-    monkeypatch.setattr(redux.commutation, "_sizes", {})
     monkeypatch.setattr(redux.commutation, "_class_sizes", lambda w: {})
     with pytest.raises(RuntimeError, match=r"C\(321\) lacks the class of 121"):
-        CommutationClass((1, 2, 1)).size
+        class_sizes((3, 2, 1))
 
 
 def test_graph_edges_match_long_moves_on_R():
     for w in permutations(range(1, 6)):
-        cls = classes(w)
-        index = {word: i for i, c in enumerate(cls) for word in class_words(c)}
+        index = {word: i for i, rep in enumerate(classes(w)) for word in class_words(rep)}
         edges = set()
         for word in enumerate_R(w):
             i = index[word]
@@ -206,8 +189,7 @@ def test_move_keys_match_long_moves_S6():
     total = 0
     for n in range(1, 7):
         for w in permutations(range(1, n + 1)):
-            for c in classes(w):
-                rep = c.representative
+            for rep in classes(w):
                 got = sorted(redux.commutation._move_keys(rep, trace_key(rep)))
                 assert got == sorted(map(trace_key, _long_moves(rep))), rep
                 total += 1
@@ -224,8 +206,7 @@ def test_representatives_are_normal_forms():
     """No representative of a class over S5 has a factor b.u.a with a < b,
     where a commutes with b and with every letter of u."""
     for w in permutations(range(1, 6)):
-        for c in classes(w):
-            form = c.representative
+        for form in classes(w):
             for p, b in enumerate(form):
                 for q in range(p + 1, len(form)):
                     a = form[q]
