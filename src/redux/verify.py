@@ -37,7 +37,6 @@ from .patterns import (
 )
 from .permcore import (
     Perm,
-    check_perm,
     code_and_shape,
     descents,
     format_perm,
@@ -139,20 +138,15 @@ def _vexthm(n: int) -> tuple[int, str | None]:
     return checked + more, failure
 
 
-def _max_long_moves(w: Perm, memo: dict) -> int:
-    """The most long braid moves open to one reduced word of ``w``.
+def _best_long_moves(u: Perm, y: int, z: int, memo: dict) -> int:
+    """The most long braid moves open to words of u placed before the
+    letters y z; with y = z = 0, to one reduced word of u.
 
     Words are built right to left from the right descents of what remains;
     placing x before y z opens a long move when x == z (in a reduced word y
-    is then x +- 1).  ``memo`` is :func:`_best_long_moves`'s; its states do
-    not depend on w, so one memo serves a whole sweep.
+    is then x +- 1).  ``memo`` maps each state (u, y, z) done so far to its
+    answer; the states do not depend on u, so one memo serves a whole sweep.
     """
-    return _best_long_moves(check_perm(w), 0, 0, memo)
-
-
-def _best_long_moves(u: Perm, y: int, z: int, memo: dict) -> int:
-    """The most long moves open to words of u placed before the letters y z;
-    ``memo`` maps each state (u, y, z) done so far to its answer."""
     if (u, y, z) not in memo:
         memo[u, y, z] = max(
             (
@@ -166,9 +160,9 @@ def _best_long_moves(u: Perm, y: int, z: int, memo: dict) -> int:
 
 def _one_long_move(w: Perm, memo: dict) -> bool:
     """U_n membership = no word with two long braid moves; path graph
-    corollary.  ``memo`` is passed on to :func:`_max_long_moves`."""
+    corollary.  ``memo`` is passed on to :func:`_best_long_moves`."""
     k, shares = analyze_321(w)
-    if shares != (_max_long_moves(w, memo) <= 1):
+    if shares != (_best_long_moves(w, 0, 0, memo) <= 1):
         return False
     if not shares:
         return True

@@ -14,7 +14,7 @@ from bisect import bisect
 from functools import lru_cache
 
 from .patterns import _pattern_at, contains, is_vexillary, occurrences
-from .permcore import Perm, check_perm, inverse, length
+from .permcore import Perm, check_perm, inverse
 from .redwords import Word, evaluate, find_shift_factor, shift
 
 _STEP_CAP = 100_000
@@ -29,13 +29,12 @@ class VexError(RuntimeError):
 
 
 @lru_cache(maxsize=1)
-def _checked(w: Perm) -> tuple[int, tuple[int, ...]]:
-    """``length(w)`` and the position of each value in ``w`` (index 0
-    unused), once ``check_perm`` accepts ``w``.  Memoised for the last w
-    only: a sweep embeds every pattern it finds in one w before moving on,
-    so each w is validated once, not once per embedding."""
-    w = check_perm(w)
-    return length(w), (0, *inverse(w))
+def _checked(w: Perm) -> tuple[int, ...]:
+    """The position of each value in ``w`` (index 0 unused), once
+    ``check_perm`` accepts ``w``.  Memoised for the last w only: a sweep
+    embeds every pattern it finds in one w before moving on, so each w is
+    validated once, not once per embedding."""
+    return (0, *inverse(check_perm(w)))
 
 
 @lru_cache(maxsize=64)
@@ -62,7 +61,7 @@ class _VexState:
 
     def __init__(self, w: Perm, pattern: Perm, values):
         self.w = list(w)
-        self.inv = list(_checked(w)[1])
+        self.inv = list(_checked(w))
         self.p = pattern
         self.order = _order(pattern)  # pat index of the role at each position
         self.pat = sorted(values)  # pat[m-1] is the value in role m
@@ -212,7 +211,7 @@ def _vex(w: Perm, at: tuple[int, ...]) -> tuple[_VexState, int]:
     correct answer.
     """
     w = tuple(w)
-    length_w = _checked(w)[0]
+    _checked(w)  # ValueError unless w is a permutation, before any other check
     p = _pattern_at(w, at)
     st = _VexState(w, p, [w[i - 1] for i in at])
     k, inv, pat, order = len(p), st.inv, st.pat, st.order
@@ -271,8 +270,6 @@ def _vex(w: Perm, at: tuple[int, ...]) -> tuple[_VexState, int]:
     M = inv[pat[order[0]]] - 1
     if inv[pat[order[-1]]] - M != k:
         raise VexError("occurrence not consecutive")
-    if length(st.w) != length_w - len(st.left) - len(st.right):
-        raise VexError("a multiplication did not shorten w")
     return st, M
 
 

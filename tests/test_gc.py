@@ -26,7 +26,7 @@ from redux.tilings import (
     poset,
     uniform_2k_tiling_exists,
 )
-from redux.verify import _max_long_moves, run
+from redux.verify import _best_long_moves, run
 from redux.vexalg import embed_reduced_word, lex_least_reduced_word
 
 W = (5, 6, 4, 2, 3, 1)
@@ -43,7 +43,7 @@ CALLS = {
     "simple_cycles_of_length": lambda: simple_cycles_of_length(
         flip_graph_from_tilings(W), 4
     ),
-    "_max_long_moves": lambda: _max_long_moves(W, {}),
+    "_best_long_moves": lambda: _best_long_moves(W, 0, 0, {}),
     "1lbm": lambda: run("1lbm", 5),
     "maxelt": lambda: run("maxelt", 4),
     "_tile_label_sets": lambda: _tile_label_sets(W, {}),

@@ -49,6 +49,18 @@ def test_no_assert_in_library():
     assert found == []
 
 
+def test_no_global_statement():
+    """No function rebinds module state: what a call computes is returned
+    to its caller, not left for the next call to find."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(redux.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
+
+
 def test_imports_are_at_module_level():
     """No function imports on each call; every module states its imports
     at the top."""

@@ -11,7 +11,7 @@ import redux.tilings
 from redux import verify
 from redux.commutation import graph, rotate_prefix
 from redux.redwords import BudgetError, budget, enumerate_R
-from redux.verify import THEOREMS, VerifyResult, _max_long_moves, run
+from redux.verify import THEOREMS, VerifyResult, _best_long_moves, run
 
 from oracles import braid_moves
 
@@ -165,7 +165,7 @@ def test_max_long_moves_matches_brute_force():
     memo: dict = {}
     for w in permutations(range(1, 6)):
         expected = max(len(braid_moves(word)[1]) for word in enumerate_R(w))
-        assert _max_long_moves(w, memo) == expected, w
+        assert _best_long_moves(w, 0, 0, memo) == expected, w
 
 
 def test_monotone_n7():
