@@ -150,8 +150,9 @@ def test_embedding_is_assembled_from_the_vex_result():
 
 def test_vexthm_validates_each_w_once(monkeypatch):
     """The vexthm sweep embeds every pattern it finds in w in a row; w is
-    checked once per such visit, not once per embedding.  A call is counted when its argument is the swept w object
-    itself: the permutations vex builds on the way are new objects."""
+    checked once per such visit, not once per embedding.  A call is counted
+    when its argument is the swept w object itself: the permutations vex
+    builds on the way are new objects."""
     visits: dict = {}
     current = {}
 
