@@ -114,6 +114,19 @@ def test_class_sizes_longest_element_S7():
     assert sum(sizes.values()) == count_R(w0) == 1_100_742_656
 
 
+@pytest.mark.parametrize("w", [(1, 1), (2, 1, 2, 1), (1, 2, 1, 2, 1)])
+def test_class_sizes_rejects_a_w_that_is_not_a_permutation(w):
+    with pytest.raises(ValueError, match=rf"not a permutation of 1\.\.{len(w)}"):
+        class_sizes(w)
+
+
+def test_class_sizes_of_the_shortest_words():
+    """The identity has one class, of the empty word; a simple
+    transposition s_i has one, of the word i."""
+    assert class_sizes((1,)) == class_sizes((1, 2, 3)) == {(): 1}
+    assert class_sizes((1, 2, 4, 3)) == {(3,): 1}
+
+
 def test_trace_key_rejects_a_letter_below_1():
     """Negative indexing would alias (3, 1, -2) to (3, 1, 2)."""
     for word in [(3, 1, -2), (-1,), (0,), (1, 0)]:
